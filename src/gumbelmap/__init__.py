@@ -53,8 +53,6 @@ from .cuts import (
     build_cut_problem,
     clamp_variable,
     clamp_variables,
-    solve_map,
-    update_unary,
 )
 from .gumbel import (
     EstimatorConfig,
@@ -62,7 +60,6 @@ from .gumbel import (
     conditional_counting_marginals,
     counting_marginals,
     estimate_A,
-    estimate_B,
     perturbed_map,
     sample_noise,
 )

@@ -21,11 +21,6 @@ from .errors import PreconditionError, StructuralError
 from .model import CompiledPotentials, PairwiseModel, evaluate_potential
 
 SUPERMODULAR_TOL = 1e-12
-FIXED_POINT_SCALE = float(2 ** 20)
-
-
-def _quantize(x: np.ndarray) -> np.ndarray:
-    return np.round(x * FIXED_POINT_SCALE) / FIXED_POINT_SCALE
 
 
 class DynamicCutState:
@@ -34,16 +29,12 @@ class DynamicCutState:
     Single-owner mutable: confine one state to one worker at a time.
     """
 
-    def __init__(self, potentials: CompiledPotentials,
-                 fixed_point: bool = False):
+    def __init__(self, potentials: CompiledPotentials):
         model = potentials.model
         if not model.is_binary:
             raise PreconditionError("cut solver requires binary labels")
         unary = np.array(potentials.unary[:, :2], dtype=np.float64)
         pairwise = np.array(potentials.pairwise[:, :2, :2], dtype=np.float64)
-        if fixed_point:
-            unary = _quantize(unary)
-            pairwise = _quantize(pairwise)
         self.model = model
         self.unary = unary
         self.pairwise = pairwise
@@ -174,17 +165,8 @@ class DynamicCutState:
         return -(self.const + self.flow)
 
 
-def build_cut_problem(p: CompiledPotentials,
-                      fixed_point: bool = False) -> DynamicCutState:
-    return DynamicCutState(p, fixed_point=fixed_point)
-
-
-def solve_map(s: DynamicCutState) -> tuple[np.ndarray, float]:
-    return s.solve()
-
-
-def update_unary(s: DynamicCutState, d: int, new_u) -> None:
-    s.update_unary(d, new_u)
+def build_cut_problem(p: CompiledPotentials) -> DynamicCutState:
+    return DynamicCutState(p)
 
 
 # ---------------------------------------------------------------------------

@@ -84,19 +84,22 @@ class EstimatorConfig:
             raise StructuralError(f"unknown solver {self.solver!r}")
 
 
+def _gumbel_table(rng: np.random.Generator, model: PairwiseModel) -> np.ndarray:
+    """(D, Kmax) zero-mean Gumbel draws from ``rng``, padding entries 0.
+    Uniforms are clamped away from {0, 1}."""
+    u = np.clip(rng.random((model.num_vars, model.max_labels)), _U_LO, _U_HI)
+    z = gumbel_from_uniform(u)
+    z[np.arange(model.max_labels) >= np.array(model.label_counts)[:, None]] = 0.0
+    return z
+
+
 def sample_noise(model: PairwiseModel, seed: int,
                  context: tuple[int, ...] = ()) -> GumbelNoise:
     """Independent zero-mean Gumbel per (variable, label); deterministic
-    given (seed, context).  Uniforms are clamped away from {0, 1}."""
+    given (seed, context)."""
     words = tuple(context) + (0, 0)
     rng = stream(seed, words[0], words[1], TAG_NOISE)
-    kmax = model.max_labels
-    u = rng.random((model.num_vars, kmax))
-    u = np.clip(u, _U_LO, _U_HI)
-    z = gumbel_from_uniform(u)
-    for d, kd in enumerate(model.label_counts):
-        z[d, kd:] = 0.0
-    return GumbelNoise(z, (seed,) + tuple(context))
+    return GumbelNoise(_gumbel_table(rng, model), (seed,) + tuple(context))
 
 
 # ---------------------------------------------------------------------------
@@ -149,13 +152,6 @@ def perturbed_conditional_map(p: CompiledPotentials, d: int, k: int,
     return clamped.complete(y_red), clamped.offset + val
 
 
-def estimate_B(p: CompiledPotentials, d: int, k: int, z: GumbelNoise,
-               solver: str) -> float:
-    """One draw of the clamped perturbed maximum; averaging over noise
-    realizations estimates the conditional log-partition bound."""
-    return perturbed_conditional_map(p, d, k, z, solver)[1]
-
-
 # ---------------------------------------------------------------------------
 # Batched solving (one model, many noise realizations)
 # ---------------------------------------------------------------------------
@@ -165,15 +161,9 @@ def _noise_batch(model: PairwiseModel, cfg: EstimatorConfig,
                  tag: int) -> np.ndarray:
     """(M, D, Kmax) noise block; sample m uses counter word m so streams
     match any per-sample evaluation order."""
-    kmax = model.max_labels
-    out = np.empty((cfg.num_samples, model.num_vars, kmax))
-    for m in range(cfg.num_samples):
-        rng = stream(cfg.seed, m, cfg.stream_context, tag)
-        u = np.clip(rng.random((model.num_vars, kmax)), _U_LO, _U_HI)
-        out[m] = gumbel_from_uniform(u)
-    for d, kd in enumerate(model.label_counts):
-        out[:, d, kd:] = 0.0
-    return out
+    return np.stack([
+        _gumbel_table(stream(cfg.seed, m, cfg.stream_context, tag), model)
+        for m in range(cfg.num_samples)])
 
 
 def _perturbed_map_batch(p: CompiledPotentials, znoise: np.ndarray,

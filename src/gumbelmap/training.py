@@ -1,11 +1,18 @@
 """Double stochastic gradient descent: random mini-batches, fresh Gumbel
 perturbations every iteration.
 
-Three step kinds share one skeleton: plain log-likelihood (whole-labeling
-objective), marginal likelihood (per-variable objective, optionally
-weighted), and expected marginal likelihood against a fixed marginal table
-(for unlabeled data).  The per-variable objectives need one unconditional
-perturbed MAP plus clamped re-solves; two accelerations apply:
+The Hamming, weighted Hamming, unlabeled and partially labeled objectives
+are one estimator, sum_d sum_k w_dk (B_dk - A) under shared noise, where A
+is the unconditional perturbed maximum and B_dk the maximum with y_d
+clamped to k.  Only the weight table w changes: theta_d at the label for a
+labeled element, q_d(k) theta_d(k) from frozen marginals for an unlabeled
+one, with given labels conditioned on rather than weighted.  One
+per-variable kernel (``_element``) computes it; the whole-labeling
+likelihood (zero-one loss) needs only the unconditional MAP.  The three
+public steps share one update helper, and one driver loop serves
+``train`` and both training phases of ``train_semisupervised``.
+
+Two exact accelerations apply to the clamped solves:
 
 * skipping clamped solves whose maximizer provably equals the
   unconditional one under the shared noise (zero gradient contribution);
@@ -40,7 +47,6 @@ from .model import (
     CompiledPotentials,
     FeatureInstance,
     LossSpec,
-    MarginalTable,
     WeightLayout,
     WeightVector,
     ZERO_ONE,
@@ -49,6 +55,7 @@ from .model import (
     evaluate_potential,
     feature_map,
     loss_weights,
+    zero_weights,
 )
 
 PHASE_SUPERVISED = 1
@@ -125,12 +132,6 @@ def _noise_for(model, seed: int, phase: int, h: int, slot: int) -> GumbelNoise:
     return sample_noise(model, seed, context=(slot, (phase << 48) | h))
 
 
-def _batch_indices(n: int, t: int, seed: int, phase: int, h: int,
-                   group: int = 0) -> np.ndarray:
-    rng = stream(seed, group, (phase << 48) | h, TAG_BATCH)
-    return rng.integers(0, n, size=t)
-
-
 # ---------------------------------------------------------------------------
 # Per-element solving
 # ---------------------------------------------------------------------------
@@ -196,95 +197,140 @@ class _ElementSolver:
         return y, val
 
 
-def _marginal_element(x: FeatureInstance, y: np.ndarray, theta: np.ndarray,
-                      p: CompiledPotentials, z: GumbelNoise, solver: str,
-                      dynamic: bool, acceleration: bool,
-                      layout: WeightLayout, counters: TrainCounters
-                      ) -> tuple[np.ndarray, float]:
-    """Gradient and objective estimate of the per-variable marginal
-    objective sum_d theta_d (B_d - A) for one element under one noise
-    realization."""
-    es = _ElementSolver(p, z, solver, dynamic)
-    y_a, val_a = es.map_full()
-    counters.map_solves += 1
-    psi_a = feature_map(x, y_a, layout)
-    grad = np.zeros(layout.total_size)
-    obj = 0.0
-    for d in range(x.model.num_vars):
-        k = int(y[d])
-        if y_a[d] == k and acceleration:
-            # shared noise: the clamped maximizer equals y_a, so the
-            # gradient term vanishes and B_d - A is exactly -z_d(k)
-            counters.clamp_skipped += 1
-            obj += theta[d] * (-z.values[d, k])
-            continue
-        y_b, val_b = es.map_clamped(d, k)
-        counters.clamp_solves += 1
-        grad += theta[d] * (feature_map(x, y_b, layout) - psi_a)
-        obj += theta[d] * (val_b - val_a)
-    return grad, obj
+def _element(x: FeatureInstance, weights: np.ndarray, given: dict[int, int],
+             p: CompiledPotentials, z: GumbelNoise, solver: str,
+             dynamic: bool, acceleration: bool, layout: WeightLayout,
+             counters: TrainCounters) -> tuple[np.ndarray, float]:
+    """Gradient and objective estimate of sum_d sum_k w_dk (B_dk - A) for
+    one element under one noise realization.
 
-
-def _unsup_element(x: FeatureInstance, q: MarginalTable,
-                   theta_table: np.ndarray | None, p: CompiledPotentials,
-                   z: GumbelNoise, solver: str, dynamic: bool,
-                   acceleration: bool, layout: WeightLayout,
-                   counters: TrainCounters) -> tuple[np.ndarray, float]:
-    """Expected marginal objective sum_d sum_k q_d(k) theta_d(k) (B_dk - A)
-    for one (possibly partially labeled) element.
-
-    Present labels are folded out first: both the unconditional and the
-    clamped solves run conditioned on them, and the d-sum runs over the
-    free variables.
+    ``weights`` is a (D, Kmax) table: a labeled element carries theta_d at
+    its label and 0 elsewhere, an unlabeled one q_d(k) theta_d(k).  Entries
+    of weight 0 are neither solved nor counted.  The ``given`` labels are
+    folded out first: both the unconditional and the clamped solves run
+    conditioned on them, and their rows of ``weights`` are ignored.
     """
     model = x.model
-    given = x.given_labels()
     if len(given) == model.num_vars:
         # every conditional marginal is degenerate: nothing to match
         return np.zeros(layout.total_size), 0.0
     if given:
         clamped = clamp_variables(p, given)
         red = clamped.potentials
-        z_red = z.restrict(clamped.kept, red.model.max_labels)
-        es = _ElementSolver(red, z_red, solver, dynamic)
-        y_a_red, val_a = es.map_full()
-        y_a = clamped.complete(y_a_red)
+        es = _ElementSolver(red, z.restrict(clamped.kept, red.model.max_labels),
+                            solver, dynamic)
         free = [int(v) for v in clamped.kept]
+        lift = clamped.complete
     else:
-        clamped = None
         es = _ElementSolver(p, z, solver, dynamic)
-        y_a, val_a = es.map_full()
         free = list(range(model.num_vars))
+        lift = np.asarray  # identity on labelings
+    y_a, val_a = es.map_full()
+    y_a = lift(y_a)
     counters.map_solves += 1
     psi_a = feature_map(x, y_a, layout)
     grad = np.zeros(layout.total_size)
     obj = 0.0
     for pos, d in enumerate(free):
-        qrow = q.row(d)
         for k in range(model.label_counts[d]):
-            w_dk = float(qrow[k])
-            if theta_table is not None:
-                w_dk *= theta_table[d, k]
-            zval = z.values[d, k]
-            if y_a[d] == k and acceleration:
-                counters.clamp_skipped += 1
-                obj += w_dk * (-zval)
+            w_dk = weights[d, k]
+            if w_dk == 0.0:
                 continue
-            if clamped is not None:
-                y_b_red, val_b = es.map_clamped(pos, k)
-                y_b = clamped.complete(y_b_red)
-            else:
-                y_b, val_b = es.map_clamped(d, k)
+            if y_a[d] == k and acceleration:
+                # shared noise: the clamped maximizer equals y_a, so the
+                # gradient term vanishes and B_dk - A is exactly -z_d(k)
+                counters.clamp_skipped += 1
+                obj += w_dk * (-z.values[d, k])
+                continue
+            y_b, val_b = es.map_clamped(pos, k)
             counters.clamp_solves += 1
-            if w_dk != 0.0:
-                grad += w_dk * (feature_map(x, y_b, layout) - psi_a)
-                obj += w_dk * (val_b - val_a)
+            grad += w_dk * (feature_map(x, lift(y_b), layout) - psi_a)
+            obj += w_dk * (val_b - val_a)
     return grad, obj
+
+
+def _label_table(x: FeatureInstance, y: np.ndarray,
+                 loss_spec: LossSpec) -> np.ndarray:
+    """One-hot weight table of a labeled element: theta_d at y_d."""
+    table = np.zeros((x.model.num_vars, x.model.max_labels))
+    table[np.arange(x.model.num_vars), y] = loss_weights(loss_spec, y,
+                                                         x.volumes())
+    return table
+
+
+def _unlabeled_table(w: WeightVector, x: FeatureInstance, index: int,
+                     cfg: TrainConfig) -> np.ndarray:
+    """Weight table q_d(k) theta_d(k) of an unlabeled (or partially
+    labeled) element: q are counting marginals under w, conditioned on the
+    given labels; theta, for the weighted loss, are frozen volume-balanced
+    weights with foreground/background volumes taken from q."""
+    p = compile_potentials(w, x)
+    est = EstimatorConfig(cfg.inference_samples, cfg.seed, cfg.solver,
+                          stream_context=index + 1)
+    given = x.given_labels()
+    if given:
+        q = conditional_counting_marginals(p, given, est)
+    else:
+        q = counting_marginals(p, est)
+    if cfg.loss.kind != WEIGHTED_HAMMING:
+        return q.probs
+    if x.model.max_labels != 2:
+        raise StructuralError("weighted loss requires binary labels")
+    vols = x.volumes()
+    eps = 1e-6 * float(vols.sum())
+    v_fg = max(float((q.probs[:, 1] * vols).sum()), eps)
+    v_bg = max(float((q.probs[:, 0] * vols).sum()), eps)
+    theta = np.zeros((x.model.num_vars, 2))
+    theta[:, 1] = vols / (2.0 * v_fg)
+    theta[:, 0] = vols / (2.0 * v_bg)
+    return q.probs * theta
 
 
 # ---------------------------------------------------------------------------
 # SGD steps
 # ---------------------------------------------------------------------------
+
+
+def _batch_mean(w: WeightVector,
+                items: list[tuple[FeatureInstance, np.ndarray, dict[int, int]]],
+                h: int, cfg: TrainConfig, counters: TrainCounters, phase: int,
+                first_slot: int) -> tuple[np.ndarray, float]:
+    """Mean gradient and objective of the per-variable kernel over
+    (instance, weight table, given labels) items; item t draws noise slot
+    first_slot + t.  An empty batch contributes zero."""
+    gsum = np.zeros(w.layout.total_size)
+    obj = 0.0
+    for t, (x, weights, given) in enumerate(items):
+        p = compile_potentials(w, x)
+        z = _noise_for(x.model, cfg.seed, phase, h, first_slot + t)
+        g, o = _element(x, weights, given, p, z, cfg.solver, cfg.dynamic_cuts,
+                        cfg.acceleration, w.layout, counters)
+        gsum += g
+        obj += o
+    n = max(len(items), 1)
+    return gsum / n, obj / n
+
+
+def _labeled_mean(w: WeightVector, batch: list[FeatureInstance], h: int,
+                  cfg: TrainConfig, counters: TrainCounters, phase: int
+                  ) -> tuple[np.ndarray, float]:
+    if not all(x.fully_labeled for x in batch):
+        raise StructuralError("marginal step requires full labels")
+    items = [(x, _label_table(x, x.labels, cfg.loss), {}) for x in batch]
+    return _batch_mean(w, items, h, cfg, counters, phase, 1)
+
+
+def _update(w: WeightVector, grad: np.ndarray, obj: float, h: int,
+            cfg: TrainConfig, project: bool = True
+            ) -> tuple[WeightVector, float]:
+    """w + gamma_h (grad - lam w), optionally projected, and the objective
+    estimate regularised with the pre-update w."""
+    gamma = stepsize(cfg, h)
+    w_new = WeightVector(w.values + gamma * (grad - cfg.lam * w.values),
+                         w.layout)
+    if project:
+        w_new = project_supermodular(w_new)
+    return w_new, obj - 0.5 * cfg.lam * float(w.values @ w.values)
 
 
 def sgd_loglik_step(w: WeightVector, batch: list[FeatureInstance], h: int,
@@ -294,27 +340,21 @@ def sgd_loglik_step(w: WeightVector, batch: list[FeatureInstance], h: int,
     """One whole-labeling likelihood step: the gradient is the empirical
     feature average minus the average perturbed maximizer's features."""
     counters = counters if counters is not None else TrainCounters()
+    if not all(x.fully_labeled for x in batch):
+        raise StructuralError("log-likelihood step requires full labels")
     layout = w.layout
     gsum = np.zeros(layout.total_size)
     obj = 0.0
     for t, x in enumerate(batch):
-        if not x.fully_labeled:
-            raise StructuralError("log-likelihood step requires full labels")
         p = compile_potentials(w, x)
         z = _noise_for(x.model, cfg.seed, phase, h, t + 1)
-        es = _ElementSolver(p, z, cfg.solver, cfg.dynamic_cuts)
-        y_star, val = es.map_full()
+        y_star, val = _ElementSolver(p, z, cfg.solver,
+                                     cfg.dynamic_cuts).map_full()
         counters.map_solves += 1
         gsum += feature_map(x, x.labels, layout) - feature_map(x, y_star, layout)
         obj += evaluate_potential(p, x.labels) - val
-    t_n = len(batch)
-    grad = gsum / t_n
-    gamma = stepsize(cfg, h)
-    w_new = WeightVector(w.values + gamma * (grad - cfg.lam * w.values), layout)
-    if cfg.solver == SOLVER_GRAPHCUT:
-        w_new = project_supermodular(w_new)
-    est = obj / t_n - 0.5 * cfg.lam * float(w.values @ w.values)
-    return w_new, est
+    return _update(w, gsum / len(batch), obj / len(batch), h, cfg,
+                   project=cfg.solver == SOLVER_GRAPHCUT)
 
 
 def sgd_marginal_step(w: WeightVector, batch: list[FeatureInstance], h: int,
@@ -323,59 +363,33 @@ def sgd_marginal_step(w: WeightVector, batch: list[FeatureInstance], h: int,
                       ) -> tuple[WeightVector, float]:
     """One marginal-likelihood step (plain or weighted Hamming)."""
     counters = counters if counters is not None else TrainCounters()
-    layout = w.layout
-    gsum = np.zeros(layout.total_size)
-    obj = 0.0
-    for t, x in enumerate(batch):
-        if not x.fully_labeled:
-            raise StructuralError("marginal step requires full labels")
-        y = x.labels
-        theta = loss_weights(cfg.loss, y, x.volumes())
-        p = compile_potentials(w, x)
-        z = _noise_for(x.model, cfg.seed, phase, h, t + 1)
-        grad, o = _marginal_element(x, y, theta, p, z, cfg.solver,
-                                    cfg.dynamic_cuts, cfg.acceleration,
-                                    layout, counters)
-        gsum += grad
-        obj += o
-    t_n = len(batch)
-    gamma = stepsize(cfg, h)
-    w_new = WeightVector(
-        w.values + gamma * (gsum / t_n - cfg.lam * w.values), layout)
-    w_new = project_supermodular(w_new)
-    est = obj / t_n - 0.5 * cfg.lam * float(w.values @ w.values)
-    return w_new, est
+    grad, obj = _labeled_mean(w, batch, h, cfg, counters, phase)
+    return _update(w, grad, obj, h, cfg)
 
 
-def sgd_unsup_step(w: WeightVector,
-                   batch: list[tuple[FeatureInstance, MarginalTable,
-                                     np.ndarray | None]],
+def sgd_unsup_step(w: WeightVector, labeled: list[FeatureInstance],
+                   unlabeled: list[tuple[FeatureInstance, np.ndarray]],
                    h: int, cfg: TrainConfig,
                    counters: TrainCounters | None = None,
-                   phase: int = PHASE_MIXED, slot_base: int = 0,
-                   scale: float = 1.0) -> tuple[WeightVector, float]:
-    """One expected-marginal-likelihood step over unlabeled (or partially
-    labeled) elements carrying fixed marginal tables q (and, for the
-    weighted loss, frozen per-label weight tables)."""
+                   phase: int = PHASE_MIXED) -> tuple[WeightVector, float]:
+    """One mixed step: the marginal-likelihood mean over the labeled batch
+    plus kappa times the expected-marginal mean over the unlabeled batch.
+
+    Unlabeled items are (instance, weight table) pairs, the table being
+    q_d(k) theta_d(k) from frozen marginals; their given labels are
+    conditioned on.  Labeled element t draws noise slot t + 1, unlabeled
+    element t slot len(labeled) + t + 1.  With no unlabeled items the step
+    equals ``sgd_marginal_step`` bit for bit.
+    """
     counters = counters if counters is not None else TrainCounters()
-    layout = w.layout
-    gsum = np.zeros(layout.total_size)
-    obj = 0.0
-    for t, (x, q, theta_table) in enumerate(batch):
-        p = compile_potentials(w, x)
-        z = _noise_for(x.model, cfg.seed, phase, h, slot_base + t + 1)
-        grad, o = _unsup_element(x, q, theta_table, p, z, cfg.solver,
-                                 cfg.dynamic_cuts, cfg.acceleration,
-                                 layout, counters)
-        gsum += grad
-        obj += o
-    t_n = len(batch)
-    gamma = stepsize(cfg, h)
-    w_new = WeightVector(
-        w.values + gamma * (scale * gsum / t_n - cfg.lam * w.values), layout)
-    w_new = project_supermodular(w_new)
-    est = scale * obj / t_n - 0.5 * cfg.lam * float(w.values @ w.values)
-    return w_new, est
+    grad, obj = _labeled_mean(w, labeled, h, cfg, counters, phase)
+    if unlabeled:
+        items = [(x, weights, x.given_labels()) for x, weights in unlabeled]
+        g_u, o_u = _batch_mean(w, items, h, cfg, counters, phase,
+                               len(labeled) + 1)
+        grad = grad + cfg.kappa * g_u
+        obj = obj + cfg.kappa * o_u
+    return _update(w, grad, obj, h, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -383,174 +397,99 @@ def sgd_unsup_step(w: WeightVector,
 # ---------------------------------------------------------------------------
 
 
-def _supervised_step_fn(cfg: TrainConfig):
-    if cfg.loss.kind == ZERO_ONE:
-        return sgd_loglik_step
-    return sgd_marginal_step
+def _draw(data: list, cfg: TrainConfig, phase: int, h: int,
+          group: int) -> list:
+    rng = stream(cfg.seed, group, (phase << 48) | h, TAG_BATCH)
+    return [data[int(i)] for i in rng.integers(0, len(data), size=cfg.batch)]
 
 
-class _TailAverager:
-    """Running mean of the iterates from start_at (1-based) onward."""
-
-    def __init__(self, start_at: int, layout: WeightLayout):
-        self.start_at = start_at
-        self.layout = layout
-        self._sum = np.zeros(layout.total_size)
-        self._n = 0
-
-    def add(self, h: int, w: WeightVector) -> None:
-        if h >= self.start_at:
-            self._sum += w.values
-            self._n += 1
-
-    def result(self, fallback: WeightVector) -> WeightVector:
-        if self._n == 0:
-            return fallback.copy()
-        return WeightVector(self._sum / self._n, self.layout)
+def _drive(step, w: WeightVector, labeled: list[FeatureInstance],
+           cfg: TrainConfig, counters: TrainCounters, phase: int,
+           unlabeled: list | None = None
+           ) -> tuple[WeightVector, WeightVector, np.ndarray,
+                      list[tuple[int, float]]]:
+    """cfg.iters steps from h = 1: each draws a labeled batch (stream
+    group 0) and, when ``unlabeled`` is given, an unlabeled batch (group 1,
+    empty if there are no unlabeled items).  Returns the last iterate, the
+    mean of the last half of the iterates, the objective estimates and the
+    skipped-clamp fraction every 100 iterations."""
+    objs = np.zeros(cfg.iters)
+    tail_from = cfg.iters // 2 + 1
+    tail_sum = np.zeros(cfg.layout.total_size)
+    series: list[tuple[int, float]] = []
+    for h in range(1, cfg.iters + 1):
+        args = [_draw(labeled, cfg, phase, h, 0)]
+        if unlabeled is not None:
+            args.append(_draw(unlabeled, cfg, phase, h, 1) if unlabeled else [])
+        w, objs[h - 1] = step(w, *args, h, cfg, counters, phase)
+        if h >= tail_from:
+            tail_sum += w.values
+        if h % 100 == 0 or h == cfg.iters:
+            budget = counters.clamp_solves + counters.clamp_skipped
+            frac = counters.clamp_skipped / budget if budget else 0.0
+            series.append((h, frac))
+    averaged = WeightVector(tail_sum / (cfg.iters - tail_from + 1), cfg.layout)
+    return w, averaged, objs, series
 
 
 def train(dataset: list[FeatureInstance], cfg: TrainConfig) -> TrainReport:
     """Supervised training from w = 0 with the loss-appropriate step."""
     if not dataset:
         raise StructuralError("dataset is empty")
-    step = _supervised_step_fn(cfg)
-    w = WeightVector(np.zeros(cfg.layout.total_size), cfg.layout)
+    step = sgd_loglik_step if cfg.loss.kind == ZERO_ONE else sgd_marginal_step
     counters = TrainCounters()
-    objs = np.zeros(cfg.iters)
-    avg = _TailAverager(cfg.iters // 2 + 1, cfg.layout)
-    skipped_series: list[tuple[int, float]] = []
     t0 = _time.perf_counter()
-    for h in range(1, cfg.iters + 1):
-        idx = _batch_indices(len(dataset), cfg.batch, cfg.seed,
-                             PHASE_SUPERVISED, h)
-        batch = [dataset[int(i)] for i in idx]
-        w, objs[h - 1] = step(w, batch, h, cfg, counters, PHASE_SUPERVISED)
-        avg.add(h, w)
-        if h % 100 == 0 or h == cfg.iters:
-            budget = counters.clamp_solves + counters.clamp_skipped
-            frac = counters.clamp_skipped / budget if budget else 0.0
-            skipped_series.append((h, frac))
+    w, averaged, objs, series = _drive(step, zero_weights(cfg.layout), dataset,
+                                       cfg, counters, PHASE_SUPERVISED)
     return TrainReport(
-        weights=w, averaged=avg.result(w), objective_estimates=objs,
+        weights=w, averaged=averaged, objective_estimates=objs,
         counters=counters,
         phase_seconds={"supervised": _time.perf_counter() - t0},
-        skipped_fraction_series=skipped_series)
-
-
-def _unsup_theta_table(x: FeatureInstance, q: MarginalTable,
-                       cfg: TrainConfig) -> np.ndarray | None:
-    """Frozen per-label weights for the weighted unlabeled objective, with
-    foreground/background volumes approximated from the marginals."""
-    if cfg.loss.kind != WEIGHTED_HAMMING:
-        return None
-    if x.model.max_labels != 2:
-        raise StructuralError("weighted loss requires binary labels")
-    vols = x.volumes()
-    v_fg = float((q.probs[:, 1] * vols).sum())
-    v_bg = float((q.probs[:, 0] * vols).sum())
-    eps = 1e-6 * float(vols.sum())
-    v_fg = max(v_fg, eps)
-    v_bg = max(v_bg, eps)
-    table = np.zeros((x.model.num_vars, 2))
-    table[:, 1] = vols / (2.0 * v_fg)
-    table[:, 0] = vols / (2.0 * v_bg)
-    return table
+        skipped_fraction_series=series)
 
 
 def train_semisupervised(d1: list[FeatureInstance],
                          d2: list[FeatureInstance],
                          cfg: TrainConfig) -> TrainReport:
-    """Three phases: supervised training of w1; marginal tables for the
-    unlabeled data under w1; mixed updates combining a labeled batch with a
+    """Three phases: supervised training of w1; weight tables q theta for
+    the unlabeled data from counting marginals under w1 (only when
+    kappa > 0); mixed updates combining a labeled batch with a
     kappa-scaled unlabeled batch.
 
     The mixed phase restarts the stepsize sequence at h = 1.  With the
     1/(lam h) rule the first mixed step replaces w1 by the bare gradient
-    over lam, so w1 survives only through the frozen marginal tables; the
-    mixed phase is a fresh run on labeled plus pseudo-labeled data.
+    over lam, so w1 survives only through the frozen tables; the mixed
+    phase is a fresh run on labeled plus pseudo-labeled data.
     """
+    if cfg.loss.kind == ZERO_ONE:
+        raise StructuralError("semi-supervised training needs a Hamming or "
+                              "weighted Hamming loss, not zero-one")
     if not d1:
         raise StructuralError("the labeled dataset is empty")
     counters = TrainCounters()
-    h_total = cfg.iters
-    objs = np.zeros(2 * h_total)
     timings: dict[str, float] = {}
 
     t0 = _time.perf_counter()
-    step = sgd_marginal_step
-    w = WeightVector(np.zeros(cfg.layout.total_size), cfg.layout)
-    for h in range(1, h_total + 1):
-        idx = _batch_indices(len(d1), cfg.batch, cfg.seed, PHASE_SUPERVISED, h)
-        batch = [d1[int(i)] for i in idx]
-        w, objs[h - 1] = step(w, batch, h, cfg, counters, PHASE_SUPERVISED)
+    w, _, objs1, _ = _drive(sgd_marginal_step, zero_weights(cfg.layout), d1,
+                            cfg, counters, PHASE_SUPERVISED)
     timings["supervised"] = _time.perf_counter() - t0
 
     t0 = _time.perf_counter()
-    enriched: list[tuple[FeatureInstance, MarginalTable, np.ndarray | None]] = []
-    for i, x in enumerate(d2):
-        p = compile_potentials(w, x)
-        est = EstimatorConfig(cfg.inference_samples, cfg.seed, cfg.solver,
-                              stream_context=i + 1)
-        given = x.given_labels()
-        if given:
-            q = conditional_counting_marginals(p, given, est)
-        else:
-            q = counting_marginals(p, est)
-        enriched.append((x, q, _unsup_theta_table(x, q, cfg)))
+    tables = []
+    if cfg.kappa > 0.0:
+        tables = [(x, _unlabeled_table(w, x, i, cfg)) for i, x in enumerate(d2)]
     timings["marginals"] = _time.perf_counter() - t0
 
     t0 = _time.perf_counter()
-    avg = _TailAverager(h_total // 2 + 1, cfg.layout)
-    use_unsup = cfg.kappa > 0.0 and len(enriched) > 0
-    skipped_series: list[tuple[int, float]] = []
-    for h in range(1, h_total + 1):
-        gamma = stepsize(cfg, h)
-        idx1 = _batch_indices(len(d1), cfg.batch, cfg.seed, PHASE_MIXED, h, 0)
-        gsum = np.zeros(cfg.layout.total_size)
-        obj = 0.0
-        for t, i in enumerate(idx1):
-            x = d1[int(i)]
-            y = x.labels
-            theta = loss_weights(cfg.loss, y, x.volumes())
-            p = compile_potentials(w, x)
-            z = _noise_for(x.model, cfg.seed, PHASE_MIXED, h, t + 1)
-            g, o = _marginal_element(x, y, theta, p, z, cfg.solver,
-                                     cfg.dynamic_cuts, cfg.acceleration,
-                                     cfg.layout, counters)
-            gsum += g
-            obj += o
-        grad = gsum / cfg.batch
-        if use_unsup:
-            idx2 = _batch_indices(len(enriched), cfg.batch, cfg.seed,
-                                  PHASE_MIXED, h, 1)
-            g2sum = np.zeros(cfg.layout.total_size)
-            for t, i in enumerate(idx2):
-                x, q, theta_table = enriched[int(i)]
-                p = compile_potentials(w, x)
-                z = _noise_for(x.model, cfg.seed, PHASE_MIXED, h,
-                               cfg.batch + t + 1)
-                g, o = _unsup_element(x, q, theta_table, p, z, cfg.solver,
-                                      cfg.dynamic_cuts, cfg.acceleration,
-                                      cfg.layout, counters)
-                g2sum += g
-                obj += cfg.kappa * o
-            grad = grad + cfg.kappa * (g2sum / cfg.batch)
-        w = WeightVector(w.values + gamma * (grad - cfg.lam * w.values),
-                         cfg.layout)
-        w = project_supermodular(w)
-        objs[h_total + h - 1] = (obj / cfg.batch
-                                 - 0.5 * cfg.lam * float(w.values @ w.values))
-        avg.add(h, w)
-        if h % 100 == 0 or h == h_total:
-            budget = counters.clamp_solves + counters.clamp_skipped
-            frac = counters.clamp_skipped / budget if budget else 0.0
-            skipped_series.append((h_total + h, frac))
+    w, averaged, objs3, series = _drive(sgd_unsup_step, w, d1, cfg, counters,
+                                        PHASE_MIXED, tables)
     timings["mixed"] = _time.perf_counter() - t0
 
-    return TrainReport(weights=w, averaged=avg.result(w),
-                       objective_estimates=objs, counters=counters,
-                       phase_seconds=timings,
-                       skipped_fraction_series=skipped_series)
+    return TrainReport(
+        weights=w, averaged=averaged,
+        objective_estimates=np.concatenate([objs1, objs3]),
+        counters=counters, phase_seconds=timings,
+        skipped_fraction_series=[(cfg.iters + h, f) for h, f in series])
 
 
 # ---------------------------------------------------------------------------
@@ -579,9 +518,7 @@ def frozen_noise_objective(w: WeightVector, x: FeatureInstance,
     """Value and analytic gradient of the per-element marginal objective at
     one fixed noise realization: piecewise linear in w, so away from
     argmax-switch boundaries the gradient matches finite differences."""
-    theta = loss_weights(loss_spec, y, x.volumes())
-    p = compile_potentials(w, x)
-    counters = TrainCounters()
-    grad, obj = _marginal_element(x, y, theta, p, z, solver, False, True,
-                                  w.layout, counters)
+    grad, obj = _element(x, _label_table(x, y, loss_spec), {},
+                         compile_potentials(w, x), z, solver, False, True,
+                         w.layout, TrainCounters())
     return obj, grad

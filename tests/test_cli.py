@@ -107,6 +107,23 @@ class TestTrain:
                   "--seed", "4", "--out", str(tmp_path / "w.json")])
         assert rc == 0
 
+    def test_semisupervised_zero_one_exit_3(self, grid_file, tmp_path):
+        """Zero-one loss with unlabeled data is a configuration error,
+        raised before any training: no weights are written."""
+        data = read_dataset(grid_file)
+        unl = tmp_path / "unl.jsonl"
+        write_dataset(str(unl), [
+            FeatureInstance(x.model, x.node_features, x.edge_features)
+            for x in data[4:]])
+        lab = tmp_path / "lab.jsonl"
+        write_dataset(str(lab), data[:4])
+        out = tmp_path / "w.json"
+        rc = run(["train", "--data", str(lab), "--unlabeled", str(unl),
+                  "--loss", "zero-one", "--solver", "graphcut", "--iters", "5",
+                  "--out", str(out)])
+        assert rc == 3
+        assert not out.exists()
+
 
 class TestEval:
     def test_ground_truth_oracle_zero_loss(self, tmp_path):

@@ -74,16 +74,6 @@ class TestBuildAndSolve:
         with pytest.raises(PreconditionError):
             build_cut_problem(CompiledPotentials(m, np.zeros((2, 2)), pw))
 
-    def test_fixed_point_mode_is_deterministic(self, rng):
-        p = random_supermodular_grid(rng, rows=3, cols=3)
-        y1, v1 = build_cut_problem(p, fixed_point=True).solve()
-        y2, v2 = build_cut_problem(p, fixed_point=True).solve()
-        assert np.array_equal(y1, y2) and v1 == v2
-        # quantization moves the optimum by at most the rounding budget
-        _, v_float = build_cut_problem(p).solve()
-        budget = (p.model.num_vars * 2 + p.model.num_edges * 4) * 2.0 ** -20
-        assert abs(v1 - v_float) <= budget
-
 
 class TestDynamicUpdates:
     def test_noop_update_no_augmentation(self, rng):

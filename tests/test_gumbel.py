@@ -12,7 +12,6 @@ from gumbelmap.gumbel import (
     conditional_counting_marginals,
     counting_marginals,
     estimate_A,
-    estimate_B,
     gumbel_from_uniform,
     perturbed_conditional_map,
     perturbed_map,
@@ -143,7 +142,7 @@ class TestEstimateB:
         u = rng.normal(size=(3, 2))
         p = CompiledPotentials(m, u, np.zeros((0, 2, 2)))
         z = sample_noise(m, 9)
-        val = estimate_B(p, 1, 0, z, "brute")
+        val = perturbed_conditional_map(p, 1, 0, z, "brute")[1]
         rest = sum(max(u[d] + z.values[d, :2]) for d in (0, 2))
         assert val == pytest.approx(u[1, 0] + rest, abs=1e-9)
 
@@ -161,7 +160,8 @@ class TestEstimateB:
         p = random_chain_potentials(rng, num_vars=5, num_labels=2)
         d, k = 2, 1
         b_true, _, _ = brute_force_clamped(p, d, k)
-        vals = [estimate_B(p, d, k, sample_noise(p.model, 7000 + i), "chain")
+        vals = [perturbed_conditional_map(
+                    p, d, k, sample_noise(p.model, 7000 + i), "chain")[1]
                 for i in range(2000)]
         mean = float(np.mean(vals))
         se = float(np.std(vals, ddof=1) / np.sqrt(len(vals)))

@@ -164,10 +164,22 @@ class TestUnsupStep:
         q[np.arange(4), x.labels] = 1.0
         from gumbelmap.training import PHASE_SUPERVISED
         w_m, _ = sgd_marginal_step(w, [x], 2, cfg, phase=PHASE_SUPERVISED)
-        w_u, _ = sgd_unsup_step(
-            w, [(unlabeled, MarginalTable(q, x.model.label_counts), None)],
-            2, cfg, phase=PHASE_SUPERVISED, slot_base=0)
+        w_u, _ = sgd_unsup_step(w, [], [(unlabeled, q)], 2, cfg,
+                                phase=PHASE_SUPERVISED)
         assert np.allclose(w_m.values, w_u.values, atol=1e-12)
+
+    def test_no_unlabeled_equals_marginal_step_bitwise(self, rng):
+        """The mixed step over an empty unlabeled batch is the marginal
+        step: same weights and same objective estimate, bit for bit (both
+        regularise the estimate with the pre-update w)."""
+        from gumbelmap.training import PHASE_MIXED
+        layout, data = _chain_data(rng, n=3, num_vars=4, num_labels=2, feat=2)
+        w = WeightVector(rng.normal(size=layout.total_size), layout)
+        cfg = _cfg(layout, batch=3)
+        w_m, est_m = sgd_marginal_step(w, data, 4, cfg, phase=PHASE_MIXED)
+        w_u, est_u = sgd_unsup_step(w, data, [], 4, cfg, phase=PHASE_MIXED)
+        assert np.array_equal(w_m.values, w_u.values)
+        assert est_m == est_u
 
     def test_binary_model_solve_count(self, rng):
         """K = 2: exactly D clamped solves per element with acceleration."""
@@ -179,7 +191,7 @@ class TestUnsupStep:
         w = zero_weights(layout)
         cfg = _cfg(layout, batch=1, solver="graphcut")
         counters = TrainCounters()
-        sgd_unsup_step(w, [(x, q, None)], 1, cfg, counters)
+        sgd_unsup_step(w, [], [(x, q.probs)], 1, cfg, counters)
         assert counters.clamp_solves == 9
         assert counters.clamp_skipped == 9
         assert counters.map_solves == 1
@@ -189,7 +201,7 @@ class TestUnsupStep:
         gradient is zero by symmetry; the Monte-Carlo mean over many noise
         draws stays within 3 stderr per coordinate."""
         from gumbelmap.model import compile_potentials
-        from gumbelmap.training import _unsup_element
+        from gumbelmap.training import _element
         layout = WeightLayout(2, 2, 1, PAIRWISE_POTTS)
         model = chain_model(4, 2)
         x = FeatureInstance(model, rng.normal(size=(4, 2)), np.ones((3, 1)))
@@ -199,8 +211,8 @@ class TestUnsupStep:
         grads = []
         for h in range(1000):
             z = sample_noise(model, 4242, context=(h, 0))
-            g, _ = _unsup_element(x, q, None, p, z, "chain", False, True,
-                                  layout, TrainCounters())
+            g, _ = _element(x, q.probs, {}, p, z, "chain", False, True,
+                            layout, TrainCounters())
             grads.append(g)
         grads = np.asarray(grads)
         mean = grads.mean(axis=0)
@@ -351,10 +363,50 @@ class TestDrivers:
         assert np.all(np.isfinite(report.weights.values))
         assert report.counters.map_solves > 0
 
+    def test_semisupervised_golden_trajectory(self):
+        """Partial labels, volume-weighted Hamming, graph cuts, kappa = 1:
+        the averaged weights and the solve counters are pinned to values
+        recorded before the three phases shared one kernel and one loop."""
+        data, teacher = gen_grid_dataset(10, 3, 2, seed=21, teacher_seed=21)
+        vrng = np.random.default_rng(5)
+        data = [FeatureInstance(x.model, x.node_features, x.edge_features,
+                                x.labels, vrng.uniform(0.5, 2.0, size=9))
+                for x in data]
+        d2 = []
+        for i, x in enumerate(data[4:]):
+            labels = x.labels.copy()
+            labels[(i % 3) + 1:] = -1  # one to three given labels
+            if i == 5:
+                labels[:] = -1  # and one fully unlabeled instance
+            d2.append(FeatureInstance(x.model, x.node_features,
+                                      x.edge_features, labels, x.node_volumes))
+        cfg = TrainConfig(lam=0.1, iters=20, batch=2,
+                          loss=LossSpec(WEIGHTED_HAMMING, "volume_balanced"),
+                          seed=3, solver="graphcut", layout=teacher.layout,
+                          kappa=1.0, inference_samples=15)
+        report = train_semisupervised(data[:4], d2, cfg)
+        expect = [float.fromhex(v) for v in (
+            "0x1.4c1c1e46503bep-4", "-0x1.267916e028a12p-3",
+            "-0x1.4c1c1e46503c6p-4", "0x1.267916e028a02p-3",
+            "-0x1.b665f539329fdp-3")]
+        assert report.averaged.values.tolist() == expect
+        assert report.counters.as_dict() == {
+            "map_solves": 120, "clamp_solves": 649, "clamp_skipped": 687}
+
     def test_empty_labeled_set_rejected(self, rng):
         layout, data = _chain_data(rng, n=2)
         with pytest.raises(StructuralError):
             train_semisupervised([], data, _cfg(layout))
+
+    def test_semisupervised_zero_one_rejected(self, rng):
+        """Zero-one has no per-variable form to mix with unlabeled data: the
+        driver refuses it before any solve."""
+        layout, data = _chain_data(rng, n=4)
+        unlabeled = [FeatureInstance(x.model, x.node_features, x.edge_features)
+                     for x in data[2:]]
+        with pytest.raises(StructuralError, match="zero-one"):
+            train_semisupervised(data[:2], unlabeled,
+                                 _cfg(layout, loss=LossSpec(ZERO_ONE)))
 
 
 class TestPredict:
