@@ -1,9 +1,21 @@
 """Augmenting-path max-flow kernel with reusable search trees.
 
-Grow/augment/adopt scheme over two search trees rooted at the terminals.
-State lives in flat arrays owned by the caller so that trees, residuals,
-and timestamps survive between solves; a warm solve repairs the trees
-around explicitly marked nodes instead of rebuilding them.
+Grow/augment/adopt scheme over two search trees rooted at the terminals
+(Boykov & Kolmogorov, TPAMI 2004).  The state (residuals, trees,
+timestamps) lives in flat numpy arrays owned by the caller, so it
+survives between solves; a warm solve repairs the trees around
+explicitly marked nodes instead of rebuilding them (Kohli & Torr, PAMI
+2007).
+
+The kernel is interpreted Python.  Reading or writing one element of a
+numpy array from Python boxes a numpy scalar each time, which costs
+several times more than indexing a list, so ``bk_maxflow`` copies each
+state array into a list on entry, runs over the lists and writes them
+back before it returns.  This is exact: Python floats are IEEE doubles
+like numpy float64 scalars, the same operations run in the same order,
+and the integer fields (arc indices, distances, timestamps) stay far
+below 2**63.  Trees, augmentations, labels and flow are bit-identical
+to a run over the arrays themselves.
 
 Arc storage: arcs come in sister pairs at indices (2k, 2k+1), so
 ``sister(a) == a ^ 1``.  ``trcap[i] > 0`` is residual capacity from the
@@ -15,18 +27,6 @@ NODE_TERM tree root, NODE_ORPH queued orphan (transient).
 
 from __future__ import annotations
 
-import numpy as np
-
-try:
-    from numba import njit
-
-    def _jit(func):
-        return njit(cache=True)(func)
-
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    def _jit(func):
-        return func
-
 NODE_NONE = -1
 NODE_TERM = -2
 NODE_ORPH = -3
@@ -34,7 +34,6 @@ NODE_ORPH = -3
 _INF_D = 1 << 60
 
 
-@_jit
 def _q_push(qnext, qstate, i):
     # in-list marker: qnext[i] != -1 (tail points to itself)
     if qnext[i] == -1:
@@ -46,7 +45,6 @@ def _q_push(qnext, qstate, i):
         qnext[i] = i
 
 
-@_jit
 def _q_pop(qnext, qstate):
     i = qstate[0]
     if i == -1:
@@ -61,26 +59,23 @@ def _q_pop(qnext, qstate):
     return i
 
 
-@_jit
 def _o_push(obuf, ostate, parent, i):
     parent[i] = NODE_ORPH
-    cap = obuf.shape[0]
+    cap = len(obuf)
     obuf[ostate[1]] = i
     ostate[1] = (ostate[1] + 1) % cap
     if ostate[1] == ostate[0]:
         raise RuntimeError("orphan queue overflow")
 
 
-@_jit
 def _o_pop(obuf, ostate):
     if ostate[0] == ostate[1]:
         return -1
     i = obuf[ostate[0]]
-    ostate[0] = (ostate[0] + 1) % obuf.shape[0]
+    ostate[0] = (ostate[0] + 1) % len(obuf)
     return i
 
 
-@_jit
 def _augment(a, head, rcap, trcap, parent, obuf, ostate):
     """Push the bottleneck along source-root .. a .. sink-root; saturated
     parent arcs orphan their child node."""
@@ -133,7 +128,6 @@ def _augment(a, head, rcap, trcap, parent, obuf, ostate):
     return bottleneck
 
 
-@_jit
 def _process_orphan(i, first, head, nxt, rcap, trcap, parent, is_sink,
                     dist, ts, time, qnext, qstate, obuf, ostate):
     """Try to re-attach orphan i inside its own tree; otherwise free it,
@@ -211,19 +205,24 @@ def _process_orphan(i, first, head, nxt, rcap, trcap, parent, is_sink,
         parent[i] = NODE_NONE
 
 
-@_jit
 def bk_maxflow(first, head, nxt, rcap, trcap, parent, is_sink, dist, ts,
                time0, marked, warm):
     """Run max-flow to completion.  Returns (flow pushed, augmentations,
     new timestamp).  With ``warm`` the existing trees are kept and repaired
-    around ``marked`` nodes (whose terminal capacities changed)."""
-    n = first.shape[0]
-    qnext = np.full(n, -1, np.int64)
-    qstate = np.empty(2, np.int64)
-    qstate[0] = -1
-    qstate[1] = -1
-    obuf = np.empty(n + 1, np.int64)
-    ostate = np.zeros(2, np.int64)
+    around ``marked`` nodes (whose terminal capacities changed).
+
+    ``rcap``, ``trcap``, ``parent``, ``is_sink``, ``dist`` and ``ts`` are
+    updated in place; the search runs over list copies of them."""
+    arrays = (rcap, trcap, parent, is_sink, dist, ts)
+    first = first.tolist()
+    head = head.tolist()
+    nxt = nxt.tolist()
+    rcap, trcap, parent, is_sink, dist, ts = [arr.tolist() for arr in arrays]
+    n = len(first)
+    qnext = [-1] * n
+    qstate = [-1, -1]
+    obuf = [0] * (n + 1)
+    ostate = [0, 0]
     time = time0
     flow_added = 0.0
     n_aug = 0
@@ -243,8 +242,10 @@ def bk_maxflow(first, head, nxt, rcap, trcap, parent, is_sink, dist, ts,
             else:
                 parent[i] = NODE_NONE
     else:
-        for idx in range(marked.shape[0]):
-            i = marked[idx]
+        # a fresh timestamp: nodes stamped by the previous solve's last
+        # stage must not pass as already checked during this repair
+        time += 1
+        for i in marked.tolist():
             _q_push(qnext, qstate, i)
             if trcap[i] == 0.0:
                 if parent[i] != NODE_NONE and parent[i] != NODE_ORPH:
@@ -360,4 +361,6 @@ def bk_maxflow(first, head, nxt, rcap, trcap, parent, is_sink, dist, ts,
                     _process_orphan(j, first, head, nxt, rcap, trcap,
                                     parent, is_sink, dist, ts, time,
                                     qnext, qstate, obuf, ostate)
+    for arr, values in zip(arrays, (rcap, trcap, parent, is_sink, dist, ts)):
+        arr[:] = values
     return flow_added, n_aug, time

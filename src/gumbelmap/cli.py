@@ -4,7 +4,7 @@ Subcommands: train, eval, marginals, gen-synthetic, bench-dynamic.
 Machine-readable output is one JSON record per line with fixed field
 names; a manifest JSON captures everything needed to replay a run.
 Exit codes: 0 success, 2 input error, 3 configuration/solver mismatch,
-4 internal invariant violation.
+4 internal error (a broken invariant or any other unexpected exception).
 """
 
 from __future__ import annotations
@@ -432,7 +432,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (DatasetError, FileNotFoundError) as exc:
+    except (DatasetError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (StructuralError, PreconditionError, CapacityError) as exc:
@@ -440,6 +440,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except InternalInvariantError as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

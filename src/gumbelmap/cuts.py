@@ -100,7 +100,6 @@ class DynamicCutState:
         self.time = 0
         self.solved = False
         self._marked: set[int] = set()
-        self.solve_count = 0
         self.last_augmentations = 0
 
     # -- mutation ----------------------------------------------------------
@@ -148,7 +147,6 @@ class DynamicCutState:
         self.time = t
         self.solved = True
         self._marked.clear()
-        self.solve_count += 1
         self.last_augmentations = int(n_aug)
         labels = ((self.parent != NODE_NONE) & (self.is_sink == 1)).astype(np.int64)
         return labels, self.evaluate(labels)

@@ -291,7 +291,8 @@ class FeatureInstance:
     """One data point: structure, features, and (possibly partial) labels.
 
     ``labels`` entries use -1 for unobserved variables.  ``node_volumes``
-    are the positive per-variable sizes used by volume-balanced weights.
+    are the finite positive per-variable sizes used by volume-balanced
+    weights.  Features must be finite.
     """
 
     model: PairwiseModel
@@ -306,6 +307,9 @@ class FeatureInstance:
             raise StructuralError("node_features must be (D, Fn)")
         if self.edge_features.ndim != 2 or self.edge_features.shape[0] != e:
             raise StructuralError("edge_features must be (E, Fe)")
+        if not (np.all(np.isfinite(self.node_features))
+                and np.all(np.isfinite(self.edge_features))):
+            raise StructuralError("features must be finite")
         if self.labels is not None:
             lab = np.asarray(self.labels, dtype=np.int64)
             if lab.shape != (d,):
@@ -318,8 +322,8 @@ class FeatureInstance:
             vol = np.asarray(self.node_volumes, dtype=np.float64)
             if vol.shape != (d,):
                 raise StructuralError("node_volumes must be length D")
-            if np.any(vol <= 0):
-                raise StructuralError("node volumes must be positive")
+            if not np.all(np.isfinite(vol) & (vol > 0)):
+                raise StructuralError("node volumes must be finite and positive")
             object.__setattr__(self, "node_volumes", vol)
 
     @property

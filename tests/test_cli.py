@@ -1,10 +1,12 @@
 """CLI subcommands: determinism, exit codes, and output contracts."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from gumbelmap import cli
 from gumbelmap.cli import main
 from gumbelmap.datasets import read_dataset, read_weights, write_dataset
 from gumbelmap.model import FeatureInstance, LossSpec, HAMMING, loss as eval_loss
@@ -87,6 +89,49 @@ class TestTrain:
         bad.write_text('{"num_vars": 3}\n')
         rc = run(["train", "--data", str(bad), "--out", str(tmp_path / "w.json")])
         assert rc == 2
+
+    @pytest.mark.parametrize("field,value", [("volumes", float("nan")),
+                                             ("node_features", float("inf"))])
+    def test_non_finite_input_exit_2(self, grid_file, tmp_path, capsys,
+                                     field, value):
+        """A NaN volume or an Infinity feature is rejected at load, with
+        the line number, before any weights are written."""
+        lines = Path(grid_file).read_text().splitlines()
+        rec = json.loads(lines[2])
+        if field == "volumes":
+            rec["volumes"][0] = value
+        else:
+            rec["node_features"][1][0] = value
+        lines[2] = json.dumps(rec)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "w.json"
+        rc = run(["train", "--data", str(bad), "--loss", "weighted-hamming",
+                  "--solver", "graphcut", "--iters", "3", "--out", str(out)])
+        assert rc == 2
+        assert "line 3" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unreadable_data_path_exit_2(self, tmp_path):
+        """A path that cannot be read as a file is an input error, not an
+        internal one."""
+        rc = run(["train", "--data", str(tmp_path), "--out",
+                  str(tmp_path / "w.json")])
+        assert rc == 2
+
+    def test_unexpected_error_exit_4(self, grid_file, tmp_path, capsys,
+                                     monkeypatch):
+        """An exception outside the listed error types ends in exit 4 and
+        one ``internal error:`` line, not a traceback."""
+        def broken(args):
+            raise RuntimeError("orphan queue overflow")
+
+        monkeypatch.setattr(cli, "cmd_train", broken)
+        rc = run(["train", "--data", grid_file, "--out",
+                  str(tmp_path / "w.json")])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err == "internal error: RuntimeError: orphan queue overflow\n"
 
     def test_solver_structure_mismatch_exit_3(self, grid_file, tmp_path):
         rc = run(["train", "--data", grid_file, "--solver", "chain",

@@ -1,18 +1,37 @@
 """Min-cut MAP solving, dynamic unary updates, and clamping."""
 
+import contextlib
+import hashlib
+import signal
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gumbelmap.cuts import build_cut_problem, clamp_variable, clamp_variables
+from gumbelmap import gumbel
+from gumbelmap.cuts import (
+    DynamicCutState,
+    build_cut_problem,
+    clamp_variable,
+    clamp_variables,
+)
 from gumbelmap.errors import PreconditionError, StructuralError
 from gumbelmap.exact import brute_force, brute_force_clamped
+from gumbelmap.gumbel import (
+    TAG_COUNT,
+    EstimatorConfig,
+    _noise_batch,
+    _perturbed_map_batch,
+)
 from gumbelmap.model import (
     CompiledPotentials,
     chain_model,
+    compile_potentials,
     evaluate_potential,
     grid_model,
     zero_potentials,
 )
+from gumbelmap.synth import gen_grid_dataset
 
 from conftest import random_supermodular_grid
 
@@ -133,6 +152,132 @@ class TestDynamicUpdates:
         st = build_cut_problem(random_supermodular_grid(rng, 2, 2))
         with pytest.raises(StructuralError):
             st.update_unary(99, (0.0, 0.0))
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Fail instead of stalling the suite when a solve does not return."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def cold_solve(model, unary, pairwise):
+    return build_cut_problem(
+        CompiledPotentials(model, unary.copy(), pairwise)).solve()
+
+
+class TestWarmSolves:
+    def test_repair_restamps_before_adoption(self):
+        """A warm repair must not trust distances stamped by the previous
+        solve: here it once let orphan 6 adopt its own child 7 (a parent
+        cycle), and the next augmentation never returned."""
+        m = grid_model(3, 4)
+        pw = np.zeros((m.num_edges, 2, 2))
+        pw[:, 0, 0] = [0, 2, 1, 0, 0, 2, 0, 1, 0, 1, 0, 2, 1, 1, 2, 2, 1]
+        u0 = np.array([[-2, 2], [-2, 2], [0, 2], [-2, -2], [-2, 0], [-2, 2],
+                       [-2, -1], [1, 0], [1, -2], [-1, -1], [0, -1], [-2, 0]],
+                      dtype=float)
+        u1 = np.array([[2, 0], [-2, 2], [-1, -1], [1, -2], [1, 0], [0, 2],
+                       [-2, 1], [1, 2], [0, 0], [0, 1], [2, 1], [2, -2]],
+                      dtype=float)
+        u3 = np.array([[2, -2], [-2, -1], [-2, 2], [2, 0], [-1, -2], [-1, 1],
+                       [2, -1], [2, 2], [-2, -2], [1, 2], [0, 1], [1, -2]],
+                      dtype=float)
+        u2 = u1.copy()
+        u2[11] = (-1.0, 1.0)
+        state = build_cut_problem(CompiledPotentials(m, u0.copy(), pw))
+        with time_limit(20):
+            state.solve()
+            for d in range(m.num_vars):
+                state.update_unary(d, u1[d])
+            state.solve()
+            state.update_unary(11, u2[11])
+            state.solve()
+            for d in range(m.num_vars):
+                state.update_unary(d, u3[d])
+            y, val = state.solve()
+        y_cold, val_cold = cold_solve(m, u3, pw)
+        assert y.tolist() == y_cold.tolist()
+        assert val == val_cold
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows=st.integers(1, 4), cols=st.integers(2, 4),
+           integer=st.booleans(), seed=st.integers(0, 2**32 - 1),
+           steps=st.lists(st.one_of(st.none(), st.integers(0, 15)),
+                          min_size=1, max_size=6))
+    def test_warm_updates_match_cold_and_brute_force(self, rows, cols,
+                                                     integer, seed, steps):
+        """Warm re-solves after single-variable (an index) or
+        all-variable (None) unary updates equal cold solves.  Small-integer
+        tables make ties and zero capacities common."""
+        rng = np.random.default_rng(seed)
+        m = grid_model(rows, cols)
+        if integer:
+            def table(*shape):
+                return rng.integers(-2, 3, size=shape).astype(float)
+        else:
+            def table(*shape):
+                return rng.normal(size=shape) * 2
+        pw = table(m.num_edges, 2, 2)
+        gap = pw[:, 0, 0] + pw[:, 1, 1] - pw[:, 0, 1] - pw[:, 1, 0]
+        pw[:, 0, 0] += np.maximum(-gap, 0.0)
+        u = table(m.num_vars, 2)
+        state = build_cut_problem(CompiledPotentials(m, u.copy(), pw))
+        with time_limit(60):
+            state.solve()
+            for step in steps:
+                targets = (range(m.num_vars) if step is None
+                           else [step % m.num_vars])
+                for d in targets:
+                    u[d] = table(2)
+                    state.update_unary(d, u[d])
+                y, val = state.solve()
+                y_cold, _ = cold_solve(m, u, pw)
+                assert y.tolist() == y_cold.tolist()
+                best = brute_force(CompiledPotentials(m, u.copy(), pw))
+                assert val == pytest.approx(best.map_value, abs=1e-9)
+
+
+class TestKernelExactness:
+    def test_batch_draws_golden(self, monkeypatch):
+        """20 perturbed draws on a fixed 16x16 teacher grid, warm-solved
+        in sequence: labels, augmentations per solve and the final flow
+        are pinned bit for bit."""
+        grids, teacher = gen_grid_dataset(1, 16, 3, seed=5, teacher_seed=1006)
+        p = compile_potentials(teacher, grids[0])
+        znoise = _noise_batch(p.model, EstimatorConfig(20, 11, "graphcut"),
+                              TAG_COUNT)
+        states, augmentations = [], []
+
+        def build(potentials):
+            states.append(build_cut_problem(potentials))
+            return states[-1]
+
+        def solve(self):
+            out = plain_solve(self)
+            augmentations.append(self.last_augmentations)
+            return out
+
+        plain_solve = DynamicCutState.solve
+        monkeypatch.setattr(gumbel, "build_cut_problem", build)
+        monkeypatch.setattr(DynamicCutState, "solve", solve)
+        labels, _ = _perturbed_map_batch(p, znoise, "graphcut")
+        digest = hashlib.sha256(labels.astype(np.int64).tobytes()).hexdigest()
+        assert digest == ("b5a2734725b327227557bd3f61b68bb3"
+                          "282a239a1d89faaa67c65d25d49aea3d")
+        assert augmentations == [254, 193, 232, 212, 197, 183, 178, 222, 214,
+                                 190, 192, 199, 191, 199, 223, 221, 190, 198,
+                                 228, 195]
+        assert len(states) == 1
+        assert float(states[0].flow) == float.fromhex("0x1.3ba4eef7f5c72p+11")
 
 
 class TestClamping:
