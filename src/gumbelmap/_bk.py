@@ -2,20 +2,21 @@
 
 Grow/augment/adopt scheme over two search trees rooted at the terminals
 (Boykov & Kolmogorov, TPAMI 2004).  The state (residuals, trees,
-timestamps) lives in flat numpy arrays owned by the caller, so it
+timestamps) lives in flat Python lists owned by the caller, so it
 survives between solves; a warm solve repairs the trees around
 explicitly marked nodes instead of rebuilding them (Kohli & Torr, PAMI
 2007).
 
-The kernel is interpreted Python.  Reading or writing one element of a
-numpy array from Python boxes a numpy scalar each time, which costs
-several times more than indexing a list, so ``bk_maxflow`` copies each
-state array into a list on entry, runs over the lists and writes them
-back before it returns.  This is exact: Python floats are IEEE doubles
-like numpy float64 scalars, the same operations run in the same order,
-and the integer fields (arc indices, distances, timestamps) stay far
-below 2**63.  Trees, augmentations, labels and flow are bit-identical
-to a run over the arrays themselves.
+The kernel is interpreted Python and reads or writes single elements
+all the time.  On a numpy array each such access boxes a numpy scalar,
+several times the cost of indexing a list, and converting arrays to
+lists and back on every solve costs more than the flow work of a small
+warm re-solve.  So the caller builds the state once as lists and
+``bk_maxflow`` mutates them in place.  This is exact: Python floats are
+IEEE doubles like numpy float64 scalars, the same operations run in the
+same order, and the integer fields (arc indices, distances, timestamps)
+stay far below 2**63.  Trees, augmentations, labels and flow are
+bit-identical to a run over numpy arrays.
 
 Arc storage: arcs come in sister pairs at indices (2k, 2k+1), so
 ``sister(a) == a ^ 1``.  ``trcap[i] > 0`` is residual capacity from the
@@ -209,15 +210,11 @@ def bk_maxflow(first, head, nxt, rcap, trcap, parent, is_sink, dist, ts,
                time0, marked, warm):
     """Run max-flow to completion.  Returns (flow pushed, augmentations,
     new timestamp).  With ``warm`` the existing trees are kept and repaired
-    around ``marked`` nodes (whose terminal capacities changed).
+    around the ``marked`` nodes (a sorted list of the nodes whose terminal
+    capacities changed).
 
-    ``rcap``, ``trcap``, ``parent``, ``is_sink``, ``dist`` and ``ts`` are
-    updated in place; the search runs over list copies of them."""
-    arrays = (rcap, trcap, parent, is_sink, dist, ts)
-    first = first.tolist()
-    head = head.tolist()
-    nxt = nxt.tolist()
-    rcap, trcap, parent, is_sink, dist, ts = [arr.tolist() for arr in arrays]
+    Every state argument is a list; ``rcap``, ``trcap``, ``parent``,
+    ``is_sink``, ``dist`` and ``ts`` are updated in place."""
     n = len(first)
     qnext = [-1] * n
     qstate = [-1, -1]
@@ -245,7 +242,7 @@ def bk_maxflow(first, head, nxt, rcap, trcap, parent, is_sink, dist, ts,
         # a fresh timestamp: nodes stamped by the previous solve's last
         # stage must not pass as already checked during this repair
         time += 1
-        for i in marked.tolist():
+        for i in marked:
             _q_push(qnext, qstate, i)
             if trcap[i] == 0.0:
                 if parent[i] != NODE_NONE and parent[i] != NODE_ORPH:
@@ -361,6 +358,4 @@ def bk_maxflow(first, head, nxt, rcap, trcap, parent, is_sink, dist, ts,
                     _process_orphan(j, first, head, nxt, rcap, trcap,
                                     parent, is_sink, dist, ts, time,
                                     qnext, qstate, obuf, ostate)
-    for arr, values in zip(arrays, (rcap, trcap, parent, is_sink, dist, ts)):
-        arr[:] = values
     return flow_added, n_aug, time

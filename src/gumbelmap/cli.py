@@ -86,10 +86,39 @@ def _write_manifest(path: str, manifest: dict) -> None:
         fh.write("\n")
 
 
-def _layout_for(instances, num_labels: int, form: str) -> WeightLayout:
-    x = instances[0]
-    return WeightLayout(num_labels, x.node_features.shape[1],
-                        x.edge_features.shape[1], form)
+def _layout_for(files, num_labels: int, form: str) -> WeightLayout:
+    """One weight layout for every instance of every ``(path, instances)``
+    file: the node feature width of the first instance and the edge
+    feature width of the first instance with edges.  An instance of
+    another width is an input error at its line."""
+    instances = [x for _, xs in files for x in xs]
+    node_dim = instances[0].node_features.shape[1]
+    edge_dim = next((x.edge_features.shape[1] for x in instances
+                     if x.model.num_edges),
+                    instances[0].edge_features.shape[1])
+    for path, xs in files:
+        for line, x in enumerate(xs, start=1):
+            if x.node_features.shape[1] != node_dim:
+                raise DatasetError(
+                    f"node feature dim {x.node_features.shape[1]} != "
+                    f"{node_dim} in {path}", line=line)
+            if x.model.num_edges and x.edge_features.shape[1] != edge_dim:
+                raise DatasetError(
+                    f"edge feature dim {x.edge_features.shape[1]} != "
+                    f"{edge_dim} in {path}", line=line)
+    return WeightLayout(num_labels, node_dim, edge_dim, form)
+
+
+def _require_cut_solvable(files) -> None:
+    """Graph-cut training keeps the disagreement ('potts') weights
+    non-positive, which makes every compiled instance supermodular only
+    when its edge features are non-negative."""
+    for path, xs in files:
+        for line, x in enumerate(xs, start=1):
+            if x.model.num_edges and (x.edge_features < 0).any():
+                raise DatasetError(
+                    f"negative edge feature in {path}: the graph-cut solver "
+                    f"needs non-negative edge features", line=line)
 
 
 def _require_labeled(instances, what: str) -> None:
@@ -118,14 +147,18 @@ def cmd_train(args) -> int:
     loss_spec = _loss_spec(args.loss, args.weight_rule)
     if loss_spec.weight_rule == VOLUME_BALANCED:
         _validate_weighted(data)
+    files = [(args.data, data)]
     unlabeled = []
     if args.unlabeled:
         unlabeled = read_dataset(args.unlabeled)
+        files.append((args.unlabeled, unlabeled))
     num_labels = max(max(x.model.label_counts) for x in data + unlabeled)
     form = args.pairwise_form
     if form == "auto":
         form = PAIRWISE_POTTS if args.solver == "graphcut" else PAIRWISE_FULL
-    layout = _layout_for(data, num_labels, form)
+    layout = _layout_for(files, num_labels, form)
+    if args.solver == "graphcut" and form == PAIRWISE_POTTS:
+        _require_cut_solvable(files)
     cfg = TrainConfig(
         lam=args.lam, iters=args.iters, batch=args.batch, loss=loss_spec,
         seed=args.seed, solver=args.solver, layout=layout, kappa=args.kappa,
@@ -274,10 +307,10 @@ def cmd_bench_dynamic(args) -> int:
     for v in variants:
         if v not in _BENCH_VARIANTS:
             raise StructuralError(f"unknown variant {v!r}")
-    instances, _ = gen_grid_dataset(args.train_size, args.side,
-                                    args.feat_dim, seed=args.seed,
-                                    teacher_scale=1.0)
-    layout = _layout_for(instances, 2, PAIRWISE_POTTS)
+    instances, teacher = gen_grid_dataset(args.train_size, args.side,
+                                          args.feat_dim, seed=args.seed,
+                                          teacher_scale=1.0)
+    layout = teacher.layout
     results = {}
     for v in variants:
         gr, dc = _BENCH_VARIANTS[v]

@@ -7,7 +7,12 @@ reported MAP values match direct evaluation.  After a solve the source
 side of the cut gets label 0 (free nodes included).
 
 States support in-place unary updates with search-tree reuse: a re-solve
-after updates returns exactly what a from-scratch solve would.
+after updates returns exactly what a from-scratch solve would.  A state
+builds its network with numpy once, then keeps the max-flow state as
+Python lists that the BK kernel mutates in place: on the many small warm
+re-solves of clamped training, converting arrays to lists and back on
+every solve cost more than the flow work.  Python floats are IEEE
+doubles, so the lists hold exactly the values the arrays held.
 """
 
 from __future__ import annotations
@@ -37,8 +42,7 @@ class DynamicCutState:
         pairwise = np.array(potentials.pairwise[:, :2, :2], dtype=np.float64)
         self.model = model
         self.unary = unary
-        self.pairwise = pairwise
-        self._edge_array = model.edge_array()
+        ea = model.edge_array()
         n = model.num_vars
         e = model.num_edges
 
@@ -59,7 +63,6 @@ class DynamicCutState:
         e1 = -unary[:, 1].copy()
         const = 0.0
         if e:
-            ea = self._edge_array
             ea_a = -pairwise[:, 0, 0]
             ea_c = -pairwise[:, 1, 0]
             ea_d = -pairwise[:, 1, 1]
@@ -69,49 +72,58 @@ class DynamicCutState:
         shift = np.minimum(e0, e1)
         const += float(shift.sum())
 
-        self.trcap = e1 - e0
-        self.const = const
-        self.flow = 0.0
         m = 2 * e
-        self.head = np.zeros(m, dtype=np.int64)
-        self.nxt = np.full(m, -1, dtype=np.int64)
-        self.first = np.full(n, -1, dtype=np.int64)
-        self.rcap = np.zeros(m, dtype=np.float64)
+        head = np.zeros(m, dtype=np.int64)
+        nxt = np.full(m, -1, dtype=np.int64)
+        first = np.full(n, -1, dtype=np.int64)
+        rcap = np.zeros(m, dtype=np.float64)
         if e:
-            ea = self._edge_array
-            self.head[0::2] = ea[:, 1]
-            self.head[1::2] = ea[:, 0]
-            self.rcap[0::2] = lam
+            head[0::2] = ea[:, 1]
+            head[1::2] = ea[:, 0]
+            rcap[0::2] = lam
             tails = np.empty(m, dtype=np.int64)
             tails[0::2] = ea[:, 0]
             tails[1::2] = ea[:, 1]
             order = np.argsort(tails, kind="stable")
             st = tails[order]
             same = st[:-1] == st[1:]
-            self.nxt[order[:-1][same]] = order[1:][same]
+            nxt[order[:-1][same]] = order[1:][same]
             starts = np.ones(m, dtype=bool)
             starts[1:] = ~same
-            self.first[st[starts]] = order[starts]
+            first[st[starts]] = order[starts]
 
-        self.parent = np.full(n, NODE_NONE, dtype=np.int64)
-        self.is_sink = np.zeros(n, dtype=np.uint8)
-        self.dist = np.zeros(n, dtype=np.int64)
-        self.ts = np.zeros(n, dtype=np.int64)
+        # the BK state, as lists (see the module docstring)
+        self.first = first.tolist()
+        self.head = head.tolist()
+        self.nxt = nxt.tolist()
+        self.rcap = rcap.tolist()
+        self.trcap = (e1 - e0).tolist()
+        self.parent = [NODE_NONE] * n
+        self.is_sink = [0] * n
+        self.dist = [0] * n
+        self.ts = [0] * n
+        self.const = const
+        self.flow = 0.0
         self.time = 0
         self.solved = False
         self._marked: set[int] = set()
         self.last_augmentations = 0
+        # evaluates the current tables: update_unary writes self.unary
+        # in place
+        self._potentials = CompiledPotentials(model, unary, pairwise)
 
     # -- mutation ----------------------------------------------------------
 
     def update_unary(self, d: int, new_u) -> None:
         """Replace variable d's unary table; terminal capacities are
-        reparameterized in place and the node is marked for tree repair."""
+        reparameterized in place and the node is marked for tree repair.
+        ``new_u`` is any pair of numbers; a list row is cheapest."""
         if not 0 <= d < self.model.num_vars:
             raise StructuralError(f"variable index {d} out of range")
         nu0, nu1 = float(new_u[0]), float(new_u[1])
-        de0 = self.unary[d, 0] - nu0  # energy deltas (E = -u)
-        de1 = self.unary[d, 1] - nu1
+        unary = self.unary
+        de0 = unary.item(d, 0) - nu0  # energy deltas (E = -u)
+        de1 = unary.item(d, 1) - nu1
         tr = self.trcap[d]
         rs = (tr if tr > 0.0 else 0.0) + de1
         rt = (-tr if tr < 0.0 else 0.0) + de0
@@ -125,8 +137,8 @@ class DynamicCutState:
         m = min(rs, rt)
         self.const += m
         self.trcap[d] = rs - rt
-        self.unary[d, 0] = nu0
-        self.unary[d, 1] = nu1
+        unary[d, 0] = nu0
+        unary[d, 1] = nu1
         self._marked.add(d)
 
     # -- solving -----------------------------------------------------------
@@ -135,32 +147,20 @@ class DynamicCutState:
         """MAP labeling and its value (value computed by direct table
         evaluation, so it matches evaluate_potential bit for bit)."""
         warm = self.solved
-        if warm:
-            marked = np.array(sorted(self._marked), dtype=np.int64)
-        else:
-            marked = np.empty(0, dtype=np.int64)
         added, n_aug, t = bk_maxflow(
             self.first, self.head, self.nxt, self.rcap, self.trcap,
             self.parent, self.is_sink, self.dist, self.ts, self.time,
-            marked, warm)
+            sorted(self._marked) if warm else [], warm)
         self.flow += added
         self.time = t
         self.solved = True
         self._marked.clear()
-        self.last_augmentations = int(n_aug)
-        labels = ((self.parent != NODE_NONE) & (self.is_sink == 1)).astype(np.int64)
-        return labels, self.evaluate(labels)
-
-    def evaluate(self, labels: np.ndarray) -> float:
-        return evaluate_potential(self.current_potentials(), labels)
-
-    def current_potentials(self) -> CompiledPotentials:
-        return CompiledPotentials(self.model, self.unary, self.pairwise)
-
-    def cut_value(self) -> float:
-        """max f from flow accounting: -(const + flow).  Cross-check only;
-        accumulates float error that direct evaluation does not."""
-        return -(self.const + self.flow)
+        self.last_augmentations = n_aug
+        # sink-tree nodes get label 1; free nodes keep a stale is_sink
+        labels = np.array([s if p != NODE_NONE else 0
+                           for p, s in zip(self.parent, self.is_sink)],
+                          dtype=np.int64)
+        return labels, evaluate_potential(self._potentials, labels)
 
 
 def build_cut_problem(p: CompiledPotentials) -> DynamicCutState:

@@ -195,8 +195,8 @@ def _perturbed_map_batch(p: CompiledPotentials, znoise: np.ndarray,
         if state is None:
             state = build_cut_problem(p.with_unary(pert_u))
         else:
-            for d in range(model.num_vars):
-                state.update_unary(d, pert_u[d])
+            for d, row in enumerate(pert_u.tolist()):
+                state.update_unary(d, row)
         y, v = state.solve()
         labels[i] = y
         vals[i] = v

@@ -42,8 +42,12 @@ class PairwiseModel:
     label_counts: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
     structure_kind: str = "general"
+    max_labels: int = field(init=False, repr=False, compare=False)
     _edge_arr: np.ndarray = field(init=False, repr=False, compare=False)
     _count_arr: np.ndarray = field(init=False, repr=False, compare=False)
+    # index ranges evaluate_potential gathers with
+    _var_range: np.ndarray = field(init=False, repr=False, compare=False)
+    _edge_range: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.num_vars < 1:
@@ -71,17 +75,16 @@ class PairwiseModel:
             ea = np.asarray(self.edges, dtype=np.int64)
         else:
             ea = np.zeros((0, 2), dtype=np.int64)
+        object.__setattr__(self, "max_labels", max(self.label_counts))
         object.__setattr__(self, "_edge_arr", ea)
         object.__setattr__(self, "_count_arr",
                            np.asarray(self.label_counts, dtype=np.int64))
+        object.__setattr__(self, "_var_range", np.arange(self.num_vars))
+        object.__setattr__(self, "_edge_range", np.arange(len(self.edges)))
 
     @property
     def num_edges(self) -> int:
         return len(self.edges)
-
-    @property
-    def max_labels(self) -> int:
-        return max(self.label_counts)
 
     @property
     def is_binary(self) -> bool:
@@ -182,7 +185,7 @@ def check_labeling(model: PairwiseModel, y: np.ndarray) -> np.ndarray:
     y = np.asarray(y, dtype=np.int64)
     if y.shape != (model.num_vars,):
         raise StructuralError(f"labeling shape {y.shape} != ({model.num_vars},)")
-    if np.any(y < 0) or np.any(y >= model._count_arr):
+    if (y < 0).any() or (y >= model._count_arr).any():
         bad = int(np.argmax((y < 0) | (y >= model._count_arr)))
         raise StructuralError(f"label {y[bad]} out of range at variable {bad}")
     return y
@@ -194,11 +197,11 @@ def evaluate_potential(p: CompiledPotentials, y: np.ndarray) -> float:
     y = check_labeling(p.model, y)
     model = p.model
     s = 0.0
-    for v in p.unary[np.arange(model.num_vars), y].tolist():
+    for v in p.unary[model._var_range, y].tolist():
         s += v
     if model.num_edges:
         ea = model._edge_arr
-        terms = p.pairwise[np.arange(model.num_edges), y[ea[:, 0]], y[ea[:, 1]]]
+        terms = p.pairwise[model._edge_range, y[ea[:, 0]], y[ea[:, 1]]]
         for v in terms.tolist():
             s += v
     return s

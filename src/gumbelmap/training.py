@@ -180,7 +180,7 @@ class _ElementSolver:
             return perturbed_conditional_map(self.p, d, k, self.z, self.solver)
         big = float(self._pin[d])
         if self.dynamic and self.state is not None:
-            orig = self.perturbed.unary[d].copy()
+            orig = self.perturbed.unary[d].tolist()
             boosted = orig.copy()
             boosted[k] += big
             self.state.update_unary(d, boosted)

@@ -1,18 +1,22 @@
 """The names the benchmark traces still exist.
 
 bench/spec.json wraps functions and methods of the package by name, and the
-benchmark reads two attributes of DynamicCutState after each solve.  A
-rename fails here instead of in a traced benchmark run.
+benchmark reads two attributes of DynamicCutState after each solve.  Its
+solve counter wraps ``DynamicCutState.solve`` as a method of ``self``
+alone, and grid-marginals drives ``update_unary`` once per variable with a
+row.  A rename or a new signature fails here instead of in a traced
+benchmark run.
 """
 
 import importlib
+import inspect
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gumbelmap.cuts import build_cut_problem
+from gumbelmap.cuts import DynamicCutState, build_cut_problem
 from gumbelmap.model import CompiledPotentials, chain_model
 
 SPEC = Path(__file__).resolve().parents[1] / "bench" / "spec.json"
@@ -47,3 +51,18 @@ def test_cut_state_exposes_traced_attributes():
     state.solve()
     assert state.solved is True
     assert isinstance(state.last_augmentations, int)
+
+
+def test_cut_state_call_signatures():
+    """``solve()`` takes only ``self`` and returns ``(labels, value)``;
+    ``update_unary(d, row)`` accepts a list row."""
+    assert list(inspect.signature(DynamicCutState.solve).parameters) == [
+        "self"]
+    pairwise = np.zeros((1, 2, 2))
+    pairwise[0, 0, 0] = pairwise[0, 1, 1] = 1.0
+    state = build_cut_problem(CompiledPotentials(
+        chain_model(2, 2), np.array([[0.0, 1.0], [1.0, 0.0]]), pairwise))
+    state.solve()
+    state.update_unary(1, [0.0, 3.0])
+    labels, value = state.solve()
+    assert labels.tolist() == [1, 1] and value == 5.0

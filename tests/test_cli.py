@@ -112,6 +112,47 @@ class TestTrain:
         assert "line 3" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("which", ["data", "unlabeled"])
+    def test_mixed_feature_widths_exit_2(self, grid_file, tmp_path, capsys,
+                                         which):
+        """An instance whose node features are wider than the first one's
+        is an input error at its line and file, in the labeled and in the
+        unlabeled file, before any weights are written."""
+        lines = Path(grid_file).read_text().splitlines()
+        rec = json.loads(lines[2])
+        rec["node_features"] = [row + [0.5] for row in rec["node_features"]]
+        lines[2] = json.dumps(rec)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        files = {"data": grid_file, "unlabeled": grid_file, which: str(bad)}
+        out = tmp_path / "w.json"
+        rc = run(["train", "--data", files["data"], "--unlabeled",
+                  files["unlabeled"], "--loss", "hamming", "--solver",
+                  "graphcut", "--iters", "3", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == (f"input error: line 3: node feature dim 4 != 3 in "
+                       f"{bad}\n")
+        assert not out.exists()
+
+    def test_negative_edge_feature_graphcut_exit_2(self, grid_file, tmp_path,
+                                                   capsys):
+        """Graph-cut training with a negative edge feature is refused at
+        load with the line number, not found mid-run as a supermodularity
+        violation."""
+        lines = Path(grid_file).read_text().splitlines()
+        rec = json.loads(lines[1])
+        rec["edge_features"][4][0] = -0.25
+        lines[1] = json.dumps(rec)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "w.json"
+        rc = run(["train", "--data", str(bad), "--solver", "graphcut",
+                  "--iters", "3", "--out", str(out)])
+        assert rc == 2
+        assert "line 2: negative edge feature" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unreadable_data_path_exit_2(self, tmp_path):
         """A path that cannot be read as a file is an input error, not an
         internal one."""

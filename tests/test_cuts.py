@@ -22,9 +22,12 @@ from gumbelmap.gumbel import (
     EstimatorConfig,
     _noise_batch,
     _perturbed_map_batch,
+    sample_noise,
 )
 from gumbelmap.model import (
+    WEIGHTED_HAMMING,
     CompiledPotentials,
+    LossSpec,
     chain_model,
     compile_potentials,
     evaluate_potential,
@@ -32,6 +35,7 @@ from gumbelmap.model import (
     zero_potentials,
 )
 from gumbelmap.synth import gen_grid_dataset
+from gumbelmap.training import TrainCounters, _element, _label_table
 
 from conftest import random_supermodular_grid
 
@@ -80,7 +84,8 @@ class TestBuildAndSolve:
             assert val == pytest.approx(bf.map_value, abs=1e-9)
             assert evaluate_potential(p, y) == val
             # max-flow accounting equals the min-cut energy
-            assert st.cut_value() == pytest.approx(bf.map_value, abs=1e-9)
+            assert -(st.const + st.flow) == pytest.approx(bf.map_value,
+                                                  abs=1e-9)
 
     def test_rejects_nonbinary(self):
         with pytest.raises(PreconditionError):
@@ -278,6 +283,52 @@ class TestKernelExactness:
                                  228, 195]
         assert len(states) == 1
         assert float(states[0].flow) == float.fromhex("0x1.3ba4eef7f5c72p+11")
+
+    def test_clamped_warm_path_golden(self, monkeypatch):
+        """The per-variable kernel on three 6x6 teacher grids (labeled,
+        unlabeled with a uniform table, and three given labels), clamps
+        re-solved warm on one retained state per element: the gradient
+        bytes, the objectives, the counters and the augmentations of every
+        solve are pinned bit for bit."""
+        grids, teacher = gen_grid_dataset(3, 6, 3, seed=17, teacher_seed=1009)
+        spec = LossSpec(WEIGHTED_HAMMING, "volume_balanced")
+        augmentations = []
+
+        def solve(self):
+            out = plain_solve(self)
+            augmentations.append(self.last_augmentations)
+            return out
+
+        plain_solve = DynamicCutState.solve
+        monkeypatch.setattr(DynamicCutState, "solve", solve)
+        counters = TrainCounters()
+        digest = hashlib.sha256()
+        objectives = []
+        for i, x in enumerate(grids):
+            table = _label_table(x, x.labels, spec)
+            given = {}
+            if i == 1:
+                table = np.full(table.shape, 0.5)
+            if i == 2:
+                given = {d: int(x.labels[d]) for d in (0, 14, 35)}
+            z = sample_noise(x.model, 3, context=(i, 7))
+            grad, obj = _element(x, table, given,
+                                 compile_potentials(teacher, x), z,
+                                 "graphcut", True, True, teacher.layout,
+                                 counters)
+            digest.update(grad.tobytes())
+            objectives.append(float(obj).hex())
+        assert digest.hexdigest() == ("21c214412408a8f5483f5f71d56fa718"
+                                      "7c6c941d5f2d4364122ae7038023e841")
+        assert objectives == ["-0x1.9cfab423ed209p-1",
+                              "-0x1.673a30c23e61ep+5",
+                              "-0x1.243e8c794b190p-2"]
+        assert counters.as_dict() == {
+            "map_solves": 3, "clamp_solves": 51, "clamp_skipped": 90}
+        assert augmentations == [
+            31, 3, 1, 3, 7, 6, 1, 4, 2, 1, 1, 31, 7, 3, 5, 1, 2, 0, 3, 4, 4,
+            2, 2, 1, 3, 3, 0, 1, 1, 1, 1, 1, 2, 1, 2, 2, 1, 1, 1, 1, 2, 1, 1,
+            1, 1, 1, 1, 1, 17, 1, 1, 0, 0, 1]
 
 
 class TestClamping:
