@@ -47,13 +47,7 @@ from .exact import (
     forward_log_partition,
     viterbi_map,
 )
-from .cuts import (
-    ClampedProblem,
-    DynamicCutState,
-    build_cut_problem,
-    clamp_variable,
-    clamp_variables,
-)
+from .cuts import DynamicCutState, build_cut_problem, clamp_variables
 from .gumbel import (
     EstimatorConfig,
     GumbelNoise,

@@ -21,6 +21,7 @@ from .datasets import (
     dataset_digest,
     read_dataset,
     read_weights,
+    record_lines,
     write_dataset,
     write_weights,
 )
@@ -86,26 +87,32 @@ def _write_manifest(path: str, manifest: dict) -> None:
         fh.write("\n")
 
 
+def _record_error(path: str, index: int, message: str) -> DatasetError:
+    """An input error at the file line of record ``index`` (0-based) of
+    ``path``; the file is scanned again only to report the error."""
+    return DatasetError(message, line=record_lines(path)[index])
+
+
 def _layout_for(files, num_labels: int, form: str) -> WeightLayout:
     """One weight layout for every instance of every ``(path, instances)``
     file: the node feature width of the first instance and the edge
-    feature width of the first instance with edges.  An instance of
-    another width is an input error at its line."""
+    feature width of the first instance with edges (1 when no instance
+    has edges: the pairwise block then stays 0).  An instance of another
+    width is an input error at its line."""
     instances = [x for _, xs in files for x in xs]
     node_dim = instances[0].node_features.shape[1]
     edge_dim = next((x.edge_features.shape[1] for x in instances
-                     if x.model.num_edges),
-                    instances[0].edge_features.shape[1])
+                     if x.model.num_edges), 1)
     for path, xs in files:
-        for line, x in enumerate(xs, start=1):
+        for i, x in enumerate(xs):
             if x.node_features.shape[1] != node_dim:
-                raise DatasetError(
-                    f"node feature dim {x.node_features.shape[1]} != "
-                    f"{node_dim} in {path}", line=line)
+                raise _record_error(
+                    path, i, f"node feature dim {x.node_features.shape[1]} "
+                    f"!= {node_dim} in {path}")
             if x.model.num_edges and x.edge_features.shape[1] != edge_dim:
-                raise DatasetError(
-                    f"edge feature dim {x.edge_features.shape[1]} != "
-                    f"{edge_dim} in {path}", line=line)
+                raise _record_error(
+                    path, i, f"edge feature dim {x.edge_features.shape[1]} "
+                    f"!= {edge_dim} in {path}")
     return WeightLayout(num_labels, node_dim, edge_dim, form)
 
 
@@ -114,39 +121,39 @@ def _require_cut_solvable(files) -> None:
     non-positive, which makes every compiled instance supermodular only
     when its edge features are non-negative."""
     for path, xs in files:
-        for line, x in enumerate(xs, start=1):
+        for i, x in enumerate(xs):
             if x.model.num_edges and (x.edge_features < 0).any():
-                raise DatasetError(
-                    f"negative edge feature in {path}: the graph-cut solver "
-                    f"needs non-negative edge features", line=line)
+                raise _record_error(
+                    path, i, f"negative edge feature in {path}: the "
+                    f"graph-cut solver needs non-negative edge features")
 
 
-def _require_labeled(instances, what: str) -> None:
-    for i, x in enumerate(instances, start=1):
+def _require_labeled(path: str, instances, what: str) -> None:
+    for i, x in enumerate(instances):
         if not x.fully_labeled:
-            raise DatasetError(f"{what} requires full labels", line=i)
+            raise _record_error(path, i, f"{what} requires full labels")
 
 
-def _validate_weighted(instances) -> None:
-    for i, x in enumerate(instances, start=1):
+def _validate_weighted(path: str, instances) -> None:
+    for i, x in enumerate(instances):
         if x.labels is not None and x.fully_labeled:
             try:
                 volume_weights(x.labels, x.volumes())
             except DegenerateInstanceError as exc:
-                raise DatasetError(f"degenerate instance for weighted loss: "
-                                   f"{exc}", line=i) from exc
+                raise _record_error(path, i, f"degenerate instance for "
+                                    f"weighted loss: {exc}") from exc
             except StructuralError as exc:
-                raise DatasetError(str(exc), line=i) from exc
+                raise _record_error(path, i, str(exc)) from exc
 
 
 def cmd_train(args) -> int:
     data = read_dataset(args.data)
     if not data:
         raise DatasetError("training dataset is empty")
-    _require_labeled(data, "training")
+    _require_labeled(args.data, data, "training")
     loss_spec = _loss_spec(args.loss, args.weight_rule)
     if loss_spec.weight_rule == VOLUME_BALANCED:
-        _validate_weighted(data)
+        _validate_weighted(args.data, data)
     files = [(args.data, data)]
     unlabeled = []
     if args.unlabeled:
@@ -206,11 +213,11 @@ def cmd_eval(args) -> int:
     data = read_dataset(args.data)
     if not data:
         raise DatasetError("evaluation dataset is empty")
-    _require_labeled(data, "evaluation")
+    _require_labeled(args.data, data, "evaluation")
     w = read_weights(args.weights)
     loss_spec = _loss_spec(args.loss, args.weight_rule)
     if loss_spec.weight_rule == VOLUME_BALANCED:
-        _validate_weighted(data)
+        _validate_weighted(args.data, data)
     cfg = TrainConfig(lam=1.0, iters=1, batch=1, loss=loss_spec,
                       seed=args.seed, solver=args.solver, layout=w.layout,
                       inference_samples=args.samples)

@@ -13,17 +13,20 @@ Python lists that the BK kernel mutates in place: on the many small warm
 re-solves of clamped training, converting arrays to lists and back on
 every solve cost more than the flow work.  Python floats are IEEE
 doubles, so the lists hold exactly the values the arrays held.
+
+Clamping is one mechanism for every solver: ``clamp_variables`` raises
+u_d(k) by a margin that provably pins y_d = k and keeps the model, so a
+clamped problem is the same graph (and, for a retained state, one
+``update_unary``) rather than a smaller model to re-index.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from ._bk import NODE_NONE, bk_maxflow
 from .errors import PreconditionError, StructuralError
-from .model import CompiledPotentials, PairwiseModel, evaluate_potential
+from .model import CompiledPotentials, evaluate_potential
 
 SUPERMODULAR_TOL = 1e-12
 
@@ -117,13 +120,18 @@ class DynamicCutState:
     def update_unary(self, d: int, new_u) -> None:
         """Replace variable d's unary table; terminal capacities are
         reparameterized in place and the node is marked for tree repair.
-        ``new_u`` is any pair of numbers; a list row is cheapest."""
+        An unchanged row changes nothing and needs no repair, so it
+        returns at once.  ``new_u`` is any pair of numbers; a list row is
+        cheapest."""
         if not 0 <= d < self.model.num_vars:
             raise StructuralError(f"variable index {d} out of range")
         nu0, nu1 = float(new_u[0]), float(new_u[1])
         unary = self.unary
-        de0 = unary.item(d, 0) - nu0  # energy deltas (E = -u)
-        de1 = unary.item(d, 1) - nu1
+        u0, u1 = unary.item(d, 0), unary.item(d, 1)
+        if u0 == nu0 and u1 == nu1:
+            return
+        de0 = u0 - nu0  # energy deltas (E = -u)
+        de1 = u1 - nu1
         tr = self.trcap[d]
         rs = (tr if tr > 0.0 else 0.0) + de1
         rt = (-tr if tr < 0.0 else 0.0) + de0
@@ -172,101 +180,53 @@ def build_cut_problem(p: CompiledPotentials) -> DynamicCutState:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClampedProblem:
-    """A reduced problem over the unclamped variables.
+def pin_margins(p: CompiledPotentials) -> np.ndarray:
+    """(D,) unary raises that each pin a variable to any one label.
 
-    max over the reduced problem plus ``offset`` equals max of f over
-    labelings with the given variables fixed.
+    margin[d] is the range of u_d over its valid labels, plus, for every
+    incident edge, the largest change of the pairwise term as y_d varies
+    with the other endpoint held, plus 1.  Moving y_d to k then raises f
+    by at least 1 whatever the other labels are, once u_d(k) is raised by
+    margin[d]: every maximizer takes y_d = k, whichever variables are
+    pinned with it.
     """
-
-    potentials: CompiledPotentials
-    offset: float
-    kept: np.ndarray  # original indices of the remaining variables
-    given: tuple[tuple[int, int], ...]  # (variable, label), ascending
-
-    def complete(self, y_reduced: np.ndarray) -> np.ndarray:
-        """Lift a reduced labeling back to the full variable set."""
-        d = len(self.kept) + len(self.given)
-        full = np.zeros(d, dtype=np.int64)
-        full[self.kept] = y_reduced
-        for var, lab in self.given:
-            full[var] = lab
-        return full
+    model = p.model
+    valid = np.arange(model.max_labels) < model._count_arr[:, None]
+    u = p.unary
+    margins = (np.where(valid, u, -np.inf).max(axis=1)
+               - np.where(valid, u, np.inf).min(axis=1))
+    if model.num_edges:
+        ea = model.edge_array()
+        pair_valid = valid[ea[:, 0], :, None] & valid[ea[:, 1], None, :]
+        hi = np.where(pair_valid, p.pairwise, -np.inf)
+        lo = np.where(pair_valid, p.pairwise, np.inf)
+        # padded columns give -inf - inf = -inf and drop out of the max
+        span_i = (hi.max(axis=1) - lo.min(axis=1)).max(axis=1)
+        span_j = (hi.max(axis=2) - lo.min(axis=2)).max(axis=1)
+        np.add.at(margins, ea[:, 0], span_i)
+        np.add.at(margins, ea[:, 1], span_j)
+    return margins + 1.0
 
 
 def clamp_variables(p: CompiledPotentials,
-                    given: dict[int, int]) -> ClampedProblem:
-    """Fix ``given`` variables, folding their pairwise interactions into the
-    neighbors' unary tables and tracking the constant."""
+                    given: dict[int, int]) -> CompiledPotentials:
+    """Pin y_d = k for every (d, k) in ``given``: the same model, with
+    u_d(k) raised by ``pin_margins(p)[d]``.
+
+    Every maximizer of the result takes the given labels, and on labelings
+    that do, f differs from the original by a constant, so the free labels
+    are those of the conditional maximizer.  The graph is unchanged, which
+    lets every solver (and a retained cut state) run the clamped problem
+    as it is.  Evaluate values on the unpinned tables.
+    """
     model = p.model
     for d, k in given.items():
         if not 0 <= d < model.num_vars:
             raise StructuralError(f"variable index {d} out of range")
         if not 0 <= k < model.label_counts[d]:
             raise StructuralError(f"label {k} out of range at variable {d}")
-    if len(given) >= model.num_vars:
-        raise StructuralError("cannot clamp every variable")
-
-    kept = np.array([d for d in range(model.num_vars) if d not in given],
-                    dtype=np.int64)
-    new_index = {int(old): i for i, old in enumerate(kept)}
-    new_counts = tuple(model.label_counts[int(d)] for d in kept)
-    kmax = max(new_counts)
-
-    offset = 0.0
-    for d in sorted(given):
-        offset += float(p.unary[d, given[d]])
-
-    unary = np.zeros((len(kept), kmax))
-    for i, old in enumerate(kept):
-        kd = model.label_counts[int(old)]
-        unary[i, :kd] = p.unary[old, :kd]
-
-    folded_edges: list[tuple[int, int, np.ndarray]] = []
-    for e, (i, j) in enumerate(model.edges):
-        gi, gj = i in given, j in given
-        if gi and gj:
-            offset += float(p.pairwise[e, given[i], given[j]])
-        elif gi:
-            nj = new_index[j]
-            kd = model.label_counts[j]
-            unary[nj, :kd] += p.pairwise[e, given[i], :kd]
-        elif gj:
-            ni = new_index[i]
-            kd = model.label_counts[i]
-            unary[ni, :kd] += p.pairwise[e, :kd, given[j]]
-        else:
-            folded_edges.append((new_index[i], new_index[j], p.pairwise[e]))
-
-    if model.structure_kind == "chain" and len(kept) >= 1:
-        # keep a chain: bridge removed interior variables with zero tables
-        tables = {(i, j): tab for i, j, tab in folded_edges}
-        pairwise = np.zeros((len(kept) - 1, kmax, kmax))
-        for t in range(len(kept) - 1):
-            tab = tables.get((t, t + 1))
-            if tab is not None:
-                ki, kj = new_counts[t], new_counts[t + 1]
-                pairwise[t, :ki, :kj] = tab[:ki, :kj]
-        new_model = PairwiseModel(len(kept), new_counts,
-                                  tuple((t, t + 1) for t in range(len(kept) - 1)),
-                                  structure_kind="chain")
-    else:
-        folded_edges.sort(key=lambda t: (t[0], t[1]))
-        pairwise = np.zeros((len(folded_edges), kmax, kmax))
-        for idx, (i, j, tab) in enumerate(folded_edges):
-            ki, kj = new_counts[i], new_counts[j]
-            pairwise[idx, :ki, :kj] = tab[:ki, :kj]
-        new_model = PairwiseModel(
-            len(kept), new_counts,
-            tuple((i, j) for i, j, _ in folded_edges),
-            structure_kind="general")
-
-    reduced = CompiledPotentials(new_model, unary, pairwise)
-    return ClampedProblem(reduced, offset, kept,
-                          tuple(sorted((d, k) for d, k in given.items())))
-
-
-def clamp_variable(p: CompiledPotentials, d: int, k: int) -> ClampedProblem:
-    """Condition on y_d = k: a reduced problem on D-1 variables."""
-    return clamp_variables(p, {d: k})
+    margins = pin_margins(p)
+    unary = p.unary.copy()
+    for d, k in given.items():
+        unary[d, k] += margins[d]
+    return p.with_unary(unary)

@@ -94,6 +94,14 @@ def read_dataset(path: str) -> list[FeatureInstance]:
     return out
 
 
+def record_lines(path: str) -> list[int]:
+    """The 1-based file line of each record ``read_dataset`` returns, in
+    order: blank lines hold no record."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return [lineno for lineno, raw in enumerate(fh, start=1)
+                if raw.strip()]
+
+
 def dataset_digest(path: str) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:

@@ -3,8 +3,11 @@
 The perturbed maximum  max_y ( f(y) + sum_d z_d(y_d) )  with independent
 zero-mean Gumbel draws z upper-bounds the log-partition A(f) in
 expectation, with equality for separable f.  Conditional variants clamp
-one variable and restrict the perturbation to the remaining ones; counting
-the labels of many perturbed maximizers estimates marginals.
+variables by pinning them on the unreduced model (``cuts.clamp_variables``)
+and zero the noise rows of the clamped variables: under the pin such a row
+adds a constant, so the labels do not change, the values exclude it and
+the pin margins, taken without it, hold for every draw.  Counting the
+labels of many perturbed maximizers estimates marginals.
 
 All randomness comes from counter-based streams keyed on
 (seed, context words), so estimates are reproducible regardless of
@@ -66,9 +69,6 @@ class GumbelNoise:
     values: np.ndarray  # (D, Kmax)
     seed: tuple  # (seed, context words) that produced it
 
-    def restrict(self, kept: np.ndarray, kmax: int) -> "GumbelNoise":
-        return GumbelNoise(self.values[kept, :kmax], self.seed)
-
 
 @dataclass(frozen=True)
 class EstimatorConfig:
@@ -91,6 +91,15 @@ def _gumbel_table(rng: np.random.Generator, model: PairwiseModel) -> np.ndarray:
     z = gumbel_from_uniform(u)
     z[np.arange(model.max_labels) >= np.array(model.label_counts)[:, None]] = 0.0
     return z
+
+
+def zero_given_rows(values: np.ndarray, given) -> np.ndarray:
+    """A copy of noise of shape (D, Kmax) or (M, D, Kmax) with the rows of
+    the ``given`` variables (valid indices) set to 0; see the module
+    docstring for why."""
+    out = values.copy()
+    out[..., list(given), :] = 0.0
+    return out
 
 
 def sample_noise(model: PairwiseModel, seed: int,
@@ -127,6 +136,12 @@ def _solve_map(p: CompiledPotentials, solver: str) -> tuple[np.ndarray, float]:
     return states[best].copy(), float(vals[best])
 
 
+def _map_labels(p: CompiledPotentials, solver: str) -> np.ndarray:
+    if solver == SOLVER_CHAIN:
+        return viterbi_map(p)
+    return _solve_map(p, solver)[0]
+
+
 def perturbed_map(p: CompiledPotentials, z: GumbelNoise,
                   solver: str) -> tuple[np.ndarray, float]:
     """Exact maximizer of f + noise; the noise folds into the unary tables
@@ -141,15 +156,17 @@ def perturbed_map(p: CompiledPotentials, z: GumbelNoise,
 def perturbed_conditional_map(p: CompiledPotentials, d: int, k: int,
                               z: GumbelNoise, solver: str
                               ) -> tuple[np.ndarray, float]:
-    """Perturbed MAP with y_d clamped to k and the same noise restricted to
-    the other variables.  Returns the completed full labeling and the
-    conditional value (which excludes z_d)."""
-    clamped = clamp_variables(p, {d: k})
-    red = clamped.potentials
-    z_red = z.restrict(clamped.kept, red.model.max_labels)
-    _check_solver(red, solver)
-    y_red, val = _solve_map(red.with_unary(red.unary + z_red.values), solver)
-    return clamped.complete(y_red), clamped.offset + val
+    """Perturbed MAP with y_d pinned to k and the noise row of d zeroed.
+    Returns the labeling and its value on the unpinned perturbed tables
+    (so the value excludes z_d).  The model keeps all D variables, so the
+    brute-force solver enumerates the full state space for each clamp."""
+    _check_solver(p, solver)
+    if z.values.shape != p.unary.shape:
+        raise StructuralError("noise shape does not match potentials")
+    pinned = clamp_variables(p, {d: k})
+    noise = zero_given_rows(z.values, (d,))
+    y = _map_labels(pinned.with_unary(pinned.unary + noise), solver)
+    return y, evaluate_potential(p.with_unary(p.unary + noise), y)
 
 
 # ---------------------------------------------------------------------------
@@ -258,28 +275,11 @@ def _count_table(labels: np.ndarray, model: PairwiseModel,
 def conditional_counting_marginals(p: CompiledPotentials,
                                    given: dict[int, int],
                                    cfg: EstimatorConfig) -> MarginalTable:
-    """Counting marginals with the given variables clamped before every
+    """Counting marginals with the given variables pinned in every
     perturbed solve; rows for given variables are exact one-hot."""
-    model = p.model
     if not given:
         return counting_marginals(p, cfg)
-    if len(given) == model.num_vars:
-        q = np.zeros((model.num_vars, model.max_labels))
-        for d, k in given.items():
-            if not 0 <= k < model.label_counts[d]:
-                raise StructuralError(f"label {k} out of range at {d}")
-            q[d, k] = 1.0
-        return MarginalTable(q, model.label_counts)
-    clamped = clamp_variables(p, given)
-    red = clamped.potentials
-    znoise = _noise_batch(model, cfg, TAG_COUNT)
-    z_red = znoise[:, clamped.kept, : red.model.max_labels]
-    labels_red, _ = _perturbed_map_batch(red, z_red, cfg.solver)
-    red_table = _count_table(labels_red, red.model, cfg.num_samples)
-    q = np.zeros((model.num_vars, model.max_labels))
-    for i, old in enumerate(clamped.kept):
-        kd = red.model.label_counts[i]
-        q[old, :kd] = red_table.probs[i, :kd]
-    for d, k in given.items():
-        q[d, k] = 1.0
-    return MarginalTable(q, model.label_counts)
+    pinned = clamp_variables(p, given)
+    znoise = zero_given_rows(_noise_batch(p.model, cfg, TAG_COUNT), given)
+    labels, _ = _perturbed_map_batch(pinned, znoise, cfg.solver)
+    return _count_table(labels, p.model, cfg.num_samples)

@@ -94,16 +94,6 @@ class PairwiseModel:
         """Edges as an (E, 2) int array (empty -> shape (0, 2))."""
         return self._edge_arr
 
-    def neighbors(self, d: int) -> list[tuple[int, int]]:
-        """(edge_index, other_endpoint) pairs incident to variable d."""
-        out = []
-        for e, (i, j) in enumerate(self.edges):
-            if i == d:
-                out.append((e, j))
-            elif j == d:
-                out.append((e, i))
-        return out
-
 
 def chain_model(num_vars: int, num_labels: int | list[int]) -> PairwiseModel:
     if isinstance(num_labels, int):
@@ -159,17 +149,6 @@ class CompiledPotentials:
 
     def with_unary(self, unary: np.ndarray) -> "CompiledPotentials":
         return CompiledPotentials(self.model, unary, self.pairwise)
-
-    def is_supermodular_binary(self, tol: float = 1e-12) -> bool:
-        """True when all variables are binary and every pairwise table
-        satisfies p(0,0) + p(1,1) >= p(0,1) + p(1,0) - tol."""
-        if not self.model.is_binary:
-            return False
-        if self.model.num_edges == 0:
-            return True
-        p = self.pairwise
-        gap = p[:, 0, 0] + p[:, 1, 1] - p[:, 0, 1] - p[:, 1, 0]
-        return bool(np.all(gap >= -tol))
 
 
 def zero_potentials(model: PairwiseModel) -> CompiledPotentials:

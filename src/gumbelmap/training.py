@@ -6,7 +6,11 @@ are one estimator, sum_d sum_k w_dk (B_dk - A) under shared noise, where A
 is the unconditional perturbed maximum and B_dk the maximum with y_d
 clamped to k.  Only the weight table w changes: theta_d at the label for a
 labeled element, q_d(k) theta_d(k) from frozen marginals for an unlabeled
-one, with given labels conditioned on rather than weighted.  One
+one, with given labels conditioned on rather than weighted.  Every clamp,
+of a given label or of y_d = k, is one mechanism: a unary raise on the
+unreduced model by a margin that provably pins the label
+(``cuts.clamp_variables``), with the noise rows of given variables zeroed
+so that they add only a constant.  One
 per-variable kernel (``_element``) computes it; the whole-labeling
 likelihood (zero-one loss) needs only the unconditional MAP.  The three
 public steps share one update helper, and one driver loop serves
@@ -29,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cuts import build_cut_problem, clamp_variables
+from .cuts import build_cut_problem, clamp_variables, pin_margins
 from .errors import InternalInvariantError, StructuralError
 from .gumbel import (
     EstimatorConfig,
@@ -42,6 +46,7 @@ from .gumbel import (
     perturbed_conditional_map,
     sample_noise,
     stream,
+    zero_given_rows,
 )
 from .model import (
     CompiledPotentials,
@@ -141,9 +146,9 @@ class _ElementSolver:
     """Unconditional and clamped perturbed MAPs for one batch element,
     sharing one noise realization.
 
-    For the graph-cut solver the clamped problems run on one retained
-    dynamic state: the clamp is a temporary unary boost large enough to
-    pin the label, removed afterwards, so the trees carry over between
+    A clamp is the pin of ``clamp_variables``.  For the graph-cut solver
+    the clamped problems run on one retained dynamic state: the pin is one
+    ``update_unary``, undone afterwards, so the trees carry over between
     the D re-solves.
     """
 
@@ -155,41 +160,30 @@ class _ElementSolver:
         self.perturbed = p.with_unary(p.unary + z.values)
         self.dynamic = dynamic and solver == SOLVER_GRAPHCUT
         self.state = None
-        if solver == SOLVER_GRAPHCUT:
-            pu = self.perturbed.unary
-            bounds = np.abs(pu[:, 0] - pu[:, 1])
-            if p.model.num_edges:
-                pw = self.perturbed.pairwise
-                ea = p.model.edge_array()
-                span_i = np.max(np.abs(pw[:, 0, :2] - pw[:, 1, :2]), axis=1)
-                span_j = np.max(np.abs(pw[:, :2, 0] - pw[:, :2, 1]), axis=1)
-                np.add.at(bounds, ea[:, 0], span_i)
-                np.add.at(bounds, ea[:, 1], span_j)
-            self._pin = bounds + 1.0  # boost that provably pins a label
+        if self.dynamic:
+            self.pins = pin_margins(self.perturbed)
 
     def map_full(self) -> tuple[np.ndarray, float]:
-        if self.solver == SOLVER_GRAPHCUT and self.dynamic:
+        if self.dynamic:
             self.state = build_cut_problem(self.perturbed)
             return self.state.solve()
         return _solve_map(self.perturbed, self.solver)
 
     def map_clamped(self, d: int, k: int) -> tuple[np.ndarray, float]:
-        """Maximizer with y_d pinned to k under the shared noise restricted
-        to the other variables; value excludes z_d."""
+        """Maximizer with y_d pinned to k under the shared noise; value
+        excludes z_d."""
         if self.solver != SOLVER_GRAPHCUT:
             return perturbed_conditional_map(self.p, d, k, self.z, self.solver)
-        big = float(self._pin[d])
-        if self.dynamic and self.state is not None:
+        if self.dynamic:
             orig = self.perturbed.unary[d].tolist()
-            boosted = orig.copy()
-            boosted[k] += big
-            self.state.update_unary(d, boosted)
+            pinned = orig.copy()
+            pinned[k] += float(self.pins[d])
+            self.state.update_unary(d, pinned)
             y, _ = self.state.solve()
             self.state.update_unary(d, orig)
         else:
-            bu = self.perturbed.unary.copy()
-            bu[d, k] += big
-            y, _ = build_cut_problem(self.perturbed.with_unary(bu)).solve()
+            y, _ = build_cut_problem(
+                clamp_variables(self.perturbed, {d: k})).solve()
         if y[d] != k:
             raise InternalInvariantError(
                 f"pinning bound failed to clamp variable {d}")
@@ -207,31 +201,26 @@ def _element(x: FeatureInstance, weights: np.ndarray, given: dict[int, int],
     ``weights`` is a (D, Kmax) table: a labeled element carries theta_d at
     its label and 0 elsewhere, an unlabeled one q_d(k) theta_d(k).  Entries
     of weight 0 are neither solved nor counted.  The ``given`` labels are
-    folded out first: both the unconditional and the clamped solves run
-    conditioned on them, and their rows of ``weights`` are ignored.
+    pinned and their noise rows zeroed: both the unconditional and the
+    clamped solves run conditioned on them, and their rows of ``weights``
+    are ignored.
     """
     model = x.model
     if len(given) == model.num_vars:
         # every conditional marginal is degenerate: nothing to match
         return np.zeros(layout.total_size), 0.0
     if given:
-        clamped = clamp_variables(p, given)
-        red = clamped.potentials
-        es = _ElementSolver(red, z.restrict(clamped.kept, red.model.max_labels),
-                            solver, dynamic)
-        free = [int(v) for v in clamped.kept]
-        lift = clamped.complete
-    else:
-        es = _ElementSolver(p, z, solver, dynamic)
-        free = list(range(model.num_vars))
-        lift = np.asarray  # identity on labelings
+        p = clamp_variables(p, given)
+        z = GumbelNoise(zero_given_rows(z.values, given), z.seed)
+    es = _ElementSolver(p, z, solver, dynamic)
     y_a, val_a = es.map_full()
-    y_a = lift(y_a)
     counters.map_solves += 1
     psi_a = feature_map(x, y_a, layout)
     grad = np.zeros(layout.total_size)
     obj = 0.0
-    for pos, d in enumerate(free):
+    for d in range(model.num_vars):
+        if d in given:
+            continue
         for k in range(model.label_counts[d]):
             w_dk = weights[d, k]
             if w_dk == 0.0:
@@ -242,9 +231,9 @@ def _element(x: FeatureInstance, weights: np.ndarray, given: dict[int, int],
                 counters.clamp_skipped += 1
                 obj += w_dk * (-z.values[d, k])
                 continue
-            y_b, val_b = es.map_clamped(pos, k)
+            y_b, val_b = es.map_clamped(d, k)
             counters.clamp_solves += 1
-            grad += w_dk * (feature_map(x, lift(y_b), layout) - psi_a)
+            grad += w_dk * (feature_map(x, y_b, layout) - psi_a)
             obj += w_dk * (val_b - val_a)
     return grad, obj
 

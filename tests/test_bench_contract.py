@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gumbelmap.cuts import DynamicCutState, build_cut_problem
+from gumbelmap.cuts import DynamicCutState, build_cut_problem, clamp_variables
 from gumbelmap.model import CompiledPotentials, chain_model
 
 SPEC = Path(__file__).resolve().parents[1] / "bench" / "spec.json"
@@ -66,3 +66,13 @@ def test_cut_state_call_signatures():
     state.update_unary(1, [0.0, 3.0])
     labels, value = state.solve()
     assert labels.tolist() == [1, 1] and value == 5.0
+
+
+def test_clamp_variables_keeps_the_model():
+    """The ``cuts.clamp`` span wraps ``clamp_variables``: it takes
+    ``(potentials, given)`` and returns potentials on the same model."""
+    pairwise = np.zeros((1, 2, 2))
+    p = CompiledPotentials(chain_model(2, 2), np.zeros((2, 2)), pairwise)
+    pinned = clamp_variables(p, {1: 0})
+    assert isinstance(pinned, CompiledPotentials)
+    assert pinned.model is p.model

@@ -210,6 +210,41 @@ class TestTrain:
         assert rc == 3
         assert not out.exists()
 
+    def test_error_after_blank_line_reports_file_line(self, grid_file,
+                                                      tmp_path, capsys):
+        """Blank lines hold no record, so an error names the line of the
+        file, not the number of the record."""
+        lines = Path(grid_file).read_text().splitlines()
+        rec = json.loads(lines[2])
+        rec["node_features"] = [row + [0.5] for row in rec["node_features"]]
+        lines[2] = json.dumps(rec)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines[:1] + [""] + lines[1:]) + "\n")
+        rc = run(["train", "--data", str(bad), "--iters", "3",
+                  "--out", str(tmp_path / "w.json")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"input error: line 4: node feature dim 4 != 3 in {bad}\n")
+
+    @pytest.mark.parametrize("solver", ["chain", "graphcut", "brute"])
+    def test_edgeless_dataset_trains_and_evaluates(self, tmp_path, solver):
+        """Single-variable instances have no edges: the layout gets edge
+        width 1 and its pairwise block stays exactly 0."""
+        data = tmp_path / "single.jsonl"
+        data.write_text("".join(json.dumps({
+            "num_vars": 1, "label_counts": [2], "edges": [],
+            "node_features": [[1.0, 0.25 * i]], "edge_features": [],
+            "labels": [i % 2], "volumes": [1.0]}) + "\n" for i in range(6)))
+        out = tmp_path / "w.json"
+        rc = run(["train", "--data", str(data), "--solver", solver,
+                  "--iters", "20", "--out", str(out)])
+        assert rc == 0
+        w = read_weights(str(out))
+        assert np.isfinite(w.values).all()
+        assert not w.values[w.pairwise_block].any()
+        assert run(["eval", "--data", str(data), "--weights", str(out),
+                    "--solver", solver]) == 0
+
 
 class TestEval:
     def test_ground_truth_oracle_zero_loss(self, tmp_path):

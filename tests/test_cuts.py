@@ -12,22 +12,25 @@ from gumbelmap import gumbel
 from gumbelmap.cuts import (
     DynamicCutState,
     build_cut_problem,
-    clamp_variable,
     clamp_variables,
+    pin_margins,
 )
 from gumbelmap.errors import PreconditionError, StructuralError
-from gumbelmap.exact import brute_force, brute_force_clamped
+from gumbelmap.exact import all_state_values, brute_force, brute_force_clamped
 from gumbelmap.gumbel import (
     TAG_COUNT,
     EstimatorConfig,
     _noise_batch,
     _perturbed_map_batch,
+    _solve_map,
     sample_noise,
+    zero_given_rows,
 )
 from gumbelmap.model import (
     WEIGHTED_HAMMING,
     CompiledPotentials,
     LossSpec,
+    PairwiseModel,
     chain_model,
     compile_potentials,
     evaluate_potential,
@@ -289,7 +292,8 @@ class TestKernelExactness:
         unlabeled with a uniform table, and three given labels), clamps
         re-solved warm on one retained state per element: the gradient
         bytes, the objectives, the counters and the augmentations of every
-        solve are pinned bit for bit."""
+        solve are pinned bit for bit.  The given labels of the third grid
+        are pinned in the graph, not folded out of it."""
         grids, teacher = gen_grid_dataset(3, 6, 3, seed=17, teacher_seed=1009)
         spec = LossSpec(WEIGHTED_HAMMING, "volume_balanced")
         augmentations = []
@@ -322,33 +326,16 @@ class TestKernelExactness:
                                       "7c6c941d5f2d4364122ae7038023e841")
         assert objectives == ["-0x1.9cfab423ed209p-1",
                               "-0x1.673a30c23e61ep+5",
-                              "-0x1.243e8c794b190p-2"]
+                              "-0x1.243e8c794b16ep-2"]
         assert counters.as_dict() == {
             "map_solves": 3, "clamp_solves": 51, "clamp_skipped": 90}
         assert augmentations == [
             31, 3, 1, 3, 7, 6, 1, 4, 2, 1, 1, 31, 7, 3, 5, 1, 2, 0, 3, 4, 4,
             2, 2, 1, 3, 3, 0, 1, 1, 1, 1, 1, 2, 1, 2, 2, 1, 1, 1, 1, 2, 1, 1,
-            1, 1, 1, 1, 1, 17, 1, 1, 0, 0, 1]
+            1, 1, 1, 1, 1, 19, 1, 1, 0, 0, 1]
 
 
 class TestClamping:
-    def test_isolated_variable_constant_shift(self, rng):
-        m = chain_model(1, 2).__class__(3, (2, 2, 2), ())  # no edges
-        u = rng.normal(size=(3, 2))
-        p = CompiledPotentials(m, u, np.zeros((0, 2, 2)))
-        cl = clamp_variable(p, 1, 1)
-        assert cl.offset == pytest.approx(u[1, 1])
-        assert np.allclose(cl.potentials.unary, u[[0, 2]])
-
-    def test_two_node_chain_fold(self, rng):
-        m = chain_model(2, 2)
-        u = rng.normal(size=(2, 2))
-        pw = rng.normal(size=(1, 2, 2))
-        p = CompiledPotentials(m, u, pw)
-        cl = clamp_variable(p, 0, 1)
-        assert np.allclose(cl.potentials.unary[0], u[1] + pw[0, 1, :])
-        assert cl.offset == pytest.approx(u[0, 1])
-
     def test_conditional_max_equals_brute_force(self, rng):
         for _ in range(30):
             p = random_supermodular_grid(rng)
@@ -356,45 +343,116 @@ class TestClamping:
                 continue
             d = int(rng.integers(p.model.num_vars))
             k = int(rng.integers(2))
-            cl = clamp_variable(p, d, k)
-            sub = brute_force(cl.potentials)
+            sub = brute_force(clamp_variables(p, {d: k}))
             _, cond_max, _ = brute_force_clamped(p, d, k)
-            assert cl.offset + sub.map_value == pytest.approx(cond_max, abs=1e-9)
-
-    def test_chain_clamp_stays_chain(self, rng):
-        from conftest import random_chain_potentials
-        p = random_chain_potentials(rng, num_vars=6, num_labels=3)
-        cl = clamp_variable(p, 3, 1)
-        assert cl.potentials.model.structure_kind == "chain"
-        # the bridge across the removed variable carries no coupling
-        assert not cl.potentials.pairwise[2].any()
-        sub = brute_force(cl.potentials)
-        _, cond_max, _ = brute_force_clamped(p, 3, 1)
-        assert cl.offset + sub.map_value == pytest.approx(cond_max, abs=1e-9)
+            assert evaluate_potential(p, sub.map_labeling) == pytest.approx(
+                cond_max, abs=1e-9)
 
     def test_clamp_commutes_with_constant_shift(self, rng):
         p = random_supermodular_grid(rng, rows=2, cols=3)
         d, k = 2, 1
-        cl1 = clamp_variable(p, d, k)
         u2 = p.unary.copy()
         u2 += 2.5
-        cl2 = clamp_variable(p.with_unary(u2), d, k)
-        v1 = cl1.offset + brute_force(cl1.potentials).map_value
-        v2 = cl2.offset + brute_force(cl2.potentials).map_value
+        p2 = p.with_unary(u2)
+        v1 = evaluate_potential(
+            p, brute_force(clamp_variables(p, {d: k})).map_labeling)
+        v2 = evaluate_potential(
+            p2, brute_force(clamp_variables(p2, {d: k})).map_labeling)
         assert v2 - v1 == pytest.approx(2.5 * p.model.num_vars, abs=1e-9)
 
     def test_multi_clamp_completion(self, rng):
         p = random_supermodular_grid(rng, rows=2, cols=3)
-        cl = clamp_variables(p, {0: 1, 4: 0})
-        sub = brute_force(cl.potentials)
-        full = cl.complete(sub.map_labeling)
+        full = brute_force(clamp_variables(p, {0: 1, 4: 0})).map_labeling
         assert full[0] == 1 and full[4] == 0
+        states, vals = all_state_values(p)
+        cond_max = vals[(states[:, 0] == 1) & (states[:, 4] == 0)].max()
         assert evaluate_potential(p, full) == pytest.approx(
-            cl.offset + sub.map_value, abs=1e-9)
+            cond_max, abs=1e-9)
 
     def test_invalid_clamp(self, rng):
         p = random_supermodular_grid(rng, 2, 2)
         with pytest.raises(StructuralError):
-            clamp_variable(p, 0, 7)
+            clamp_variables(p, {0: 7})
         with pytest.raises(StructuralError):
-            clamp_variable(p, 99, 0)
+            clamp_variables(p, {99: 0})
+
+    def test_binary_pin_margins_closed_form(self, rng):
+        """On a binary model each margin is |u_d(0) - u_d(1)| plus, per
+        incident edge, the largest |change| of the pairwise term as y_d
+        flips, plus 1, bit for bit."""
+        p = random_supermodular_grid(rng, rows=3, cols=4)
+        u, pw = p.unary, p.pairwise
+        ea = p.model.edge_array()
+        want = np.abs(u[:, 0] - u[:, 1])
+        np.add.at(want, ea[:, 0],
+                  np.max(np.abs(pw[:, 0, :] - pw[:, 1, :]), axis=1))
+        np.add.at(want, ea[:, 1],
+                  np.max(np.abs(pw[:, :, 0] - pw[:, :, 1]), axis=1))
+        assert pin_margins(p).tobytes() == (want + 1.0).tobytes()
+
+    @settings(max_examples=120, deadline=None)
+    @given(kind=st.sampled_from(["chain", "grid", "general"]),
+           seed=st.integers(0, 2**32 - 1), n_given=st.integers(1, 3))
+    def test_pinned_maximizer_is_conditional_maximizer(self, kind, seed,
+                                                       n_given):
+        """Chains (K <= 3), supermodular grids and small multi-label
+        general graphs with 1-3 given labels under Gumbel noise: on every
+        applicable solver the pinned maximizer takes the given labels and
+        its value equals the enumerated conditional maximum; so does every
+        draw of the batch path, whose given noise rows are zeroed."""
+        rng = np.random.default_rng(seed)
+        if kind == "grid":
+            p = random_supermodular_grid(rng, rows=int(rng.integers(1, 4)),
+                                         cols=int(rng.integers(2, 4)))
+            solvers = ("graphcut", "brute")
+        else:
+            n = int(rng.integers(2, 7))
+            counts = tuple(int(k) for k in rng.integers(2, 4, size=n))
+            if kind == "chain":
+                model = chain_model(n, list(counts))
+                solvers = ("chain", "brute")
+            else:
+                pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+                keep = rng.random(len(pairs)) < 0.5
+                model = PairwiseModel(
+                    n, counts, tuple(e for e, b in zip(pairs, keep) if b))
+                solvers = ("brute",)
+            kmax = model.max_labels
+            valid = np.arange(kmax) < np.array(counts)[:, None]
+            unary = np.where(valid, rng.normal(size=(n, kmax)) * 2, 0.0)
+            pairwise = np.where(valid[model.edge_array()[:, 0], :, None]
+                                & valid[model.edge_array()[:, 1], None, :],
+                                rng.normal(size=(model.num_edges, kmax,
+                                                 kmax)) * 2, 0.0)
+            p = CompiledPotentials(model, unary, pairwise)
+        model = p.model
+        variables = rng.choice(model.num_vars,
+                               size=min(n_given, model.num_vars),
+                               replace=False)
+        given = {int(d): int(rng.integers(model.label_counts[d]))
+                 for d in variables}
+        z = sample_noise(model, seed % 9973).values
+        znoise = zero_given_rows(
+            _noise_batch(model, EstimatorConfig(3, seed % 9973), TAG_COUNT),
+            given)
+
+        def conditional_max(tables):
+            states, vals = all_state_values(tables)
+            mask = np.ones(len(states), dtype=bool)
+            for d, k in given.items():
+                mask &= states[:, d] == k
+            return vals[mask].max()
+
+        def check(tables, y):
+            assert all(y[d] == k for d, k in given.items())
+            assert evaluate_potential(tables, y) == pytest.approx(
+                conditional_max(tables), abs=1e-9)
+
+        perturbed = p.with_unary(p.unary + z)
+        for solver in solvers:
+            y, _ = _solve_map(clamp_variables(perturbed, given), solver)
+            check(perturbed, y)
+            labels, _ = _perturbed_map_batch(clamp_variables(p, given),
+                                             znoise, solver)
+            for m, y in enumerate(labels):
+                check(p.with_unary(p.unary + znoise[m]), y)
