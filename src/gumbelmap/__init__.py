@@ -50,7 +50,6 @@ from .exact import (
 from .cuts import DynamicCutState, build_cut_problem, clamp_variables
 from .gumbel import (
     EstimatorConfig,
-    GumbelNoise,
     conditional_counting_marginals,
     counting_marginals,
     estimate_A,

@@ -33,13 +33,12 @@ from .errors import (
     PreconditionError,
     StructuralError,
 )
-from .gumbel import EstimatorConfig, conditional_counting_marginals, counting_marginals
+from .gumbel import EstimatorConfig, conditional_counting_marginals
 from .model import (
     HAMMING,
     LossSpec,
     PAIRWISE_FULL,
     PAIRWISE_POTTS,
-    UNIT_WEIGHTS,
     VOLUME_BALANCED,
     WEIGHTED_HAMMING,
     WeightLayout,
@@ -67,12 +66,9 @@ EXIT_CONFIG = 3
 EXIT_INTERNAL = 4
 
 
-def _loss_spec(flag: str, weight_rule: str = "volume-balanced") -> LossSpec:
+def _loss_spec(flag: str) -> LossSpec:
     kind = _LOSS_FLAGS[flag]
     if kind == WEIGHTED_HAMMING:
-        if weight_rule == "unit":
-            # theta = 1 everywhere: the plain Hamming objective
-            return LossSpec(kind, UNIT_WEIGHTS)
         return LossSpec(kind, VOLUME_BALANCED)
     return LossSpec(kind)
 
@@ -151,8 +147,8 @@ def cmd_train(args) -> int:
     if not data:
         raise DatasetError("training dataset is empty")
     _require_labeled(args.data, data, "training")
-    loss_spec = _loss_spec(args.loss, args.weight_rule)
-    if loss_spec.weight_rule == VOLUME_BALANCED:
+    loss_spec = _loss_spec(args.loss)
+    if loss_spec.kind == WEIGHTED_HAMMING:
         _validate_weighted(args.data, data)
     files = [(args.data, data)]
     unlabeled = []
@@ -215,8 +211,8 @@ def cmd_eval(args) -> int:
         raise DatasetError("evaluation dataset is empty")
     _require_labeled(args.data, data, "evaluation")
     w = read_weights(args.weights)
-    loss_spec = _loss_spec(args.loss, args.weight_rule)
-    if loss_spec.weight_rule == VOLUME_BALANCED:
+    loss_spec = _loss_spec(args.loss)
+    if loss_spec.kind == WEIGHTED_HAMMING:
         _validate_weighted(args.data, data)
     cfg = TrainConfig(lam=1.0, iters=1, batch=1, loss=loss_spec,
                       seed=args.seed, solver=args.solver, layout=w.layout,
@@ -260,10 +256,7 @@ def cmd_marginals(args) -> int:
         est = EstimatorConfig(args.samples, args.seed, args.solver,
                               stream_context=i + 1)
         given = x.given_labels() if args.conditional else {}
-        if given:
-            q = conditional_counting_marginals(p, given, est)
-        else:
-            q = counting_marginals(p, est)
+        q = conditional_counting_marginals(p, given, est)
         rows_out.append({"instance": i,
                          "marginals": [r.tolist() for r in q.rows()]})
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -387,8 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train weights on a labeled dataset")
     p.add_argument("--data", required=True)
     p.add_argument("--loss", choices=sorted(_LOSS_FLAGS), default="hamming")
-    p.add_argument("--weight-rule", choices=["volume-balanced", "unit"],
-                   default="volume-balanced")
     p.add_argument("--lambda", dest="lam", type=float, default=0.1)
     p.add_argument("--iters", type=int, default=1000)
     p.add_argument("--batch", type=int, default=1)
@@ -409,8 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--weights", required=True)
     p.add_argument("--loss", choices=sorted(_LOSS_FLAGS), default="hamming")
-    p.add_argument("--weight-rule", choices=["volume-balanced", "unit"],
-                   default="volume-balanced")
     p.add_argument("--mode", choices=[PREDICT_MAP, PREDICT_MARGINAL],
                    default=PREDICT_MARGINAL)
     p.add_argument("--samples", type=int, default=100)

@@ -2,12 +2,17 @@
 
 The perturbed maximum  max_y ( f(y) + sum_d z_d(y_d) )  with independent
 zero-mean Gumbel draws z upper-bounds the log-partition A(f) in
-expectation, with equality for separable f.  Conditional variants clamp
-variables by pinning them on the unreduced model (``cuts.clamp_variables``)
-and zero the noise rows of the clamped variables: under the pin such a row
-adds a constant, so the labels do not change, the values exclude it and
-the pin margins, taken without it, hold for every draw.  Counting the
-labels of many perturbed maximizers estimates marginals.
+expectation, with equality for separable f.  Noise is a plain (D, Kmax)
+array, padded like the unary tables.  Clamps pin variables on the
+unreduced model (``cuts.clamp_variables``) in one of two ways:
+
+* a per-draw clamp of y_d = k pins the perturbed tables p + z, solves
+  them and returns the value on p + z less z_d(k);
+* given labels, shared by many draws, pin p and zero their noise rows:
+  under the pin such a row adds a constant, so the labels do not change,
+  and the pin margins, taken without the noise, hold for every draw.
+
+Counting the labels of many perturbed maximizers estimates marginals.
 
 All randomness comes from counter-based streams keyed on
 (seed, context words), so estimates are reproducible regardless of
@@ -22,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cuts import build_cut_problem, clamp_variables
-from .errors import StructuralError
+from .errors import InternalInvariantError, StructuralError
 from .exact import all_state_values, viterbi_map, viterbi_map_batch
 from .model import (
     CompiledPotentials,
@@ -63,14 +68,6 @@ def gumbel_from_uniform(u):
 
 
 @dataclass(frozen=True)
-class GumbelNoise:
-    """One perturbation realization z_d(k), padded like unary tables."""
-
-    values: np.ndarray  # (D, Kmax)
-    seed: tuple  # (seed, context words) that produced it
-
-
-@dataclass(frozen=True)
 class EstimatorConfig:
     num_samples: int
     seed: int
@@ -103,12 +100,12 @@ def zero_given_rows(values: np.ndarray, given) -> np.ndarray:
 
 
 def sample_noise(model: PairwiseModel, seed: int,
-                 context: tuple[int, ...] = ()) -> GumbelNoise:
-    """Independent zero-mean Gumbel per (variable, label); deterministic
-    given (seed, context)."""
+                 context: tuple[int, ...] = ()) -> np.ndarray:
+    """(D, Kmax) independent zero-mean Gumbel per (variable, label);
+    deterministic given (seed, context)."""
     words = tuple(context) + (0, 0)
     rng = stream(seed, words[0], words[1], TAG_NOISE)
-    return GumbelNoise(_gumbel_table(rng, model), (seed,) + tuple(context))
+    return _gumbel_table(rng, model)
 
 
 # ---------------------------------------------------------------------------
@@ -142,31 +139,35 @@ def _map_labels(p: CompiledPotentials, solver: str) -> np.ndarray:
     return _solve_map(p, solver)[0]
 
 
-def perturbed_map(p: CompiledPotentials, z: GumbelNoise,
+def perturbed_map(p: CompiledPotentials, z: np.ndarray,
                   solver: str) -> tuple[np.ndarray, float]:
     """Exact maximizer of f + noise; the noise folds into the unary tables
     so every solver applies unchanged.  The returned value includes the
     noise term."""
     _check_solver(p, solver)
-    if z.values.shape != p.unary.shape:
+    if z.shape != p.unary.shape:
         raise StructuralError("noise shape does not match potentials")
-    return _solve_map(p.with_unary(p.unary + z.values), solver)
+    return _solve_map(p.with_unary(p.unary + z), solver)
 
 
 def perturbed_conditional_map(p: CompiledPotentials, d: int, k: int,
-                              z: GumbelNoise, solver: str
+                              z: np.ndarray, solver: str
                               ) -> tuple[np.ndarray, float]:
-    """Perturbed MAP with y_d pinned to k and the noise row of d zeroed.
-    Returns the labeling and its value on the unpinned perturbed tables
-    (so the value excludes z_d).  The model keeps all D variables, so the
-    brute-force solver enumerates the full state space for each clamp."""
+    """Perturbed MAP with y_d clamped to k: the perturbed tables p + z are
+    pinned at (d, k) and solved.  Returns the labeling and its value on
+    p + z less z_d(k), so the value excludes the clamped variable's noise.
+    Every solver follows this one rule, so they agree bit for bit.  The
+    model keeps all D variables, so the brute-force solver enumerates the
+    full state space for each clamp."""
     _check_solver(p, solver)
-    if z.values.shape != p.unary.shape:
+    if z.shape != p.unary.shape:
         raise StructuralError("noise shape does not match potentials")
-    pinned = clamp_variables(p, {d: k})
-    noise = zero_given_rows(z.values, (d,))
-    y = _map_labels(pinned.with_unary(pinned.unary + noise), solver)
-    return y, evaluate_potential(p.with_unary(p.unary + noise), y)
+    perturbed = p.with_unary(p.unary + z)
+    y = _map_labels(clamp_variables(perturbed, {d: k}), solver)
+    if y[d] != k:
+        raise InternalInvariantError(
+            f"pinning bound failed to clamp variable {d}")
+    return y, evaluate_potential(perturbed, y) - z[d, k]
 
 
 # ---------------------------------------------------------------------------

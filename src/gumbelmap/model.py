@@ -399,7 +399,6 @@ HAMMING = "hamming"
 WEIGHTED_HAMMING = "weighted_hamming"
 
 VOLUME_BALANCED = "volume_balanced"
-UNIT_WEIGHTS = "unit"
 
 
 @dataclass(frozen=True)
@@ -470,8 +469,6 @@ def loss_weights(spec: LossSpec, y_true: np.ndarray,
     if spec.kind in (ZERO_ONE, HAMMING):
         return np.ones(d)
     if isinstance(spec.weight_rule, str):
-        if spec.weight_rule == UNIT_WEIGHTS:
-            return np.ones(d)
         if spec.weight_rule != VOLUME_BALANCED:
             raise StructuralError(f"unknown weight rule {spec.weight_rule!r}")
         if volumes is None:

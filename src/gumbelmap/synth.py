@@ -12,8 +12,8 @@ import numpy as np
 
 from .errors import StructuralError
 from .exact import _forward_backward
-from .gumbel import TAG_DATA, gumbel_from_uniform, stream, _U_LO, _U_HI
-from .cuts import build_cut_problem
+from .gumbel import (SOLVER_GRAPHCUT, TAG_DATA, _gumbel_table, perturbed_map,
+                     stream)
 from .model import (
     FeatureInstance,
     PAIRWISE_FULL,
@@ -102,46 +102,30 @@ def gen_grid_dataset(num: int, side: int, feat_dim: int, seed: int,
                      teacher: WeightVector | None = None,
                      teacher_seed: int | None = None,
                      teacher_scale: float = 1.0,
-                     label_noise: float = 0.0,
-                     cluster_sep: float = 0.0,
-                     require_nondegenerate: bool = True
+                     label_noise: float = 0.0
                      ) -> tuple[list[FeatureInstance], WeightVector]:
-    """Binary grids with the disagreement pairwise form.  Labels come from
-    one perturbed-MAP draw per instance (approximate sampler); one-sided
-    labelings are redrawn so the volume-balanced loss stays defined.
-
-    ``cluster_sep > 0`` shifts each node's features by +-cluster_sep along
-    the teacher's unary discriminant, giving the feature space a bimodal
-    (segmentation-like) structure; 0 keeps plain standard-normal features.
-    """
+    """Binary grids with the disagreement pairwise form and standard-normal
+    node features.  Labels come from one perturbed-MAP draw per instance
+    (approximate sampler); one-sided labelings are redrawn so the
+    volume-balanced loss stays defined."""
     layout = WeightLayout(2, feat_dim, 1, PAIRWISE_POTTS)
     if teacher is None:
         teacher = sample_teacher(layout, teacher_seed if teacher_seed is not None
                                  else seed, teacher_scale)
     model = grid_model(side, side)
-    direction = None
-    if cluster_sep > 0.0:
-        wu = teacher.unary_weights()
-        diff = wu[1] - wu[0]
-        norm = float(np.linalg.norm(diff))
-        direction = diff / norm if norm > 0 else None
     out = []
     for i in range(num):
         rng = stream(seed, i + 1, 0, TAG_DATA)
         nf = rng.normal(size=(model.num_vars, feat_dim))
-        if direction is not None:
-            signs = rng.integers(0, 2, size=model.num_vars) * 2 - 1
-            nf = nf + cluster_sep * signs[:, None] * direction[None, :]
         ef = np.ones((model.num_edges, 1))
         x = FeatureInstance(model, nf, ef)
         p = compile_potentials(teacher, x)
         y = None
         for attempt in range(100):
-            u = np.clip(rng.random((model.num_vars, 2)), _U_LO, _U_HI)
-            z = gumbel_from_uniform(u)
-            cand, _ = build_cut_problem(p.with_unary(p.unary + z)).solve()
+            cand, _ = perturbed_map(p, _gumbel_table(rng, model),
+                                    SOLVER_GRAPHCUT)
             cand = _apply_label_noise(cand, model.label_counts, label_noise, rng)
-            if not require_nondegenerate or 0 < cand.sum() < model.num_vars:
+            if 0 < cand.sum() < model.num_vars:
                 y = cand
                 break
         if y is None:

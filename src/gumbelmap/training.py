@@ -6,15 +6,19 @@ are one estimator, sum_d sum_k w_dk (B_dk - A) under shared noise, where A
 is the unconditional perturbed maximum and B_dk the maximum with y_d
 clamped to k.  Only the weight table w changes: theta_d at the label for a
 labeled element, q_d(k) theta_d(k) from frozen marginals for an unlabeled
-one, with given labels conditioned on rather than weighted.  Every clamp,
-of a given label or of y_d = k, is one mechanism: a unary raise on the
-unreduced model by a margin that provably pins the label
-(``cuts.clamp_variables``), with the noise rows of given variables zeroed
-so that they add only a constant.  One
-per-variable kernel (``_element``) computes it; the whole-labeling
-likelihood (zero-one loss) needs only the unconditional MAP.  The three
-public steps share one update helper, and one driver loop serves
-``train`` and both training phases of ``train_semisupervised``.
+one, with given labels conditioned on rather than weighted.  A clamp is a
+unary raise on the unreduced model by a margin that provably pins the
+label (``cuts.clamp_variables``), applied in one of two ways:
+
+* a per-draw clamp of y_d = k pins the perturbed tables p + z, and B_dk is
+  their value at the clamped maximizer less z_d(k), on every solver;
+* given labels pin p once per element and zero their noise rows, so that
+  under the pin those rows add only a constant.
+
+One per-variable kernel (``_element``) computes the estimator; the
+whole-labeling likelihood (zero-one loss) needs only the unconditional
+MAP.  The three public steps share one update helper, and one driver loop
+serves ``train`` and both training phases of ``train_semisupervised``.
 
 Two exact accelerations apply to the clamped solves:
 
@@ -37,13 +41,13 @@ from .cuts import build_cut_problem, clamp_variables, pin_margins
 from .errors import InternalInvariantError, StructuralError
 from .gumbel import (
     EstimatorConfig,
-    GumbelNoise,
     SOLVER_GRAPHCUT,
     TAG_BATCH,
     _solve_map,
     conditional_counting_marginals,
     counting_marginals,
     perturbed_conditional_map,
+    perturbed_map,
     sample_noise,
     stream,
     zero_given_rows,
@@ -133,7 +137,7 @@ def project_supermodular(w: WeightVector) -> WeightVector:
     return WeightVector(values, w.layout)
 
 
-def _noise_for(model, seed: int, phase: int, h: int, slot: int) -> GumbelNoise:
+def _noise_for(model, seed: int, phase: int, h: int, slot: int) -> np.ndarray:
     return sample_noise(model, seed, context=(slot, (phase << 48) | h))
 
 
@@ -146,18 +150,18 @@ class _ElementSolver:
     """Unconditional and clamped perturbed MAPs for one batch element,
     sharing one noise realization.
 
-    A clamp is the pin of ``clamp_variables``.  For the graph-cut solver
-    the clamped problems run on one retained dynamic state: the pin is one
-    ``update_unary``, undone afterwards, so the trees carry over between
-    the D re-solves.
+    A clamp is ``perturbed_conditional_map``.  With dynamic cuts the
+    clamped problems run on one retained cut state instead: the same pin
+    of p + z is one ``update_unary``, undone afterwards, so the trees
+    carry over between the D re-solves.
     """
 
-    def __init__(self, p: CompiledPotentials, z: GumbelNoise, solver: str,
+    def __init__(self, p: CompiledPotentials, z: np.ndarray, solver: str,
                  dynamic: bool):
         self.p = p
         self.z = z
         self.solver = solver
-        self.perturbed = p.with_unary(p.unary + z.values)
+        self.perturbed = p.with_unary(p.unary + z)
         self.dynamic = dynamic and solver == SOLVER_GRAPHCUT
         self.state = None
         if self.dynamic:
@@ -172,27 +176,22 @@ class _ElementSolver:
     def map_clamped(self, d: int, k: int) -> tuple[np.ndarray, float]:
         """Maximizer with y_d pinned to k under the shared noise; value
         excludes z_d."""
-        if self.solver != SOLVER_GRAPHCUT:
+        if not self.dynamic:
             return perturbed_conditional_map(self.p, d, k, self.z, self.solver)
-        if self.dynamic:
-            orig = self.perturbed.unary[d].tolist()
-            pinned = orig.copy()
-            pinned[k] += float(self.pins[d])
-            self.state.update_unary(d, pinned)
-            y, _ = self.state.solve()
-            self.state.update_unary(d, orig)
-        else:
-            y, _ = build_cut_problem(
-                clamp_variables(self.perturbed, {d: k})).solve()
+        orig = self.perturbed.unary[d].tolist()
+        pinned = orig.copy()
+        pinned[k] += float(self.pins[d])
+        self.state.update_unary(d, pinned)
+        y, _ = self.state.solve()
+        self.state.update_unary(d, orig)
         if y[d] != k:
             raise InternalInvariantError(
                 f"pinning bound failed to clamp variable {d}")
-        val = evaluate_potential(self.perturbed, y) - self.z.values[d, k]
-        return y, val
+        return y, evaluate_potential(self.perturbed, y) - self.z[d, k]
 
 
 def _element(x: FeatureInstance, weights: np.ndarray, given: dict[int, int],
-             p: CompiledPotentials, z: GumbelNoise, solver: str,
+             p: CompiledPotentials, z: np.ndarray, solver: str,
              dynamic: bool, acceleration: bool, layout: WeightLayout,
              counters: TrainCounters) -> tuple[np.ndarray, float]:
     """Gradient and objective estimate of sum_d sum_k w_dk (B_dk - A) for
@@ -211,7 +210,7 @@ def _element(x: FeatureInstance, weights: np.ndarray, given: dict[int, int],
         return np.zeros(layout.total_size), 0.0
     if given:
         p = clamp_variables(p, given)
-        z = GumbelNoise(zero_given_rows(z.values, given), z.seed)
+        z = zero_given_rows(z, given)
     es = _ElementSolver(p, z, solver, dynamic)
     y_a, val_a = es.map_full()
     counters.map_solves += 1
@@ -229,7 +228,7 @@ def _element(x: FeatureInstance, weights: np.ndarray, given: dict[int, int],
                 # shared noise: the clamped maximizer equals y_a, so the
                 # gradient term vanishes and B_dk - A is exactly -z_d(k)
                 counters.clamp_skipped += 1
-                obj += w_dk * (-z.values[d, k])
+                obj += w_dk * (-z[d, k])
                 continue
             y_b, val_b = es.map_clamped(d, k)
             counters.clamp_solves += 1
@@ -256,11 +255,7 @@ def _unlabeled_table(w: WeightVector, x: FeatureInstance, index: int,
     p = compile_potentials(w, x)
     est = EstimatorConfig(cfg.inference_samples, cfg.seed, cfg.solver,
                           stream_context=index + 1)
-    given = x.given_labels()
-    if given:
-        q = conditional_counting_marginals(p, given, est)
-    else:
-        q = counting_marginals(p, est)
+    q = conditional_counting_marginals(p, x.given_labels(), est)
     if cfg.loss.kind != WEIGHTED_HAMMING:
         return q.probs
     if x.model.max_labels != 2:
@@ -337,8 +332,7 @@ def sgd_loglik_step(w: WeightVector, batch: list[FeatureInstance], h: int,
     for t, x in enumerate(batch):
         p = compile_potentials(w, x)
         z = _noise_for(x.model, cfg.seed, phase, h, t + 1)
-        y_star, val = _ElementSolver(p, z, cfg.solver,
-                                     cfg.dynamic_cuts).map_full()
+        y_star, val = perturbed_map(p, z, cfg.solver)
         counters.map_solves += 1
         gsum += feature_map(x, x.labels, layout) - feature_map(x, y_star, layout)
         obj += evaluate_potential(p, x.labels) - val
@@ -502,7 +496,7 @@ def predict(w: WeightVector, x: FeatureInstance, mode: str,
 
 
 def frozen_noise_objective(w: WeightVector, x: FeatureInstance,
-                           y: np.ndarray, z: GumbelNoise, loss_spec: LossSpec,
+                           y: np.ndarray, z: np.ndarray, loss_spec: LossSpec,
                            solver: str) -> tuple[float, np.ndarray]:
     """Value and analytic gradient of the per-element marginal objective at
     one fixed noise realization: piecewise linear in w, so away from

@@ -246,7 +246,7 @@ def test_criterion_06_fixed_noise_gradient_check():
 
     def labelings_at(w):
         p = compile_potentials(w, x)
-        pert = p.with_unary(p.unary + z.values)
+        pert = p.with_unary(p.unary + z)
         y_a, _ = perturbed_map(p, z, solver)
         out = [y_a.tolist()]
         for d in range(4):

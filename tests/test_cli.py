@@ -72,18 +72,6 @@ class TestTrain:
         assert manifest["command"] == "train"
         assert chain_file in manifest["datasets"]
 
-    def test_weighted_unit_rule_matches_hamming(self, chain_file, tmp_path):
-        """theta = 1 weighted training equals plain Hamming training."""
-        wa, wb = tmp_path / "wa.json", tmp_path / "wb.json"
-        base = ["train", "--data", chain_file, "--lambda", "0.1", "--iters",
-                "80", "--batch", "2", "--solver", "chain", "--seed", "3"]
-        assert run(base + ["--loss", "hamming", "--out", str(wa)]) == 0
-        assert run(base + ["--loss", "weighted-hamming", "--weight-rule",
-                           "unit", "--out", str(wb)]) == 0
-        a = read_weights(str(wa))
-        b = read_weights(str(wb))
-        assert np.array_equal(a.values, b.values)
-
     def test_malformed_dataset_exit_2(self, tmp_path):
         bad = tmp_path / "bad.jsonl"
         bad.write_text('{"num_vars": 3}\n')

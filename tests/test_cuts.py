@@ -431,7 +431,7 @@ class TestClamping:
                                replace=False)
         given = {int(d): int(rng.integers(model.label_counts[d]))
                  for d in variables}
-        z = sample_noise(model, seed % 9973).values
+        z = sample_noise(model, seed % 9973)
         znoise = zero_given_rows(
             _noise_batch(model, EstimatorConfig(3, seed % 9973), TAG_COUNT),
             given)

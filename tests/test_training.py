@@ -33,6 +33,8 @@ from gumbelmap.training import (
     train_semisupervised,
 )
 
+from conftest import random_supermodular_grid
+
 
 def _chain_data(rng, n=10, num_vars=5, num_labels=3, feat=3):
     layout = WeightLayout(num_labels, feat, 1)
@@ -108,7 +110,7 @@ class TestSteps:
         p = compile_potentials(w, x)
         z = _noise_for(x.model, cfg.seed, 1, h, 1)
         states, vals = all_state_values(p)
-        pert = vals + np.array([z.values[range(3), s].sum() for s in states])
+        pert = vals + np.array([z[range(3), s].sum() for s in states])
         y_a = states[int(np.argmax(pert))]
         grad = np.zeros(layout.total_size)
         for d in range(3):
@@ -117,7 +119,7 @@ class TestSteps:
                 continue
             mask = states[:, d] == k
             cond = vals[mask] + np.array(
-                [sum(z.values[s2, states[mask][i, s2]]
+                [sum(z[s2, states[mask][i, s2]]
                      for s2 in range(3) if s2 != d)
                  for i in range(mask.sum())])
             y_b = states[mask][int(np.argmax(cond))]
@@ -250,7 +252,36 @@ class TestAcceleration:
                               dynamic_cuts=False)
         r_on = train(data, cfg_on)
         r_off = train(data, cfg_off)
-        assert np.allclose(r_on.weights.values, r_off.weights.values, atol=1e-9)
+        assert np.array_equal(r_on.weights.values, r_off.weights.values)
+
+    def test_clamps_agree_bitwise_across_solvers(self):
+        """On random binary supermodular chains every clamp (d, k) gives the
+        same labels and the same value bit for bit on the chain, brute-force
+        and graph-cut solvers, the last with dynamic cuts off and on: every
+        solver pins p + z and subtracts z_d(k)."""
+        from gumbelmap.model import CompiledPotentials
+        from gumbelmap.training import _ElementSolver
+        rng = np.random.default_rng(2400)
+        variants = (("chain", False), ("brute", False), ("graphcut", False),
+                    ("graphcut", True))
+        model = chain_model(4, 2)
+        agree = total = 0
+        for m in range(100):
+            grid = random_supermodular_grid(rng, rows=1, cols=4)
+            p = CompiledPotentials(model, grid.unary, grid.pairwise)
+            for t in range(3):
+                z = sample_noise(model, m, context=(t, 0))
+                solvers = [_ElementSolver(p, z, s, dc) for s, dc in variants]
+                for es in solvers:
+                    es.map_full()
+                for d in range(4):
+                    for k in range(2):
+                        out = [es.map_clamped(d, k) for es in solvers]
+                        y0, v0 = out[0]
+                        total += 1
+                        agree += all(np.array_equal(y, y0) and v == v0
+                                     for y, v in out[1:])
+        assert (agree, total) == (2400, 2400)
 
 
 class TestProjection:
