@@ -23,7 +23,6 @@ from .model import (
     CompiledPotentials,
     FeatureInstance,
     LossSpec,
-    MarginalTable,
     PairwiseModel,
     WeightLayout,
     WeightVector,

@@ -113,9 +113,9 @@ def _layout_for(files, num_labels: int, form: str) -> WeightLayout:
 
 
 def _require_cut_solvable(files) -> None:
-    """Graph-cut training keeps the disagreement ('potts') weights
-    non-positive, which makes every compiled instance supermodular only
-    when its edge features are non-negative."""
+    """Graph-cut training uses the disagreement ('potts') form and keeps
+    its weights non-positive, which makes every compiled instance
+    supermodular only when its edge features are non-negative."""
     for path, xs in files:
         for i, x in enumerate(xs):
             if x.model.num_edges and (x.edge_features < 0).any():
@@ -155,12 +155,11 @@ def cmd_train(args) -> int:
     if args.unlabeled:
         unlabeled = read_dataset(args.unlabeled)
         files.append((args.unlabeled, unlabeled))
-    num_labels = max(max(x.model.label_counts) for x in data + unlabeled)
-    form = args.pairwise_form
-    if form == "auto":
-        form = PAIRWISE_POTTS if args.solver == "graphcut" else PAIRWISE_FULL
-    layout = _layout_for(files, num_labels, form)
-    if args.solver == "graphcut" and form == PAIRWISE_POTTS:
+    num_labels = max(x.model.num_labels for x in data + unlabeled)
+    graphcut = args.solver == "graphcut"
+    layout = _layout_for(files, num_labels,
+                         PAIRWISE_POTTS if graphcut else PAIRWISE_FULL)
+    if graphcut:
         _require_cut_solvable(files)
     cfg = TrainConfig(
         lam=args.lam, iters=args.iters, batch=args.batch, loss=loss_spec,
@@ -258,7 +257,7 @@ def cmd_marginals(args) -> int:
         given = x.given_labels() if args.conditional else {}
         q = conditional_counting_marginals(p, given, est)
         rows_out.append({"instance": i,
-                         "marginals": [r.tolist() for r in q.rows()]})
+                         "marginals": q.tolist()})
     with open(args.out, "w", encoding="utf-8") as fh:
         for rec in rows_out:
             fh.write(json.dumps(rec, sort_keys=True))
@@ -388,8 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--solver", choices=["chain", "graphcut", "brute"],
                    default="chain")
     p.add_argument("--unlabeled", default=None)
-    p.add_argument("--pairwise-form", choices=["auto", "full", "potts"],
-                   default="auto")
     p.add_argument("--no-acceleration", action="store_true")
     p.add_argument("--no-dynamic-cuts", action="store_true")
     p.add_argument("--out", required=True)

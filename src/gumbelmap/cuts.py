@@ -41,8 +41,8 @@ class DynamicCutState:
         model = potentials.model
         if not model.is_binary:
             raise PreconditionError("cut solver requires binary labels")
-        unary = np.array(potentials.unary[:, :2], dtype=np.float64)
-        pairwise = np.array(potentials.pairwise[:, :2, :2], dtype=np.float64)
+        unary = np.array(potentials.unary, dtype=np.float64)
+        pairwise = np.array(potentials.pairwise, dtype=np.float64)
         self.model = model
         self.unary = unary
         ea = model.edge_array()
@@ -183,26 +183,20 @@ def build_cut_problem(p: CompiledPotentials) -> DynamicCutState:
 def pin_margins(p: CompiledPotentials) -> np.ndarray:
     """(D,) unary raises that each pin a variable to any one label.
 
-    margin[d] is the range of u_d over its valid labels, plus, for every
+    margin[d] is the range of u_d over the labels, plus, for every
     incident edge, the largest change of the pairwise term as y_d varies
     with the other endpoint held, plus 1.  Moving y_d to k then raises f
     by at least 1 whatever the other labels are, once u_d(k) is raised by
     margin[d]: every maximizer takes y_d = k, whichever variables are
     pinned with it.
     """
-    model = p.model
-    valid = np.arange(model.max_labels) < model._count_arr[:, None]
     u = p.unary
-    margins = (np.where(valid, u, -np.inf).max(axis=1)
-               - np.where(valid, u, np.inf).min(axis=1))
-    if model.num_edges:
-        ea = model.edge_array()
-        pair_valid = valid[ea[:, 0], :, None] & valid[ea[:, 1], None, :]
-        hi = np.where(pair_valid, p.pairwise, -np.inf)
-        lo = np.where(pair_valid, p.pairwise, np.inf)
-        # padded columns give -inf - inf = -inf and drop out of the max
-        span_i = (hi.max(axis=1) - lo.min(axis=1)).max(axis=1)
-        span_j = (hi.max(axis=2) - lo.min(axis=2)).max(axis=1)
+    margins = u.max(axis=1) - u.min(axis=1)
+    if p.model.num_edges:
+        ea = p.model.edge_array()
+        pw = p.pairwise
+        span_i = (pw.max(axis=1) - pw.min(axis=1)).max(axis=1)
+        span_j = (pw.max(axis=2) - pw.min(axis=2)).max(axis=1)
         np.add.at(margins, ea[:, 0], span_i)
         np.add.at(margins, ea[:, 1], span_j)
     return margins + 1.0
@@ -223,7 +217,7 @@ def clamp_variables(p: CompiledPotentials,
     for d, k in given.items():
         if not 0 <= d < model.num_vars:
             raise StructuralError(f"variable index {d} out of range")
-        if not 0 <= k < model.label_counts[d]:
+        if not 0 <= k < model.num_labels:
             raise StructuralError(f"label {k} out of range at variable {d}")
     margins = pin_margins(p)
     unary = p.unary.copy()

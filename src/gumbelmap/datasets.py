@@ -2,8 +2,10 @@
 
 Datasets are JSON Lines, one instance per line, with fields
 num_vars, label_counts, edges, node_features, edge_features, labels,
-volumes.  Unobserved labels are null.  Chain structure is recognized from
-the edge list; anything else loads as a general graph.
+volumes.  Every variable of an instance has the same label count, so
+label_counts lists num_vars equal entries.  Unobserved labels are null.
+Chain structure is recognized from the edge list; anything else loads as
+a general graph.
 """
 
 from __future__ import annotations
@@ -48,10 +50,13 @@ def record_to_instance(rec: dict, line: int | None = None) -> FeatureInstance:
         raise DatasetError(f"missing fields: {', '.join(missing)}", line)
     try:
         d = int(rec["num_vars"])
-        counts = tuple(int(k) for k in rec["label_counts"])
+        counts = [int(k) for k in rec["label_counts"]]
+        if len(counts) != d or len(set(counts)) != 1:
+            raise DatasetError(
+                f"label_counts must hold {d} equal entries", line)
         edges = tuple(tuple(int(v) for v in e) for e in rec["edges"])
         chain = edges == tuple((i, i + 1) for i in range(d - 1))
-        model = PairwiseModel(d, counts, edges,
+        model = PairwiseModel(d, counts[0], edges,
                               structure_kind="chain" if chain else "general")
         nf = np.asarray(rec["node_features"], dtype=np.float64)
         if nf.size == 0:

@@ -17,7 +17,6 @@ from .errors import CapacityError, StructuralError
 from .model import (
     CompiledPotentials,
     FeatureInstance,
-    MarginalTable,
     PairwiseModel,
     WeightVector,
     check_labeling,
@@ -34,42 +33,39 @@ class ExactInferenceResult:
     log_partition: float
     map_labeling: np.ndarray
     map_value: float
-    marginals: MarginalTable
+    marginals: np.ndarray  # (D, K)
 
 
 # ---------------------------------------------------------------------------
 # Brute force
 # ---------------------------------------------------------------------------
 
-_STATE_TABLE_CACHE: dict[tuple[int, ...], np.ndarray] = {}
+_STATE_TABLE_CACHE: dict[tuple[int, int], np.ndarray] = {}
 
 
-def state_table(label_counts: tuple[int, ...]) -> np.ndarray:
-    """(N, D) array of all joint labelings in lexicographic order
+def state_table(num_vars: int, num_labels: int) -> np.ndarray:
+    """(K^D, D) array of all joint labelings in lexicographic order
     (variable 0 most significant)."""
-    key = tuple(label_counts)
+    key = (num_vars, num_labels)
     cached = _STATE_TABLE_CACHE.get(key)
     if cached is not None:
         return cached
-    n = 1
-    for k in key:
-        n *= k
-        if n > BRUTE_FORCE_GUARD:
-            raise CapacityError(f"state space exceeds {BRUTE_FORCE_GUARD}")
-    d = len(key)
-    states = np.zeros((n, d), dtype=np.int64)
+    n = num_labels ** num_vars
+    if n > BRUTE_FORCE_GUARD:
+        raise CapacityError(f"state space exceeds {BRUTE_FORCE_GUARD}")
+    states = np.zeros((n, num_vars), dtype=np.int64)
     rep = n
-    for i, k in enumerate(key):
-        rep //= k
-        tile = n // (rep * k)
-        states[:, i] = np.tile(np.repeat(np.arange(k), rep), tile)
+    for i in range(num_vars):
+        rep //= num_labels
+        tile = n // (rep * num_labels)
+        states[:, i] = np.tile(np.repeat(np.arange(num_labels), rep), tile)
     _STATE_TABLE_CACHE[key] = states
     return states
 
 
 def all_state_values(p: CompiledPotentials) -> tuple[np.ndarray, np.ndarray]:
     """(states, f-values) over the full joint space."""
-    states = state_table(p.model.label_counts)
+    states = state_table(p.model.num_vars, p.model.num_labels)
     vals = np.zeros(states.shape[0])
     for d in range(p.model.num_vars):
         vals += p.unary[d, states[:, d]]
@@ -84,12 +80,8 @@ def brute_force(p: CompiledPotentials) -> ExactInferenceResult:
     log_z = float(logsumexp(vals))
     best = int(np.argmax(vals))  # first occurrence = lexicographically smallest
     probs = np.exp(vals - log_z)
-    kmax = p.model.max_labels
-    q = np.zeros((p.model.num_vars, kmax))
-    for d in range(p.model.num_vars):
-        q[d, : p.model.label_counts[d]] = np.bincount(
-            states[:, d], weights=probs, minlength=p.model.label_counts[d]
-        )[: p.model.label_counts[d]]
+    q = np.array([np.bincount(col, weights=probs, minlength=p.model.num_labels)
+                  for col in states.T])
     y_map = states[best].copy()
     return ExactInferenceResult(
         log_partition=log_z,
@@ -97,7 +89,7 @@ def brute_force(p: CompiledPotentials) -> ExactInferenceResult:
         # re-evaluated in the canonical summation order so it is
         # bit-identical to evaluate_potential on the same labeling
         map_value=evaluate_potential(p, y_map),
-        marginals=MarginalTable(q, p.model.label_counts),
+        marginals=q,
     )
 
 
@@ -108,7 +100,7 @@ def brute_force_clamped(p: CompiledPotentials, d: int, k: int
     The log-partition is B(f, y_d = k); the max is the conditional MAP value
     max_{y_{-d}} f(y_{-d} | y_d = k) including u_d(k).
     """
-    if not 0 <= k < p.model.label_counts[d]:
+    if not 0 <= k < p.model.num_labels:
         raise StructuralError(f"label {k} out of range at variable {d}")
     states, vals = all_state_values(p)
     mask = states[:, d] == k
@@ -131,17 +123,16 @@ def viterbi_map(p: CompiledPotentials) -> np.ndarray:
     """Exact MAP for a chain; ties toward the smallest label index at each
     backtracking step."""
     _require_chain(p.model)
-    model = p.model
-    d_n = model.num_vars
-    msg = p.unary[0, : model.label_counts[0]].copy()
+    d_n = p.model.num_vars
+    cols = np.arange(p.model.num_labels)
+    msg = p.unary[0]
     backptr = []
     for d in range(1, d_n):
-        kd = model.label_counts[d]
         # scores[l, k] = msg[l] + pairwise[d-1][l, k]
-        scores = msg[:, None] + p.pairwise[d - 1, : model.label_counts[d - 1], :kd]
+        scores = msg[:, None] + p.pairwise[d - 1]
         bp = np.argmax(scores, axis=0)
         backptr.append(bp)
-        msg = p.unary[d, :kd] + scores[bp, np.arange(kd)]
+        msg = p.unary[d] + scores[bp, cols]
     y = np.zeros(d_n, dtype=np.int64)
     y[d_n - 1] = int(np.argmax(msg))
     for d in range(d_n - 1, 0, -1):
@@ -152,51 +143,37 @@ def viterbi_map(p: CompiledPotentials) -> np.ndarray:
 def forward_log_partition(p: CompiledPotentials) -> float:
     """Exact A(f) for a chain via the log-space forward recursion."""
     _require_chain(p.model)
-    model = p.model
-    alpha = p.unary[0, : model.label_counts[0]].copy()
-    for d in range(1, model.num_vars):
-        kd = model.label_counts[d]
-        trans = alpha[:, None] + p.pairwise[d - 1, : model.label_counts[d - 1], :kd]
-        alpha = p.unary[d, :kd] + logsumexp(trans, axis=0)
+    alpha = p.unary[0]
+    for d in range(1, p.model.num_vars):
+        trans = alpha[:, None] + p.pairwise[d - 1]
+        alpha = p.unary[d] + logsumexp(trans, axis=0)
     return float(logsumexp(alpha))
 
 
 def _forward_backward(p: CompiledPotentials):
-    model = p.model
-    d_n = model.num_vars
-    alphas = []
-    alpha = p.unary[0, : model.label_counts[0]].copy()
-    alphas.append(alpha)
+    d_n = p.model.num_vars
+    alpha = p.unary[0]
+    alphas = [alpha]
     for d in range(1, d_n):
-        kd = model.label_counts[d]
-        trans = alpha[:, None] + p.pairwise[d - 1, : model.label_counts[d - 1], :kd]
-        alpha = p.unary[d, :kd] + logsumexp(trans, axis=0)
+        trans = alpha[:, None] + p.pairwise[d - 1]
+        alpha = p.unary[d] + logsumexp(trans, axis=0)
         alphas.append(alpha)
     log_z = float(logsumexp(alphas[-1]))
-    betas = [None] * d_n
-    beta = np.zeros(model.label_counts[d_n - 1])
-    betas[d_n - 1] = beta
+    beta = np.zeros(p.model.num_labels)
+    betas = [beta] * d_n
     for d in range(d_n - 2, -1, -1):
-        kd = model.label_counts[d]
-        kn = model.label_counts[d + 1]
-        trans = (p.pairwise[d, :kd, :kn] + p.unary[d + 1, :kn][None, :]
-                 + beta[None, :])
+        trans = p.pairwise[d] + p.unary[d + 1][None, :] + beta[None, :]
         beta = logsumexp(trans, axis=1)
         betas[d] = beta
     return alphas, betas, log_z
 
 
-def forward_backward_marginals(p: CompiledPotentials) -> MarginalTable:
-    """Exact unary marginals for a chain."""
+def forward_backward_marginals(p: CompiledPotentials) -> np.ndarray:
+    """Exact (D, K) unary marginals for a chain."""
     _require_chain(p.model)
     alphas, betas, log_z = _forward_backward(p)
-    model = p.model
-    q = np.zeros((model.num_vars, model.max_labels))
-    for d in range(model.num_vars):
-        kd = model.label_counts[d]
-        row = np.exp(alphas[d] + betas[d] - log_z)
-        q[d, :kd] = row / row.sum()
-    return MarginalTable(q, model.label_counts)
+    rows = [np.exp(a + b - log_z) for a, b in zip(alphas, betas)]
+    return np.array([row / row.sum() for row in rows])
 
 
 def chain_edge_marginals(p: CompiledPotentials) -> list[np.ndarray]:
@@ -204,13 +181,10 @@ def chain_edge_marginals(p: CompiledPotentials) -> list[np.ndarray]:
     chain edge."""
     _require_chain(p.model)
     alphas, betas, log_z = _forward_backward(p)
-    model = p.model
     out = []
-    for d in range(model.num_vars - 1):
-        kd = model.label_counts[d]
-        kn = model.label_counts[d + 1]
-        logxi = (alphas[d][:, None] + p.pairwise[d, :kd, :kn]
-                 + p.unary[d + 1, :kn][None, :] + betas[d + 1][None, :] - log_z)
+    for d in range(p.model.num_vars - 1):
+        logxi = (alphas[d][:, None] + p.pairwise[d]
+                 + p.unary[d + 1][None, :] + betas[d + 1][None, :] - log_z)
         xi = np.exp(logxi)
         out.append(xi / xi.sum())
     return out
@@ -238,9 +212,9 @@ def crf_exact_gradient(w: WeightVector, x: FeatureInstance,
     # unary expectation
     uview = grad[: layout.unary_size].reshape(layout.num_labels,
                                               layout.node_feat_dim)
+    k = x.model.num_labels
     for d in range(x.model.num_vars):
-        kd = x.model.label_counts[d]
-        uview[:kd] -= q.row(d)[:, None] * x.node_features[d][None, :]
+        uview[:k] -= q[d][:, None] * x.node_features[d][None, :]
     # pairwise expectation
     xis = chain_edge_marginals(p)
     if layout.pairwise_form == "potts":
@@ -252,8 +226,7 @@ def crf_exact_gradient(w: WeightVector, x: FeatureInstance,
         pview = grad[layout.unary_size:].reshape(
             layout.num_labels, layout.num_labels, layout.edge_feat_dim)
         for e, xi in enumerate(xis):
-            kd, kn = xi.shape
-            pview[:kd, :kn] -= xi[:, :, None] * x.edge_features[e][None, None, :]
+            pview[:k, :k] -= xi[:, :, None] * x.edge_features[e][None, None, :]
     return grad
 
 
@@ -261,25 +234,18 @@ def crf_exact_gradient(w: WeightVector, x: FeatureInstance,
 # Batched chain solvers (vectorized over noise realizations)
 # ---------------------------------------------------------------------------
 
-_NEG_SENTINEL = -1e30  # masks padded labels; also dominates any real score
-
-
-def viterbi_map_batch(unary: np.ndarray, pairwise: np.ndarray,
-                      label_counts: tuple[int, ...]) -> np.ndarray:
-    """Viterbi over a batch: ``unary`` is (M, D, Kmax), ``pairwise`` is
-    (D-1, Kmax, Kmax) shared across the batch.  Returns (M, D) labelings
-    with the same tie-break rule as viterbi_map."""
-    m, d_n, kmax = unary.shape
-    u = unary.copy()
-    for d, kd in enumerate(label_counts):
-        u[:, d, kd:] = _NEG_SENTINEL
-    msg = u[:, 0, :]  # (M, K)
-    backptr = np.zeros((d_n - 1, m, kmax), dtype=np.int64) if d_n > 1 else None
+def viterbi_map_batch(unary: np.ndarray, pairwise: np.ndarray) -> np.ndarray:
+    """Viterbi over a batch: ``unary`` is (M, D, K), ``pairwise`` is
+    (D-1, K, K) shared across the batch.  Returns (M, D) labelings with
+    the same tie-break rule as viterbi_map."""
+    m, d_n, k = unary.shape
+    msg = unary[:, 0, :]  # (M, K)
+    backptr = np.zeros((d_n - 1, m, k), dtype=np.int64) if d_n > 1 else None
     for d in range(1, d_n):
         scores = msg[:, :, None] + pairwise[d - 1][None, :, :]  # (M, K, K)
         bp = np.argmax(scores, axis=1)  # (M, K)
         backptr[d - 1] = bp
-        msg = u[:, d, :] + np.take_along_axis(scores, bp[:, None, :], axis=1)[:, 0, :]
+        msg = unary[:, d, :] + np.take_along_axis(scores, bp[:, None, :], axis=1)[:, 0, :]
     y = np.zeros((m, d_n), dtype=np.int64)
     y[:, d_n - 1] = np.argmax(msg, axis=1)
     for d in range(d_n - 1, 0, -1):

@@ -2,8 +2,8 @@
 
 The perturbed maximum  max_y ( f(y) + sum_d z_d(y_d) )  with independent
 zero-mean Gumbel draws z upper-bounds the log-partition A(f) in
-expectation, with equality for separable f.  Noise is a plain (D, Kmax)
-array, padded like the unary tables.  Clamps pin variables on the
+expectation, with equality for separable f.  Noise is a plain (D, K)
+array, shaped like the unary table.  Clamps pin variables on the
 unreduced model (``cuts.clamp_variables``) in one of two ways:
 
 * a per-draw clamp of y_d = k pins the perturbed tables p + z, solves
@@ -12,7 +12,8 @@ unreduced model (``cuts.clamp_variables``) in one of two ways:
   under the pin such a row adds a constant, so the labels do not change,
   and the pin margins, taken without the noise, hold for every draw.
 
-Counting the labels of many perturbed maximizers estimates marginals.
+Counting the labels of many perturbed maximizers estimates marginals,
+returned as a plain (D, K) array whose rows sum to exactly 1.
 
 All randomness comes from counter-based streams keyed on
 (seed, context words), so estimates are reproducible regardless of
@@ -31,7 +32,6 @@ from .errors import InternalInvariantError, StructuralError
 from .exact import all_state_values, viterbi_map, viterbi_map_batch
 from .model import (
     CompiledPotentials,
-    MarginalTable,
     PairwiseModel,
     evaluate_potential,
     exact_row_normalize,
@@ -82,16 +82,14 @@ class EstimatorConfig:
 
 
 def _gumbel_table(rng: np.random.Generator, model: PairwiseModel) -> np.ndarray:
-    """(D, Kmax) zero-mean Gumbel draws from ``rng``, padding entries 0.
-    Uniforms are clamped away from {0, 1}."""
-    u = np.clip(rng.random((model.num_vars, model.max_labels)), _U_LO, _U_HI)
-    z = gumbel_from_uniform(u)
-    z[np.arange(model.max_labels) >= np.array(model.label_counts)[:, None]] = 0.0
-    return z
+    """(D, K) zero-mean Gumbel draws from ``rng``.  Uniforms are clamped
+    away from {0, 1}."""
+    u = np.clip(rng.random((model.num_vars, model.num_labels)), _U_LO, _U_HI)
+    return gumbel_from_uniform(u)
 
 
 def zero_given_rows(values: np.ndarray, given) -> np.ndarray:
-    """A copy of noise of shape (D, Kmax) or (M, D, Kmax) with the rows of
+    """A copy of noise of shape (D, K) or (M, D, K) with the rows of
     the ``given`` variables (valid indices) set to 0; see the module
     docstring for why."""
     out = values.copy()
@@ -101,7 +99,7 @@ def zero_given_rows(values: np.ndarray, given) -> np.ndarray:
 
 def sample_noise(model: PairwiseModel, seed: int,
                  context: tuple[int, ...] = ()) -> np.ndarray:
-    """(D, Kmax) independent zero-mean Gumbel per (variable, label);
+    """(D, K) independent zero-mean Gumbel per (variable, label);
     deterministic given (seed, context)."""
     words = tuple(context) + (0, 0)
     rng = stream(seed, words[0], words[1], TAG_NOISE)
@@ -177,7 +175,7 @@ def perturbed_conditional_map(p: CompiledPotentials, d: int, k: int,
 
 def _noise_batch(model: PairwiseModel, cfg: EstimatorConfig,
                  tag: int) -> np.ndarray:
-    """(M, D, Kmax) noise block; sample m uses counter word m so streams
+    """(M, D, K) noise block; sample m uses counter word m so streams
     match any per-sample evaluation order."""
     return np.stack([
         _gumbel_table(stream(cfg.seed, m, cfg.stream_context, tag), model)
@@ -192,7 +190,7 @@ def _perturbed_map_batch(p: CompiledPotentials, znoise: np.ndarray,
     model = p.model
     if solver == SOLVER_CHAIN:
         pert = p.unary[None, :, :] + znoise
-        labels = viterbi_map_batch(pert, p.pairwise, model.label_counts)
+        labels = viterbi_map_batch(pert, p.pairwise)
         vals = _batch_values(p, labels, znoise)
         return labels, vals
     if solver == SOLVER_BRUTE:
@@ -253,29 +251,24 @@ def estimate_A(p: CompiledPotentials, cfg: EstimatorConfig
 
 
 def counting_marginals(p: CompiledPotentials,
-                       cfg: EstimatorConfig) -> MarginalTable:
-    """q_d(k) = frequency of label k at variable d across perturbed
-    maximizers.  Rows sum to exactly 1."""
+                       cfg: EstimatorConfig) -> np.ndarray:
+    """(D, K) table q_d(k) = frequency of label k at variable d across
+    perturbed maximizers.  Rows sum to exactly 1."""
     znoise = _noise_batch(p.model, cfg, TAG_COUNT)
     labels, _ = _perturbed_map_batch(p, znoise, cfg.solver)
     return _count_table(labels, p.model, cfg.num_samples)
 
 
 def _count_table(labels: np.ndarray, model: PairwiseModel,
-                 m: int) -> MarginalTable:
-    kmax = model.max_labels
-    counts = np.zeros((model.num_vars, kmax), dtype=np.int64)
-    for d in range(model.num_vars):
-        counts[d, : model.label_counts[d]] = np.bincount(
-            labels[:, d], minlength=model.label_counts[d]
-        )[: model.label_counts[d]]
-    return MarginalTable(exact_row_normalize(counts, m, model.label_counts),
-                         model.label_counts)
+                 m: int) -> np.ndarray:
+    counts = np.array([np.bincount(col, minlength=model.num_labels)
+                       for col in labels.T])
+    return exact_row_normalize(counts, m)
 
 
 def conditional_counting_marginals(p: CompiledPotentials,
                                    given: dict[int, int],
-                                   cfg: EstimatorConfig) -> MarginalTable:
+                                   cfg: EstimatorConfig) -> np.ndarray:
     """Counting marginals with the given variables pinned in every
     perturbed solve; rows for given variables are exact one-hot."""
     if not given:

@@ -4,9 +4,9 @@ A pairwise model assigns the score
 
     f(y) = sum_d u_d(y_d) + sum_e p_e(y_i, y_j)
 
-to each joint labeling ``y`` of ``D`` discrete variables.  Unary and
-pairwise tables are stored padded to the largest label count; entries at
-``k >= label_counts[d]`` are never read.
+to each joint labeling ``y`` of ``D`` discrete variables, each taking a
+label from the same set of ``K`` labels: unary tables are (D, K) and
+pairwise tables (E, K, K).
 """
 
 from __future__ import annotations
@@ -30,7 +30,8 @@ PAIRWISE_POTTS = "potts"
 
 @dataclass(frozen=True)
 class PairwiseModel:
-    """Variable count, per-variable label counts, and the edge list.
+    """Variable count, the label count shared by every variable, and the
+    edge list.
 
     Edges are unordered pairs ``(i, j)`` with ``i < j``, sorted and
     duplicate-free.  ``structure_kind`` is one of ``chain``, ``grid``,
@@ -39,12 +40,10 @@ class PairwiseModel:
     """
 
     num_vars: int
-    label_counts: tuple[int, ...]
+    num_labels: int
     edges: tuple[tuple[int, int], ...]
     structure_kind: str = "general"
-    max_labels: int = field(init=False, repr=False, compare=False)
     _edge_arr: np.ndarray = field(init=False, repr=False, compare=False)
-    _count_arr: np.ndarray = field(init=False, repr=False, compare=False)
     # index ranges evaluate_potential gathers with
     _var_range: np.ndarray = field(init=False, repr=False, compare=False)
     _edge_range: np.ndarray = field(init=False, repr=False, compare=False)
@@ -52,10 +51,8 @@ class PairwiseModel:
     def __post_init__(self):
         if self.num_vars < 1:
             raise StructuralError("num_vars must be >= 1")
-        if len(self.label_counts) != self.num_vars:
-            raise StructuralError("label_counts length must equal num_vars")
-        if any(k < 2 for k in self.label_counts):
-            raise StructuralError("every label count must be >= 2")
+        if self.num_labels < 2:
+            raise StructuralError("num_labels must be >= 2")
         seen = set()
         for i, j in self.edges:
             if not (0 <= i < j < self.num_vars):
@@ -75,10 +72,7 @@ class PairwiseModel:
             ea = np.asarray(self.edges, dtype=np.int64)
         else:
             ea = np.zeros((0, 2), dtype=np.int64)
-        object.__setattr__(self, "max_labels", max(self.label_counts))
         object.__setattr__(self, "_edge_arr", ea)
-        object.__setattr__(self, "_count_arr",
-                           np.asarray(self.label_counts, dtype=np.int64))
         object.__setattr__(self, "_var_range", np.arange(self.num_vars))
         object.__setattr__(self, "_edge_range", np.arange(len(self.edges)))
 
@@ -87,21 +81,22 @@ class PairwiseModel:
         return len(self.edges)
 
     @property
+    def label_counts(self) -> tuple[int, ...]:
+        """The label count of each variable, as the dataset file lists it."""
+        return (self.num_labels,) * self.num_vars
+
+    @property
     def is_binary(self) -> bool:
-        return all(k == 2 for k in self.label_counts)
+        return self.num_labels == 2
 
     def edge_array(self) -> np.ndarray:
         """Edges as an (E, 2) int array (empty -> shape (0, 2))."""
         return self._edge_arr
 
 
-def chain_model(num_vars: int, num_labels: int | list[int]) -> PairwiseModel:
-    if isinstance(num_labels, int):
-        counts = (num_labels,) * num_vars
-    else:
-        counts = tuple(num_labels)
+def chain_model(num_vars: int, num_labels: int) -> PairwiseModel:
     edges = tuple((d, d + 1) for d in range(num_vars - 1))
-    return PairwiseModel(num_vars, counts, edges, structure_kind="chain")
+    return PairwiseModel(num_vars, num_labels, edges, structure_kind="chain")
 
 
 def grid_model(rows: int, cols: int, num_labels: int = 2) -> PairwiseModel:
@@ -115,8 +110,7 @@ def grid_model(rows: int, cols: int, num_labels: int = 2) -> PairwiseModel:
             if r + 1 < rows:
                 edges.append((d, d + cols))
     edges.sort()
-    num_vars = rows * cols
-    return PairwiseModel(num_vars, (num_labels,) * num_vars, tuple(edges),
+    return PairwiseModel(rows * cols, num_labels, tuple(edges),
                          structure_kind="grid")
 
 
@@ -129,8 +123,7 @@ def grid_model(rows: int, cols: int, num_labels: int = 2) -> PairwiseModel:
 class CompiledPotentials:
     """Numeric tables realizing f(y) for one instance.
 
-    ``unary`` has shape (D, Kmax); ``pairwise`` has shape (E, Kmax, Kmax).
-    Rows are padded with zeros beyond each variable's label count.
+    ``unary`` has shape (D, K); ``pairwise`` has shape (E, K, K).
     """
 
     model: PairwiseModel
@@ -138,34 +131,31 @@ class CompiledPotentials:
     pairwise: np.ndarray
 
     def __post_init__(self):
-        kmax = self.model.max_labels
-        if self.unary.shape != (self.model.num_vars, kmax):
+        k = self.model.num_labels
+        if self.unary.shape != (self.model.num_vars, k):
             raise StructuralError(
-                f"unary shape {self.unary.shape} != {(self.model.num_vars, kmax)}")
-        if self.pairwise.shape != (self.model.num_edges, kmax, kmax):
+                f"unary shape {self.unary.shape} != {(self.model.num_vars, k)}")
+        if self.pairwise.shape != (self.model.num_edges, k, k):
             raise StructuralError(
                 f"pairwise shape {self.pairwise.shape} != "
-                f"{(self.model.num_edges, kmax, kmax)}")
+                f"{(self.model.num_edges, k, k)}")
 
     def with_unary(self, unary: np.ndarray) -> "CompiledPotentials":
         return CompiledPotentials(self.model, unary, self.pairwise)
 
 
 def zero_potentials(model: PairwiseModel) -> CompiledPotentials:
-    kmax = model.max_labels
-    return CompiledPotentials(
-        model,
-        np.zeros((model.num_vars, kmax)),
-        np.zeros((model.num_edges, kmax, kmax)),
-    )
+    k = model.num_labels
+    return CompiledPotentials(model, np.zeros((model.num_vars, k)),
+                              np.zeros((model.num_edges, k, k)))
 
 
 def check_labeling(model: PairwiseModel, y: np.ndarray) -> np.ndarray:
     y = np.asarray(y, dtype=np.int64)
     if y.shape != (model.num_vars,):
         raise StructuralError(f"labeling shape {y.shape} != ({model.num_vars},)")
-    if (y < 0).any() or (y >= model._count_arr).any():
-        bad = int(np.argmax((y < 0) | (y >= model._count_arr)))
+    if (y < 0).any() or (y >= model.num_labels).any():
+        bad = int(np.argmax((y < 0) | (y >= model.num_labels)))
         raise StructuralError(f"label {y[bad]} out of range at variable {bad}")
     return y
 
@@ -296,9 +286,10 @@ class FeatureInstance:
             lab = np.asarray(self.labels, dtype=np.int64)
             if lab.shape != (d,):
                 raise StructuralError("labels must be length D")
-            for i in range(d):
-                if lab[i] != -1 and not 0 <= lab[i] < self.model.label_counts[i]:
-                    raise StructuralError(f"label {lab[i]} out of range at {i}")
+            bad = (lab < -1) | (lab >= self.model.num_labels)
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise StructuralError(f"label {lab[i]} out of range at {i}")
             object.__setattr__(self, "labels", lab)
         if self.node_volumes is not None:
             vol = np.asarray(self.node_volumes, dtype=np.float64)
@@ -336,9 +327,9 @@ def _check_layout_compat(layout: WeightLayout, x: FeatureInstance) -> None:
     if x.model.num_edges and x.edge_features.shape[1] != layout.edge_feat_dim:
         raise StructuralError(
             f"edge feature dim {x.edge_features.shape[1]} != {layout.edge_feat_dim}")
-    if x.model.max_labels > layout.num_labels:
+    if x.model.num_labels > layout.num_labels:
         raise StructuralError(
-            f"instance needs {x.model.max_labels} labels, layout has "
+            f"instance needs {x.model.num_labels} labels, layout has "
             f"{layout.num_labels}")
 
 
@@ -348,21 +339,19 @@ def compile_potentials(w: WeightVector, x: FeatureInstance) -> CompiledPotential
     [k != l] * <w_pair, edge_features[e]> (potts)."""
     _check_layout_compat(w.layout, x)
     model = x.model
-    kmax = model.max_labels
-    unary = x.node_features @ w.unary_weights()[:kmax].T  # (D, kmax)
+    k = model.num_labels
+    unary = x.node_features @ w.unary_weights()[:k].T  # (D, K)
     unary = np.ascontiguousarray(unary, dtype=np.float64)
-    for d, kd in enumerate(model.label_counts):
-        unary[d, kd:] = 0.0
     e = model.num_edges
     if e == 0:
-        pairwise = np.zeros((0, kmax, kmax))
+        pairwise = np.zeros((0, k, k))
     elif w.layout.pairwise_form == PAIRWISE_POTTS:
         strength = x.edge_features @ w.pairwise_weights()  # (E,)
-        pairwise = np.zeros((e, kmax, kmax))
-        off = ~np.eye(kmax, dtype=bool)
+        pairwise = np.zeros((e, k, k))
+        off = ~np.eye(k, dtype=bool)
         pairwise[:, off] = strength[:, None]
     else:
-        wp = w.pairwise_weights()[:kmax, :kmax]  # (kmax, kmax, Fe)
+        wp = w.pairwise_weights()[:k, :k]  # (K, K, Fe)
         pairwise = np.einsum("klf,ef->ekl", wp, x.edge_features)
         pairwise = np.ascontiguousarray(pairwise, dtype=np.float64)
     return CompiledPotentials(model, unary, pairwise)
@@ -404,7 +393,7 @@ VOLUME_BALANCED = "volume_balanced"
 @dataclass(frozen=True)
 class LossSpec:
     """Loss selector.  For weighted Hamming, ``weight_rule`` is either the
-    string 'volume_balanced' or an explicit (D, Kmax) table of weights."""
+    string 'volume_balanced' or an explicit (D, K) table of weights."""
 
     kind: str
     weight_rule: object = None
@@ -485,44 +474,11 @@ def loss_weights(spec: LossSpec, y_true: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class MarginalTable:
-    """Per-variable probability rows, padded to Kmax with zeros."""
-
-    probs: np.ndarray  # (D, Kmax)
-    label_counts: tuple[int, ...] = field(default=())
-
-    def __post_init__(self):
-        self.probs = np.asarray(self.probs, dtype=np.float64)
-        if not self.label_counts:
-            self.label_counts = (self.probs.shape[1],) * self.probs.shape[0]
-
-    @property
-    def num_vars(self) -> int:
-        return self.probs.shape[0]
-
-    def row(self, d: int) -> np.ndarray:
-        return self.probs[d, : self.label_counts[d]]
-
-    def rows(self) -> list[np.ndarray]:
-        return [self.row(d) for d in range(self.num_vars)]
-
-    def argmax_labeling(self) -> np.ndarray:
-        """Per-variable argmax with ties to the smallest label."""
-        out = np.zeros(self.num_vars, dtype=np.int64)
-        for d in range(self.num_vars):
-            out[d] = int(np.argmax(self.row(d)))
-        return out
-
-
-def exact_row_normalize(counts: np.ndarray, total: int,
-                        label_counts: tuple[int, ...]) -> np.ndarray:
-    """counts / total with each valid row nudged by a sub-ulp correction
-    so that it sums to exactly 1.0."""
+def exact_row_normalize(counts: np.ndarray, total: int) -> np.ndarray:
+    """counts / total with each row nudged by a sub-ulp correction so that
+    it sums to exactly 1.0."""
     q = counts.astype(np.float64) / float(total)
-    for d in range(q.shape[0]):
-        kd = label_counts[d]
-        row = q[d, :kd]
+    for row in q:
         for _ in range(4):
             s = row.sum()
             if s == 1.0:
@@ -542,5 +498,4 @@ def exact_row_normalize(counts: np.ndarray, total: int,
                 row[i] = old
             if not fixed:
                 row[int(np.argmax(row))] += 1.0 - s
-        q[d, kd:] = 0.0
     return q

@@ -47,27 +47,25 @@ def _ffbs_sample(p, rng: np.random.Generator) -> np.ndarray:
     last = alphas[-1] - alphas[-1].max()
     prob = np.exp(last)
     prob /= prob.sum()
-    y[d_n - 1] = rng.choice(len(prob), p=prob)
+    y[d_n - 1] = rng.choice(model.num_labels, p=prob)
     for d in range(d_n - 2, -1, -1):
-        kd = model.label_counts[d]
-        sc = alphas[d] + p.pairwise[d, :kd, y[d + 1]]
+        sc = alphas[d] + p.pairwise[d, :, y[d + 1]]
         sc -= sc.max()
         prob = np.exp(sc)
         prob /= prob.sum()
-        y[d] = rng.choice(kd, p=prob)
+        y[d] = rng.choice(model.num_labels, p=prob)
     return y
 
 
-def _apply_label_noise(y: np.ndarray, counts, noise: float,
+def _apply_label_noise(y: np.ndarray, num_labels: int, noise: float,
                        rng: np.random.Generator) -> np.ndarray:
     if noise <= 0:
         return y
     out = y.copy()
     flips = rng.random(y.shape[0]) < noise
     for d in np.nonzero(flips)[0]:
-        k = counts[d]
-        shift = rng.integers(1, k)
-        out[d] = (out[d] + shift) % k
+        shift = rng.integers(1, num_labels)
+        out[d] = (out[d] + shift) % num_labels
     return out
 
 
@@ -93,7 +91,7 @@ def gen_chain_dataset(num: int, num_vars: int, num_labels: int,
         x = FeatureInstance(model, nf, ef)
         p = compile_potentials(teacher, x)
         y = _ffbs_sample(p, rng)
-        y = _apply_label_noise(y, model.label_counts, label_noise, rng)
+        y = _apply_label_noise(y, num_labels, label_noise, rng)
         out.append(FeatureInstance(model, nf, ef, y))
     return out, teacher
 
@@ -124,7 +122,8 @@ def gen_grid_dataset(num: int, side: int, feat_dim: int, seed: int,
         for attempt in range(100):
             cand, _ = perturbed_map(p, _gumbel_table(rng, model),
                                     SOLVER_GRAPHCUT)
-            cand = _apply_label_noise(cand, model.label_counts, label_noise, rng)
+            cand = _apply_label_noise(cand, model.num_labels, label_noise,
+                                      rng)
             if 0 < cand.sum() < model.num_vars:
                 y = cand
                 break

@@ -197,7 +197,7 @@ def _element(x: FeatureInstance, weights: np.ndarray, given: dict[int, int],
     """Gradient and objective estimate of sum_d sum_k w_dk (B_dk - A) for
     one element under one noise realization.
 
-    ``weights`` is a (D, Kmax) table: a labeled element carries theta_d at
+    ``weights`` is a (D, K) table: a labeled element carries theta_d at
     its label and 0 elsewhere, an unlabeled one q_d(k) theta_d(k).  Entries
     of weight 0 are neither solved nor counted.  The ``given`` labels are
     pinned and their noise rows zeroed: both the unconditional and the
@@ -220,7 +220,7 @@ def _element(x: FeatureInstance, weights: np.ndarray, given: dict[int, int],
     for d in range(model.num_vars):
         if d in given:
             continue
-        for k in range(model.label_counts[d]):
+        for k in range(model.num_labels):
             w_dk = weights[d, k]
             if w_dk == 0.0:
                 continue
@@ -240,7 +240,7 @@ def _element(x: FeatureInstance, weights: np.ndarray, given: dict[int, int],
 def _label_table(x: FeatureInstance, y: np.ndarray,
                  loss_spec: LossSpec) -> np.ndarray:
     """One-hot weight table of a labeled element: theta_d at y_d."""
-    table = np.zeros((x.model.num_vars, x.model.max_labels))
+    table = np.zeros((x.model.num_vars, x.model.num_labels))
     table[np.arange(x.model.num_vars), y] = loss_weights(loss_spec, y,
                                                          x.volumes())
     return table
@@ -257,17 +257,17 @@ def _unlabeled_table(w: WeightVector, x: FeatureInstance, index: int,
                           stream_context=index + 1)
     q = conditional_counting_marginals(p, x.given_labels(), est)
     if cfg.loss.kind != WEIGHTED_HAMMING:
-        return q.probs
-    if x.model.max_labels != 2:
+        return q
+    if not x.model.is_binary:
         raise StructuralError("weighted loss requires binary labels")
     vols = x.volumes()
     eps = 1e-6 * float(vols.sum())
-    v_fg = max(float((q.probs[:, 1] * vols).sum()), eps)
-    v_bg = max(float((q.probs[:, 0] * vols).sum()), eps)
+    v_fg = max(float((q[:, 1] * vols).sum()), eps)
+    v_bg = max(float((q[:, 0] * vols).sum()), eps)
     theta = np.zeros((x.model.num_vars, 2))
     theta[:, 1] = vols / (2.0 * v_fg)
     theta[:, 0] = vols / (2.0 * v_bg)
-    return q.probs * theta
+    return q * theta
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +491,7 @@ def predict(w: WeightVector, x: FeatureInstance, mode: str,
     if mode == PREDICT_MARGINAL:
         est = EstimatorConfig(cfg.inference_samples, cfg.seed, cfg.solver,
                               stream_context=instance_index + 1)
-        return counting_marginals(p, est).argmax_labeling()
+        return counting_marginals(p, est).argmax(axis=1)
     raise StructuralError(f"unknown prediction mode {mode!r}")
 
 

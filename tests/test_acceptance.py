@@ -86,7 +86,7 @@ def test_criterion_01_exact_inference_oracles():
         y_vit = viterbi_map(p)
         assert evaluate_potential(p, y_vit) == bf.map_value  # exact
         q = forward_backward_marginals(p)
-        assert np.max(np.abs(q.probs - bf.marginals.probs)) <= 1e-9
+        assert np.max(np.abs(q - bf.marginals)) <= 1e-9
     elapsed = time.perf_counter() - t0
     _report(1, "exact-inference oracle equivalence", elapsed < 30.0,
             f"500 chains in {elapsed:.1f}s")
@@ -169,11 +169,11 @@ def test_criterion_04_gumbel_bound_properties():
         model = chain_model(d, k)
         u = rng.normal(size=(d, k)) * float(rng.uniform(0.3, 2.0))
         u[:, k:] = 0.0
-        full = np.zeros((d, model.max_labels))
+        full = np.zeros((d, model.num_labels))
         full[:, :k] = u[:, :k]
         p = CompiledPotentials(model, full,
-                               np.zeros((d - 1, model.max_labels,
-                                         model.max_labels)))
+                               np.zeros((d - 1, model.num_labels,
+                                         model.num_labels)))
         truth = float(sum(logsumexp(u[j, :k]) for j in range(d)))
         mean, se = estimate_A(p, EstimatorConfig(2000, seed=1000 + i,
                                                  solver="chain"))
@@ -292,7 +292,7 @@ def _chain_marginal_loss(w, data):
     total = 0.0
     for x in data:
         q = forward_backward_marginals(compile_potentials(w, x))
-        total += float((q.argmax_labeling() != x.labels).mean())
+        total += float((q.argmax(axis=1) != x.labels).mean())
     return total / len(data)
 
 
@@ -428,11 +428,11 @@ def test_criterion_10_counting_marginal_calibration():
         q = counting_marginals(p, EstimatorConfig(10_000, seed=3000 + i,
                                                   solver="chain"))
         for d in range(6):
-            assert q.row(d).sum() == 1.0
+            assert q[d].sum() == 1.0
             tgt = softmax(u[d])
             se = np.sqrt(tgt * (1 - tgt) / 10_000)
             for k in range(3):
-                good += int(abs(q.row(d)[k] - tgt[k]) <= 3 * se[k])
+                good += int(abs(q[d, k] - tgt[k]) <= 3 * se[k])
                 total += 1
     _report(10, "counting-marginal calibration", good / total >= 0.95,
             f"{good}/{total} cells within 3 stderr")

@@ -141,6 +141,38 @@ class TestTrain:
         assert "line 2: negative edge feature" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("counts", ["unequal", "short"])
+    def test_label_counts_exit_2(self, grid_file, tmp_path, capsys, counts):
+        """A record whose label_counts entries differ, or whose list is not
+        num_vars long, is an input error at its line: every variable of a
+        model has the same label count."""
+        lines = Path(grid_file).read_text().splitlines()
+        rec = json.loads(lines[2])
+        if counts == "unequal":
+            rec["label_counts"][5] = 3
+        else:
+            rec["label_counts"] = rec["label_counts"][1:]
+        lines[2] = json.dumps(rec)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "w.json"
+        rc = run(["train", "--data", str(bad), "--solver", "graphcut",
+                  "--iters", "3", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "input error: line 3: label_counts must hold 16 equal entries\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("solver,form", [("graphcut", "potts"),
+                                             ("brute", "full")])
+    def test_pairwise_form_follows_solver(self, grid_file, tmp_path, solver,
+                                          form):
+        out = tmp_path / "w.json"
+        rc = run(["train", "--data", grid_file, "--solver", solver,
+                  "--iters", "2", "--samples", "2", "--out", str(out)])
+        assert rc == 0
+        assert read_weights(str(out)).layout.pairwise_form == form
+
     def test_unreadable_data_path_exit_2(self, tmp_path):
         """A path that cannot be read as a file is an input error, not an
         internal one."""

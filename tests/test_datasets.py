@@ -143,7 +143,7 @@ class TestChainGenerator:
         bayes, rand = 0.0, 0.0
         for x in data:
             q = forward_backward_marginals(compile_potentials(teacher, x))
-            bayes += float((q.argmax_labeling() != x.labels).mean())
+            bayes += float((q.argmax(axis=1) != x.labels).mean())
             rand += float((rng.integers(0, 3, size=6) != x.labels).mean())
         assert bayes / 60 < rand / 60 - 0.1
 
@@ -155,7 +155,7 @@ class TestChainGenerator:
             tot = 0.0
             for x in data:
                 q = forward_backward_marginals(compile_potentials(teacher, x))
-                tot += float((q.argmax_labeling() != x.labels).mean())
+                tot += float((q.argmax(axis=1) != x.labels).mean())
             return tot / len(data)
         assert bayes(d1) > bayes(d0)
 

@@ -2,7 +2,8 @@
 clean exit.
 
 Small records are drawn with mixed feature widths, negative or non-finite
-features and volumes, bad edges, out-of-range labels and missing fields.
+features and volumes, bad edges, label counts that differ or do not match
+num_vars, out-of-range labels and missing fields.
 Every run must exit 0 (trained), 2 (input error) or 3 (configuration
 error): never 4, which is where ``main`` maps any unexpected exception,
 and never with an exception escaping ``main``.
@@ -24,8 +25,8 @@ _FIELDS = ("num_vars", "label_counts", "edges", "node_features",
 values = st.floats(-3.0, 3.0, allow_nan=False)
 faults = st.sampled_from([
     None, None, None, None, "node width", "edge width", "negative edge",
-    "nan feature", "inf feature", "bad volume", "bad edge", "label range",
-    "missing label", "missing field"])
+    "nan feature", "inf feature", "bad volume", "bad edge", "label counts",
+    "label range", "missing label", "missing field"])
 
 
 @st.composite
@@ -63,6 +64,11 @@ def records(draw):
         rec["edges"] = edges + [draw(st.sampled_from([[v, v], [d, 0],
                                                       [-1, 0], [0, 1]]))]
         rec["edge_features"] = rec["edge_features"] + [[1.0]]
+    elif fault == "label counts":
+        options = [[k] * (d + 1), [k] * (d - 1)]
+        if d > 1:
+            options.append([k] * (d - 1) + [k + 1])
+        rec["label_counts"] = draw(st.sampled_from(options))
     elif fault == "label range":
         rec["labels"][v] = draw(st.sampled_from([-2, k, k + 3]))
     elif fault == "missing label":

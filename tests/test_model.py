@@ -42,15 +42,15 @@ class TestPairwiseModel:
 
     def test_rejects_bad_edges(self):
         with pytest.raises(StructuralError):
-            chain_model(3, 2).__class__(3, (2, 2, 2), ((0, 0),))
+            chain_model(3, 2).__class__(3, 2, ((0, 0),))
         with pytest.raises(StructuralError):
-            chain_model(3, 2).__class__(3, (2, 2, 2), ((1, 0),))
+            chain_model(3, 2).__class__(3, 2, ((1, 0),))
         with pytest.raises(StructuralError):
-            chain_model(3, 2).__class__(3, (2, 2, 2), ((0, 1), (0, 1)))
+            chain_model(3, 2).__class__(3, 2, ((0, 1), (0, 1)))
 
     def test_chain_kind_requires_chain_edges(self):
         with pytest.raises(StructuralError):
-            chain_model(3, 2).__class__(3, (2, 2, 2), ((0, 2),),
+            chain_model(3, 2).__class__(3, 2, ((0, 2),),
                                         structure_kind="chain")
 
 
@@ -88,7 +88,7 @@ class TestEvaluatePotential:
 def _random_instance(rng, model, layout, labeled=True):
     nf = rng.normal(size=(model.num_vars, layout.node_feat_dim))
     ef = np.abs(rng.normal(size=(model.num_edges, layout.edge_feat_dim)))
-    labels = rng.integers(0, model.label_counts[0],
+    labels = rng.integers(0, model.num_labels,
                           size=model.num_vars) if labeled else None
     return FeatureInstance(model, nf, ef, labels)
 

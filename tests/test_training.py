@@ -9,7 +9,6 @@ from gumbelmap.model import (
     FeatureInstance,
     HAMMING,
     LossSpec,
-    MarginalTable,
     PAIRWISE_POTTS,
     WEIGHTED_HAMMING,
     WeightLayout,
@@ -189,11 +188,11 @@ class TestUnsupStep:
         model = grid_model(3, 3)
         x = FeatureInstance(model, rng.normal(size=(9, 2)),
                             np.ones((model.num_edges, 1)))
-        q = MarginalTable(np.full((9, 2), 0.5), model.label_counts)
+        q = np.full((9, 2), 0.5)
         w = zero_weights(layout)
         cfg = _cfg(layout, batch=1, solver="graphcut")
         counters = TrainCounters()
-        sgd_unsup_step(w, [], [(x, q.probs)], 1, cfg, counters)
+        sgd_unsup_step(w, [], [(x, q)], 1, cfg, counters)
         assert counters.clamp_solves == 9
         assert counters.clamp_skipped == 9
         assert counters.map_solves == 1
@@ -207,13 +206,13 @@ class TestUnsupStep:
         layout = WeightLayout(2, 2, 1, PAIRWISE_POTTS)
         model = chain_model(4, 2)
         x = FeatureInstance(model, rng.normal(size=(4, 2)), np.ones((3, 1)))
-        q = MarginalTable(np.full((4, 2), 0.5), model.label_counts)
+        q = np.full((4, 2), 0.5)
         w = zero_weights(layout)
         p = compile_potentials(w, x)
         grads = []
         for h in range(1000):
             z = sample_noise(model, 4242, context=(h, 0))
-            g, _ = _element(x, q.probs, {}, p, z, "chain", False, True,
+            g, _ = _element(x, q, {}, p, z, "chain", False, True,
                             layout, TrainCounters())
             grads.append(g)
         grads = np.asarray(grads)
