@@ -3,8 +3,10 @@
 Subcommands: train, eval, marginals, gen-synthetic, bench-dynamic.
 Machine-readable output is one JSON record per line with fixed field
 names; a manifest JSON captures everything needed to replay a run.
-Exit codes: 0 success, 2 input error, 3 configuration/solver mismatch,
-4 internal error (a broken invariant or any other unexpected exception).
+Exit codes: 0 success, 2 input error (a bad option included),
+3 configuration/solver mismatch, 4 internal error (a broken invariant or
+any other unexpected exception).  ``main`` returns them, argparse's
+included, and never raises ``SystemExit``.
 """
 
 from __future__ import annotations
@@ -454,8 +456,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse: 2 after its usage error, 0 for --help
+        return exc.code
     try:
         return args.func(args)
     except (DatasetError, OSError) as exc:

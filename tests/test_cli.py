@@ -59,6 +59,16 @@ class TestGenSynthetic:
         assert rc == 3
 
 
+class TestArguments:
+    def test_unknown_option_returns_2(self, capsys):
+        assert run(["train", "--pairwise-form", "full"]) == 2
+        assert "usage:" in capsys.readouterr().err
+
+    def test_help_returns_0(self, capsys):
+        assert run(["--help"]) == 0
+        assert "usage:" in capsys.readouterr().out
+
+
 class TestTrain:
     def test_deterministic_artifacts(self, chain_file, tmp_path):
         w1, w2 = tmp_path / "w1.json", tmp_path / "w2.json"

@@ -5,6 +5,7 @@ import pytest
 
 from gumbelmap.errors import CapacityError, StructuralError
 from gumbelmap.exact import (
+    all_state_values,
     brute_force,
     brute_force_clamped,
     chain_log_likelihood,
@@ -100,12 +101,27 @@ class TestViterbi:
             viterbi_map(zero_potentials(grid_model(2, 2)))
 
     def test_batch_matches_single(self, rng):
+        """The list kernel and the numpy batch kernel agree label for label:
+        on continuous noise, and on small-integer tables, where ties are
+        common, for D = 1, 2, 5 and K = 2..6."""
         p = random_chain_potentials(rng, num_vars=6, num_labels=3)
         noise = rng.normal(size=(32, 6, 3))
-        labels = viterbi_map_batch(p.unary[None] + noise, p.pairwise)
-        for i in range(32):
-            single = viterbi_map(p.with_unary(p.unary + noise[i]))
-            assert np.array_equal(labels[i], single)
+        cases = [(p.model, p.unary[None] + noise, p.pairwise)]
+        for d_n in (1, 2, 5):
+            for k in range(2, 7):
+                unary = rng.integers(-1, 2, size=(16, d_n, k)).astype(float)
+                pairwise = rng.integers(-1, 2, size=(d_n - 1, k, k))
+                cases.append((chain_model(d_n, k), unary,
+                              pairwise.astype(float)))
+        tied = 0
+        for model, unary, pairwise in cases:
+            labels = viterbi_map_batch(unary, pairwise)
+            for i in range(len(unary)):
+                q = CompiledPotentials(model, unary[i], pairwise)
+                assert np.array_equal(labels[i], viterbi_map(q))
+                vals = all_state_values(q)[1]
+                tied += int(np.count_nonzero(vals == vals.max()) > 1)
+        assert tied > 100  # the integer tables do tie
 
 
 class TestForwardBackward:

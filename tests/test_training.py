@@ -1,5 +1,7 @@
 """SGD steps, acceleration equivalence, and the training drivers."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -422,6 +424,29 @@ class TestDrivers:
         assert report.averaged.values.tolist() == expect
         assert report.counters.as_dict() == {
             "map_solves": 120, "clamp_solves": 649, "clamp_skipped": 687}
+
+    def test_chain_training_golden(self):
+        """Supervised chains in the chain-hamming shape (8 variables, 3
+        labels, 4 features, Hamming loss, batch 5, lambda 0.05), 100
+        iterations on the chain solver: the averaged weights, every
+        objective estimate and the solve counters are pinned bit for bit
+        to values recorded with the numpy Viterbi kernel."""
+        data, teacher = gen_chain_dataset(200, 8, 3, 4, seed=1, teacher_seed=7)
+        cfg = TrainConfig(lam=0.05, iters=100, batch=5,
+                          loss=LossSpec(HAMMING), seed=1, solver="chain",
+                          layout=teacher.layout)
+        report = train(data, cfg)
+        weights = hashlib.sha256(report.averaged.values.tobytes()).hexdigest()
+        assert weights == ("cffa13e0052827297d1b61c662171537"
+                           "219ea9553fe892f0de5633be82492d48")
+        objectives = [float(v).hex() for v in report.objective_estimates]
+        assert len(objectives) == 100
+        assert objectives[-1] == "-0x1.947170ff66d7cp+2"
+        digest = hashlib.sha256("\n".join(objectives).encode()).hexdigest()
+        assert digest == ("f7230742d5f6b939608e5edb07fb5965"
+                          "e018d17600972f614d1d6546a19663e3")
+        assert report.counters.as_dict() == {
+            "map_solves": 500, "clamp_solves": 1432, "clamp_skipped": 2568}
 
     def test_empty_labeled_set_rejected(self, rng):
         layout, data = _chain_data(rng, n=2)
