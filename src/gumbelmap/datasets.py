@@ -55,9 +55,7 @@ def record_to_instance(rec: dict, line: int | None = None) -> FeatureInstance:
             raise DatasetError(
                 f"label_counts must hold {d} equal entries", line)
         edges = tuple(tuple(int(v) for v in e) for e in rec["edges"])
-        chain = edges == tuple((i, i + 1) for i in range(d - 1))
-        model = PairwiseModel(d, counts[0], edges,
-                              structure_kind="chain" if chain else "general")
+        model = PairwiseModel(d, counts[0], edges)
         nf = np.asarray(rec["node_features"], dtype=np.float64)
         if nf.size == 0:
             nf = nf.reshape(d, 0)

@@ -21,6 +21,13 @@ against.  The cost grows as K^2 interpreted additions: at D = 8 the list
 kernel loses to numpy from about K = 8-10 (58-68 us against 54-77 us) and
 takes 470-550 us against 80-90 us at K = 26 (2-core x86 host, Python 3.11).
 No workload trains a chain with K > 3, so there is no switch on K.
+
+The sum-product side has one forward pass, ``_forward``, which returns
+the log-space alphas.  ``forward_log_partition`` reads A(f) off its last
+message, ``_forward_backward`` adds the backward pass for marginals, and
+the synthetic-data sampler (``synth._ffbs_sample``) samples backward
+from the alphas alone, so no generated chain pays for a backward pass it
+discards.
 """
 
 from __future__ import annotations
@@ -132,7 +139,7 @@ def brute_force_clamped(p: CompiledPotentials, d: int, k: int
 
 
 def _require_chain(model: PairwiseModel) -> None:
-    if model.structure_kind != "chain":
+    if not model.is_chain:
         raise StructuralError("operation requires chain structure")
 
 
@@ -167,24 +174,27 @@ def viterbi_map(p: CompiledPotentials) -> np.ndarray:
     return np.array(y, dtype=np.int64)
 
 
-def forward_log_partition(p: CompiledPotentials) -> float:
-    """Exact A(f) for a chain via the log-space forward recursion."""
-    _require_chain(p.model)
+def _forward(p: CompiledPotentials) -> list[np.ndarray]:
+    """Log-space forward messages: ``alphas[d][k]`` is the log-sum of the
+    potential of y_0..y_d over every prefix with y_d = k."""
     alpha = p.unary[0]
+    alphas = [alpha]
     for d in range(1, p.model.num_vars):
         trans = alpha[:, None] + p.pairwise[d - 1]
         alpha = p.unary[d] + logsumexp(trans, axis=0)
-    return float(logsumexp(alpha))
+        alphas.append(alpha)
+    return alphas
+
+
+def forward_log_partition(p: CompiledPotentials) -> float:
+    """Exact A(f) for a chain via the log-space forward recursion."""
+    _require_chain(p.model)
+    return float(logsumexp(_forward(p)[-1]))
 
 
 def _forward_backward(p: CompiledPotentials):
     d_n = p.model.num_vars
-    alpha = p.unary[0]
-    alphas = [alpha]
-    for d in range(1, d_n):
-        trans = alpha[:, None] + p.pairwise[d - 1]
-        alpha = p.unary[d] + logsumexp(trans, axis=0)
-        alphas.append(alpha)
+    alphas = _forward(p)
     log_z = float(logsumexp(alphas[-1]))
     beta = np.zeros(p.model.num_labels)
     betas = [beta] * d_n

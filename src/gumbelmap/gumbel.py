@@ -114,7 +114,7 @@ def sample_noise(model: PairwiseModel, seed: int,
 def _check_solver(p: CompiledPotentials, solver: str) -> None:
     if solver not in _SOLVERS:
         raise StructuralError(f"unknown solver {solver!r}")
-    if solver == SOLVER_CHAIN and p.model.structure_kind != "chain":
+    if solver == SOLVER_CHAIN and not p.model.is_chain:
         raise StructuralError("chain solver requires chain structure")
     if solver == SOLVER_GRAPHCUT and not p.model.is_binary:
         raise StructuralError("graphcut solver requires binary labels")
@@ -271,9 +271,9 @@ def conditional_counting_marginals(p: CompiledPotentials,
                                    cfg: EstimatorConfig) -> np.ndarray:
     """Counting marginals with the given variables pinned in every
     perturbed solve; rows for given variables are exact one-hot."""
-    if not given:
-        return counting_marginals(p, cfg)
-    pinned = clamp_variables(p, given)
-    znoise = zero_given_rows(_noise_batch(p.model, cfg, TAG_COUNT), given)
-    labels, _ = _perturbed_map_batch(pinned, znoise, cfg.solver)
+    znoise = _noise_batch(p.model, cfg, TAG_COUNT)
+    if given:
+        p = clamp_variables(p, given)
+        znoise = zero_given_rows(znoise, given)
+    labels, _ = _perturbed_map_batch(p, znoise, cfg.solver)
     return _count_table(labels, p.model, cfg.num_samples)

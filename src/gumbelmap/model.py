@@ -34,15 +34,15 @@ class PairwiseModel:
     edge list.
 
     Edges are unordered pairs ``(i, j)`` with ``i < j``, sorted and
-    duplicate-free.  ``structure_kind`` is one of ``chain``, ``grid``,
-    ``general``; chain structure requires edges exactly
-    ``{(d, d+1)}``.
+    duplicate-free.  ``is_chain`` is derived from them: true exactly
+    when the edges are ``{(d, d+1)}``, the structure the chain solver
+    (Viterbi and forward-backward) needs.
     """
 
     num_vars: int
     num_labels: int
     edges: tuple[tuple[int, int], ...]
-    structure_kind: str = "general"
+    is_chain: bool = field(init=False, repr=False, compare=False)
     _edge_arr: np.ndarray = field(init=False, repr=False, compare=False)
     # index ranges evaluate_potential gathers with
     _var_range: np.ndarray = field(init=False, repr=False, compare=False)
@@ -62,12 +62,8 @@ class PairwiseModel:
             seen.add((i, j))
         if list(self.edges) != sorted(self.edges):
             raise StructuralError("edge list must be sorted")
-        if self.structure_kind not in ("chain", "grid", "general"):
-            raise StructuralError(f"unknown structure_kind {self.structure_kind!r}")
-        if self.structure_kind == "chain":
-            expected = tuple((d, d + 1) for d in range(self.num_vars - 1))
-            if self.edges != expected:
-                raise StructuralError("chain structure requires edges {(d, d+1)}")
+        chain = tuple((d, d + 1) for d in range(self.num_vars - 1))
+        object.__setattr__(self, "is_chain", self.edges == chain)
         if self.edges:
             ea = np.asarray(self.edges, dtype=np.int64)
         else:
@@ -96,7 +92,7 @@ class PairwiseModel:
 
 def chain_model(num_vars: int, num_labels: int) -> PairwiseModel:
     edges = tuple((d, d + 1) for d in range(num_vars - 1))
-    return PairwiseModel(num_vars, num_labels, edges, structure_kind="chain")
+    return PairwiseModel(num_vars, num_labels, edges)
 
 
 def grid_model(rows: int, cols: int, num_labels: int = 2) -> PairwiseModel:
@@ -110,8 +106,7 @@ def grid_model(rows: int, cols: int, num_labels: int = 2) -> PairwiseModel:
             if r + 1 < rows:
                 edges.append((d, d + cols))
     edges.sort()
-    return PairwiseModel(rows * cols, num_labels, tuple(edges),
-                         structure_kind="grid")
+    return PairwiseModel(rows * cols, num_labels, tuple(edges))
 
 
 # ---------------------------------------------------------------------------

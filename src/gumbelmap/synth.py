@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import StructuralError
-from .exact import _forward_backward
+from .exact import _forward
 from .gumbel import (SOLVER_GRAPHCUT, TAG_DATA, _gumbel_table, perturbed_map,
                      stream)
 from .model import (
@@ -41,7 +41,7 @@ def sample_teacher(layout: WeightLayout, seed: int,
 def _ffbs_sample(p, rng: np.random.Generator) -> np.ndarray:
     """Exact joint draw from the chain Gibbs distribution."""
     model = p.model
-    alphas, _, _ = _forward_backward(p)
+    alphas = _forward(p)
     d_n = model.num_vars
     y = np.zeros(d_n, dtype=np.int64)
     last = alphas[-1] - alphas[-1].max()

@@ -195,14 +195,14 @@ class TestTrain:
         """An exception outside the listed error types ends in exit 4 and
         one ``internal error:`` line, not a traceback."""
         def broken(args):
-            raise RuntimeError("orphan queue overflow")
+            raise RuntimeError("solver state corrupted")
 
         monkeypatch.setattr(cli, "cmd_train", broken)
         rc = run(["train", "--data", grid_file, "--out",
                   str(tmp_path / "w.json")])
         assert rc == 4
         err = capsys.readouterr().err
-        assert err == "internal error: RuntimeError: orphan queue overflow\n"
+        assert err == "internal error: RuntimeError: solver state corrupted\n"
 
     def test_solver_structure_mismatch_exit_3(self, grid_file, tmp_path):
         rc = run(["train", "--data", grid_file, "--solver", "chain",

@@ -61,8 +61,8 @@ class TestRoundTrip:
         path = tmp_path / "c.jsonl"
         write_dataset(str(path), _mixed_instances(rng))
         back = read_dataset(str(path))
-        assert back[0].model.structure_kind == "chain"
-        assert back[1].model.structure_kind == "general"
+        assert back[0].model.is_chain
+        assert not back[1].model.is_chain
 
     def test_empty_dataset(self, tmp_path):
         path = tmp_path / "empty.jsonl"

@@ -210,11 +210,20 @@ class TestConditionalCounting:
         assert np.allclose(q, [[0, 1], [1, 0], [0, 1]])
 
     def test_none_given_equals_counting(self, rng):
-        p = random_chain_potentials(rng, num_vars=4, num_labels=2)
-        cfg = EstimatorConfig(300, seed=4, solver="chain")
-        q1 = conditional_counting_marginals(p, {}, cfg)
-        q2 = counting_marginals(p, cfg)
-        assert np.array_equal(q1, q2)
+        """With nothing given, conditional counting is counting, bit for
+        bit, on every solver."""
+        m = grid_model(2, 2, num_labels=3)
+        cases = [
+            (random_chain_potentials(rng, num_vars=4, num_labels=2), "chain"),
+            (random_supermodular_grid(rng, rows=3, cols=3), "graphcut"),
+            (CompiledPotentials(m, rng.normal(size=(4, 3)),
+                                rng.normal(size=(4, 3, 3))), "brute"),
+        ]
+        for p, solver in cases:
+            cfg = EstimatorConfig(300, seed=4, solver=solver)
+            q1 = conditional_counting_marginals(p, {}, cfg)
+            q2 = counting_marginals(p, cfg)
+            assert np.array_equal(q1, q2), solver
 
     def test_matches_brute_conditional_on_weak_coupling(self, rng):
         """With weak coupling the perturb-and-MAP bias is far below the

@@ -31,7 +31,10 @@ class TestPairwiseModel:
     def test_chain_edges(self):
         m = chain_model(4, 3)
         assert m.edges == ((0, 1), (1, 2), (2, 3))
-        assert m.structure_kind == "chain"
+        assert m.is_chain
+        # chain structure is read off the edges, whatever built them
+        assert grid_model(1, 4).is_chain
+        assert not grid_model(2, 2).is_chain
 
     def test_grid_edges_sorted_and_valid(self):
         m = grid_model(3, 4)
@@ -47,11 +50,6 @@ class TestPairwiseModel:
             chain_model(3, 2).__class__(3, 2, ((1, 0),))
         with pytest.raises(StructuralError):
             chain_model(3, 2).__class__(3, 2, ((0, 1), (0, 1)))
-
-    def test_chain_kind_requires_chain_edges(self):
-        with pytest.raises(StructuralError):
-            chain_model(3, 2).__class__(3, 2, ((0, 2),),
-                                        structure_kind="chain")
 
 
 class TestEvaluatePotential:
