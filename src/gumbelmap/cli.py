@@ -35,7 +35,8 @@ from .errors import (
     PreconditionError,
     StructuralError,
 )
-from .gumbel import EstimatorConfig, conditional_counting_marginals
+from .gumbel import (EstimatorConfig, SOLVERS, SOLVER_GRAPHCUT,
+                     conditional_counting_marginals)
 from .model import (
     HAMMING,
     LossSpec,
@@ -158,7 +159,7 @@ def cmd_train(args) -> int:
         unlabeled = read_dataset(args.unlabeled)
         files.append((args.unlabeled, unlabeled))
     num_labels = max(x.model.num_labels for x in data + unlabeled)
-    graphcut = args.solver == "graphcut"
+    graphcut = args.solver == SOLVER_GRAPHCUT
     layout = _layout_for(files, num_labels,
                          PAIRWISE_POTTS if graphcut else PAIRWISE_FULL)
     if graphcut:
@@ -166,9 +167,7 @@ def cmd_train(args) -> int:
     cfg = TrainConfig(
         lam=args.lam, iters=args.iters, batch=args.batch, loss=loss_spec,
         seed=args.seed, solver=args.solver, layout=layout, kappa=args.kappa,
-        inference_samples=args.samples,
-        acceleration=not args.no_acceleration,
-        dynamic_cuts=not args.no_dynamic_cuts)
+        inference_samples=args.samples)
     t0 = time.perf_counter()
     if unlabeled:
         report = train_semisupervised(data, unlabeled, cfg)
@@ -215,12 +214,11 @@ def cmd_eval(args) -> int:
     loss_spec = _loss_spec(args.loss)
     if loss_spec.kind == WEIGHTED_HAMMING:
         _validate_weighted(args.data, data)
-    cfg = TrainConfig(lam=1.0, iters=1, batch=1, loss=loss_spec,
-                      seed=args.seed, solver=args.solver, layout=w.layout,
-                      inference_samples=args.samples)
     losses = []
     for i, x in enumerate(data):
-        y_hat = predict(w, x, args.mode, cfg, instance_index=i)
+        est = EstimatorConfig(args.samples, args.seed, args.solver,
+                              stream_context=i + 1)
+        y_hat = predict(w, x, args.mode, est)
         losses.append(eval_loss(loss_spec, x.labels, y_hat, x.volumes()))
     losses = np.asarray(losses)
     mean = float(losses.mean())
@@ -295,11 +293,11 @@ def cmd_gen_synthetic(args) -> int:
     return EXIT_OK
 
 
-_BENCH_VARIANTS = {
-    "basic": (False, False),  # (acceleration/GR, dynamic cuts/DC)
-    "DC": (False, True),
-    "GR": (True, False),
-    "DC+GR": (True, True),
+_BENCH_VARIANTS = {  # GR = solve skipping, DC = dynamic cuts
+    "basic": dict(acceleration=False, dynamic_cuts=False),
+    "DC": dict(acceleration=False, dynamic_cuts=True),
+    "GR": dict(acceleration=True, dynamic_cuts=False),
+    "DC+GR": dict(acceleration=True, dynamic_cuts=True),
 }
 
 
@@ -308,18 +306,17 @@ def cmd_bench_dynamic(args) -> int:
     for v in variants:
         if v not in _BENCH_VARIANTS:
             raise StructuralError(f"unknown variant {v!r}")
-    instances, teacher = gen_grid_dataset(args.train_size, args.side,
-                                          args.feat_dim, seed=args.seed,
-                                          teacher_scale=1.0)
-    layout = teacher.layout
+    # the grid teacher's layout, so every config is checked before any solve
+    layout = WeightLayout(2, args.feat_dim, 1, PAIRWISE_POTTS)
+    configs = {v: TrainConfig(lam=args.lam, iters=args.iters,
+                              batch=args.batch, loss=LossSpec(HAMMING),
+                              seed=args.seed, solver=SOLVER_GRAPHCUT,
+                              layout=layout, stepsize=args.stepsize,
+                              **_BENCH_VARIANTS[v]) for v in variants}
+    instances, _ = gen_grid_dataset(args.train_size, args.side, args.feat_dim,
+                                    seed=args.seed, teacher_scale=1.0)
     results = {}
-    for v in variants:
-        gr, dc = _BENCH_VARIANTS[v]
-        cfg = TrainConfig(lam=args.lam, iters=args.iters, batch=args.batch,
-                          loss=LossSpec(HAMMING), seed=args.seed,
-                          solver="graphcut", layout=layout,
-                          acceleration=gr, dynamic_cuts=dc,
-                          stepsize=args.stepsize)
+    for v, cfg in configs.items():
         t0 = time.perf_counter()
         report = train(instances, cfg)
         seconds = time.perf_counter() - t0
@@ -327,9 +324,7 @@ def cmd_bench_dynamic(args) -> int:
         rec = {"metric": "bench_seconds", "value": seconds, "stderr": None,
                "seed": args.seed, "variant": v,
                "iterations": args.iters,
-               "map_solves": report.counters.map_solves,
-               "clamp_solves": report.counters.clamp_solves,
-               "clamp_skipped": report.counters.clamp_skipped,
+               **report.counters.as_dict(),
                "skipped_fraction_series":
                    [[h, round(f, 6)] for h, f in
                     report.skipped_fraction_series[:5] +
@@ -359,10 +354,8 @@ def cmd_bench_dynamic(args) -> int:
             "args": {k: v for k, v in vars(args).items() if k != "func"},
             "seed": args.seed,
             "trajectory_max_diff": max_diff,
-            "variants": {v: {"seconds": sec,
-                             **results[v][0].counters.as_dict()}
-                         for v, (rep, sec) in
-                         ((v, results[v]) for v in names)},
+            "variants": {v: {"seconds": sec, **rep.counters.as_dict()}
+                         for v, (rep, sec) in results.items()},
         }
         _write_manifest(args.out, manifest)
     return EXIT_OK
@@ -386,11 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch", type=int, default=1)
     p.add_argument("--kappa", type=float, default=1.0)
     p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--solver", choices=["chain", "graphcut", "brute"],
-                   default="chain")
+    p.add_argument("--solver", choices=SOLVERS, default="chain")
     p.add_argument("--unlabeled", default=None)
-    p.add_argument("--no-acceleration", action="store_true")
-    p.add_argument("--no-dynamic-cuts", action="store_true")
     p.add_argument("--out", required=True)
     common(p)
     p.set_defaults(func=cmd_train)
@@ -402,8 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=[PREDICT_MAP, PREDICT_MARGINAL],
                    default=PREDICT_MARGINAL)
     p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--solver", choices=["chain", "graphcut", "brute"],
-                   default="chain")
+    p.add_argument("--solver", choices=SOLVERS, default="chain")
     p.add_argument("--out", default=None)
     common(p)
     p.set_defaults(func=cmd_eval)
@@ -412,8 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--weights", required=True)
     p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--solver", choices=["chain", "graphcut", "brute"],
-                   default="chain")
+    p.add_argument("--solver", choices=SOLVERS, default="chain")
     p.add_argument("--conditional", action="store_true",
                    help="treat present labels as given")
     p.add_argument("--out", required=True)

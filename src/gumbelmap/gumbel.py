@@ -44,7 +44,7 @@ _U_HI = 1.0 - 2.0 ** -53
 SOLVER_CHAIN = "chain"
 SOLVER_GRAPHCUT = "graphcut"
 SOLVER_BRUTE = "brute"
-_SOLVERS = (SOLVER_CHAIN, SOLVER_GRAPHCUT, SOLVER_BRUTE)
+SOLVERS = (SOLVER_CHAIN, SOLVER_GRAPHCUT, SOLVER_BRUTE)  # and the CLI choices
 
 # context tags keep independent purposes on disjoint Philox counters
 TAG_NOISE = 1
@@ -77,8 +77,12 @@ class EstimatorConfig:
     def __post_init__(self):
         if self.num_samples < 1:
             raise StructuralError("num_samples must be >= 1")
-        if self.solver not in _SOLVERS:
-            raise StructuralError(f"unknown solver {self.solver!r}")
+        check_solver_name(self.solver)
+
+
+def check_solver_name(solver: str) -> None:
+    if solver not in SOLVERS:
+        raise StructuralError(f"unknown solver {solver!r}")
 
 
 def _gumbel_table(rng: np.random.Generator, model: PairwiseModel) -> np.ndarray:
@@ -112,8 +116,7 @@ def sample_noise(model: PairwiseModel, seed: int,
 
 
 def _check_solver(p: CompiledPotentials, solver: str) -> None:
-    if solver not in _SOLVERS:
-        raise StructuralError(f"unknown solver {solver!r}")
+    check_solver_name(solver)
     if solver == SOLVER_CHAIN and not p.model.is_chain:
         raise StructuralError("chain solver requires chain structure")
     if solver == SOLVER_GRAPHCUT and not p.model.is_binary:

@@ -28,10 +28,16 @@ Two exact accelerations apply to the clamped solves:
   building each from scratch (graph-cut solver only).
 
 Both are exact rewrites: trajectories do not depend on them.
+
+Only graph-cut training projects: ``project_supermodular`` after each step
+keeps every MAP a min-cut on the binary potts layout that ``TrainConfig``
+requires of graph cuts.  Chain and brute-force MAPs are exact for any
+weights, so their pairwise weights are free.
 """
 
 from __future__ import annotations
 
+import math
 import time as _time
 from dataclasses import dataclass, field
 
@@ -44,6 +50,7 @@ from .gumbel import (
     SOLVER_GRAPHCUT,
     TAG_BATCH,
     _solve_map,
+    check_solver_name,
     conditional_counting_marginals,
     counting_marginals,
     perturbed_conditional_map,
@@ -56,6 +63,7 @@ from .model import (
     CompiledPotentials,
     FeatureInstance,
     LossSpec,
+    PAIRWISE_POTTS,
     WeightLayout,
     WeightVector,
     ZERO_ONE,
@@ -91,12 +99,22 @@ class TrainConfig:
     dynamic_cuts: bool = True
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise StructuralError("lam must be positive")
+        check_solver_name(self.solver)
+        if not (0 < self.lam < math.inf and 1 / self.lam < math.inf):
+            raise StructuralError("lambda and 1/lambda must be finite and > 0")
         if self.iters < 1 or self.batch < 1:
             raise StructuralError("iters and batch must be >= 1")
-        if self.kappa < 0:
-            raise StructuralError("kappa must be >= 0")
+        if not 0 <= self.kappa < math.inf:
+            raise StructuralError("kappa must be finite and >= 0")
+        if self.stepsize is not None and not 0 < self.stepsize < math.inf:
+            raise StructuralError("stepsize must be finite and > 0")
+        if self.inference_samples < 1:
+            raise StructuralError("inference samples must be >= 1")
+        if self.solver == SOLVER_GRAPHCUT and (
+                self.layout.num_labels != 2
+                or self.layout.pairwise_form != PAIRWISE_POTTS):
+            raise StructuralError("graphcut needs the binary potts layout, "
+                                  "the one its projection keeps solvable")
 
 
 @dataclass
@@ -119,12 +137,6 @@ class TrainReport:
     counters: TrainCounters
     phase_seconds: dict[str, float] = field(default_factory=dict)
     skipped_fraction_series: list[tuple[int, float]] = field(default_factory=list)
-
-
-def stepsize(cfg: TrainConfig, h: int) -> float:
-    if cfg.stepsize is not None:
-        return cfg.stepsize
-    return 1.0 / (cfg.lam * h)
 
 
 def project_supermodular(w: WeightVector) -> WeightVector:
@@ -305,14 +317,13 @@ def _labeled_mean(w: WeightVector, batch: list[FeatureInstance], h: int,
 
 
 def _update(w: WeightVector, grad: np.ndarray, obj: float, h: int,
-            cfg: TrainConfig, project: bool = True
-            ) -> tuple[WeightVector, float]:
-    """w + gamma_h (grad - lam w), optionally projected, and the objective
-    estimate regularised with the pre-update w."""
-    gamma = stepsize(cfg, h)
+            cfg: TrainConfig) -> tuple[WeightVector, float]:
+    """w + gamma_h (grad - lam w), gamma_h = cfg.stepsize or 1 / (lam h),
+    projected for graph cuts; and the objective regularised with the old w."""
+    gamma = cfg.stepsize if cfg.stepsize is not None else 1.0 / (cfg.lam * h)
     w_new = WeightVector(w.values + gamma * (grad - cfg.lam * w.values),
                          w.layout)
-    if project:
+    if cfg.solver == SOLVER_GRAPHCUT:
         w_new = project_supermodular(w_new)
     return w_new, obj - 0.5 * cfg.lam * float(w.values @ w.values)
 
@@ -336,8 +347,7 @@ def sgd_loglik_step(w: WeightVector, batch: list[FeatureInstance], h: int,
         counters.map_solves += 1
         gsum += feature_map(x, x.labels, layout) - feature_map(x, y_star, layout)
         obj += evaluate_potential(p, x.labels) - val
-    return _update(w, gsum / len(batch), obj / len(batch), h, cfg,
-                   project=cfg.solver == SOLVER_GRAPHCUT)
+    return _update(w, gsum / len(batch), obj / len(batch), h, cfg)
 
 
 def sgd_marginal_step(w: WeightVector, batch: list[FeatureInstance], h: int,
@@ -481,16 +491,14 @@ def train_semisupervised(d1: list[FeatureInstance],
 
 
 def predict(w: WeightVector, x: FeatureInstance, mode: str,
-            cfg: TrainConfig, instance_index: int = 0) -> np.ndarray:
-    """MAP decoding or per-variable argmax of counting marginals (ties to
-    the smallest label)."""
+            est: EstimatorConfig) -> np.ndarray:
+    """MAP decoding with ``est.solver``, or the per-variable argmax (ties
+    to the smallest label) of counting marginals drawn as ``est`` says."""
     p = compile_potentials(w, x)
     if mode == PREDICT_MAP:
-        y, _ = _solve_map(p, cfg.solver)
+        y, _ = _solve_map(p, est.solver)
         return y
     if mode == PREDICT_MARGINAL:
-        est = EstimatorConfig(cfg.inference_samples, cfg.seed, cfg.solver,
-                              stream_context=instance_index + 1)
         return counting_marginals(p, est).argmax(axis=1)
     raise StructuralError(f"unknown prediction mode {mode!r}")
 

@@ -348,12 +348,11 @@ def test_criterion_08_semisupervised_direction():
         layout = teacher.layout
 
         def evaluate(w):
-            cfg_e = TrainConfig(lam=0.1, iters=1, batch=1, loss=spec,
-                                seed=seed, solver="graphcut", layout=layout,
-                                inference_samples=100)
             total = 0.0
             for i, x in enumerate(test):
-                y_hat = predict(w, x, "marginal", cfg_e, instance_index=i)
+                est = EstimatorConfig(100, seed, "graphcut",
+                                      stream_context=i + 1)
+                y_hat = predict(w, x, "marginal", est)
                 total += eval_loss(spec, x.labels, y_hat, x.volumes())
             return total / len(test)
 

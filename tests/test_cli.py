@@ -10,11 +10,16 @@ from gumbelmap import cli
 from gumbelmap.cli import main
 from gumbelmap.datasets import read_dataset, read_weights, write_dataset
 from gumbelmap.model import FeatureInstance, LossSpec, HAMMING, loss as eval_loss
-from gumbelmap.training import TrainConfig, predict
+from gumbelmap.gumbel import EstimatorConfig
+from gumbelmap.training import predict
 
 
 def run(argv):
     return main(argv)
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("called after a configuration error")
 
 
 @pytest.fixture(scope="module")
@@ -204,6 +209,28 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err == "internal error: RuntimeError: solver state corrupted\n"
 
+    @pytest.mark.parametrize("flags", [
+        ["--lambda", "nan"], ["--lambda", "inf"], ["--lambda", "1e-310"],
+        ["--kappa", "nan", "--unlabeled", "GRID"],
+        ["--kappa", "inf", "--unlabeled", "GRID"],
+        ["--samples", "0", "--unlabeled", "GRID"],
+        ["--data", "CHAIN"]])
+    def test_unsolvable_config_exit_3_before_training(
+            self, grid_file, chain_file, tmp_path, capsys, monkeypatch, flags):
+        """Non-finite numbers, no inference samples and graph cuts on
+        3-label chains are configuration errors found when the config is
+        built: no training starts and no weights are written."""
+        monkeypatch.setattr(cli, "train", _never)
+        monkeypatch.setattr(cli, "train_semisupervised", _never)
+        out = tmp_path / "w.json"
+        files = {"GRID": grid_file, "CHAIN": chain_file}
+        rc = run(["train", "--data", grid_file, "--solver", "graphcut",
+                  "--iters", "3", "--out", str(out)]
+                 + [files.get(f, f) for f in flags])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("configuration error:")
+        assert not out.exists()
+
     def test_solver_structure_mismatch_exit_3(self, grid_file, tmp_path):
         rc = run(["train", "--data", grid_file, "--solver", "chain",
                   "--iters", "3", "--out", str(tmp_path / "w.json")])
@@ -285,11 +312,10 @@ class TestEval:
                     "--teacher-seed", "8", "--seed", "8", "--out", str(src)]) == 0
         w = read_weights(str(src) + ".teacher.json")
         data = read_dataset(str(src))
-        cfg = TrainConfig(lam=1.0, iters=1, batch=1, loss=LossSpec(HAMMING),
-                          seed=0, solver="chain", layout=w.layout)
+        est = EstimatorConfig(100, 0, "chain", stream_context=1)
         relabeled = [
             FeatureInstance(x.model, x.node_features, x.edge_features,
-                            predict(w, x, "map", cfg))
+                            predict(w, x, "map", est))
             for x in data]
         oracle = tmp_path / "oracle.jsonl"
         write_dataset(str(oracle), relabeled)
@@ -299,7 +325,7 @@ class TestEval:
         assert rc == 0
         # independent check of the zero loss
         total = sum(eval_loss(LossSpec(HAMMING), x.labels,
-                              predict(w, x, "map", cfg))
+                              predict(w, x, "map", est))
                     for x in relabeled)
         assert total == 0.0
 
@@ -338,6 +364,10 @@ class TestEval:
         zero (untrained) weights."""
         import gumbelmap.model as M
         from gumbelmap.datasets import write_weights
+
+        def est(i):
+            return EstimatorConfig(200, 0, "chain", stream_context=i + 1)
+
         wins = 0
         for s in range(10):
             src = tmp_path / f"d{s}.jsonl"
@@ -355,14 +385,11 @@ class TestEval:
             zfile = tmp_path / f"z{s}.json"
             write_weights(str(zfile), zero)
             data = read_dataset(str(src))
-            cfg = TrainConfig(lam=1.0, iters=1, batch=1, loss=LossSpec(HAMMING),
-                              seed=0, solver="chain", layout=w.layout,
-                              inference_samples=200)
             lt = np.mean([eval_loss(LossSpec(HAMMING), x.labels,
-                                    predict(w, x, "marginal", cfg, i))
+                                    predict(w, x, "marginal", est(i)))
                           for i, x in enumerate(data)])
             lz = np.mean([eval_loss(LossSpec(HAMMING), x.labels,
-                                    predict(zero, x, "marginal", cfg, i))
+                                    predict(zero, x, "marginal", est(i)))
                           for i, x in enumerate(data)])
             wins += int(lt < lz)
         assert wins == 10
@@ -412,6 +439,12 @@ class TestMarginals:
 
 
 class TestBenchDynamic:
+    @pytest.mark.parametrize("stepsize", ["nan", "0"])
+    def test_bad_stepsize_exit_3_before_data(self, monkeypatch, stepsize):
+        monkeypatch.setattr(cli, "gen_grid_dataset", _never)
+        assert run(["bench-dynamic", "--stepsize", stepsize,
+                    "--iters", "2"]) == 3
+
     def test_variants_agree_and_report(self, tmp_path, capsys):
         out = tmp_path / "bench.json"
         rc = run(["bench-dynamic", "--side", "4", "--iters", "60",

@@ -3,7 +3,10 @@ clean exit.
 
 Small records are drawn with mixed feature widths, negative or non-finite
 features and volumes, bad edges, label counts that differ or do not match
-num_vars, out-of-range labels and missing fields.
+num_vars, out-of-range labels and missing fields.  Half the runs also set
+one of ``--lambda``, ``--kappa`` or ``--samples`` to NaN, an infinity,
+1e-310 (whose inverse overflows), zero or a negative; a run whose value
+is out of range must not exit 0.
 Every run must exit 0 (trained), 2 (input error) or 3 (configuration
 error): never 4, which is where ``main`` maps any unexpected exception,
 and never with an exception escaping ``main``.
@@ -83,23 +86,40 @@ def _write(path: Path, recs) -> str:
     return str(path)
 
 
+@st.composite
+def number_flags(draw):
+    """No flag (the defaults are valid) or one number flag at an edge
+    value, and whether that value is out of range."""
+    if draw(st.booleans()):
+        return [], False
+    flag = draw(st.sampled_from(["--lambda", "--kappa", "--samples"]))
+    if flag == "--samples":
+        return [flag, draw(st.sampled_from(["0", "-2"]))], True
+    value = draw(st.sampled_from(["nan", "inf", "-inf", "1e-310", "0",
+                                  "-0.5"]))
+    # kappa may be 0 or tiny; lambda must be > 0 with a finite inverse
+    return [flag, value], flag == "--lambda" or value not in ("0", "1e-310")
+
+
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.lists(records(), min_size=1, max_size=3),
        unlabeled=st.one_of(st.none(),
                            st.lists(records(), min_size=1, max_size=2)),
        solver=st.sampled_from(["chain", "graphcut", "brute"]),
-       loss=st.sampled_from(["hamming", "weighted-hamming", "zero-one"]))
-def test_train_exits_cleanly(data, unlabeled, solver, loss):
+       loss=st.sampled_from(["hamming", "weighted-hamming", "zero-one"]),
+       numbers=number_flags())
+def test_train_exits_cleanly(data, unlabeled, solver, loss, numbers):
+    flags, out_of_range = numbers
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         argv = ["train", "--data", _write(work / "data.jsonl", data),
                 "--solver", solver, "--loss", loss, "--iters", "2",
-                "--samples", "3", "--out", str(work / "w.json")]
+                "--samples", "3", "--out", str(work / "w.json"), *flags]
         if unlabeled is not None:
             argv += ["--unlabeled", _write(work / "unl.jsonl", unlabeled)]
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(err):
             code = main(argv)
-    assert code in (0, 2, 3), err.getvalue()
+    assert code in ((2, 3) if out_of_range else (0, 2, 3)), err.getvalue()

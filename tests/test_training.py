@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from gumbelmap.errors import StructuralError
-from gumbelmap.gumbel import sample_noise
+from gumbelmap.gumbel import EstimatorConfig, sample_noise
 from gumbelmap.model import (
     FeatureInstance,
     HAMMING,
     LossSpec,
+    PAIRWISE_FULL,
     PAIRWISE_POTTS,
     WEIGHTED_HAMMING,
     WeightLayout,
@@ -54,6 +55,33 @@ def _cfg(layout, loss=LossSpec(HAMMING), **kw):
                     solver="chain", layout=layout)
     defaults.update(kw)
     return TrainConfig(**defaults)
+
+
+class TestConfig:
+    @pytest.mark.parametrize("solver,layout", [
+        ("grpahcut", WeightLayout(2, 2, 1, PAIRWISE_POTTS)),
+        ("graphcut", WeightLayout(2, 2, 1, PAIRWISE_FULL)),
+        ("graphcut", WeightLayout(3, 2, 1, PAIRWISE_POTTS))])
+    def test_unsolvable_solver_layout_rejected(self, solver, layout):
+        """An unknown solver, and graph cuts on any layout but the binary
+        potts one its projection keeps cut-solvable, are refused when the
+        config is built, before any solve."""
+        with pytest.raises(StructuralError):
+            _cfg(layout, solver=solver)
+
+    @pytest.mark.parametrize("field,value", [
+        ("lam", np.nan), ("lam", np.inf), ("lam", 1e-310), ("lam", 0.0),
+        ("lam", -1.0), ("kappa", np.nan), ("kappa", np.inf),
+        ("kappa", -1.0), ("stepsize", np.nan), ("stepsize", np.inf),
+        ("stepsize", 0.0), ("stepsize", -0.5), ("inference_samples", 0)])
+    def test_unusable_numbers_rejected(self, field, value):
+        with pytest.raises(StructuralError):
+            _cfg(WeightLayout(3, 3, 1), **{field: value})
+
+    def test_usable_edge_values_accepted(self):
+        _cfg(WeightLayout(3, 3, 1), lam=1e-300, kappa=0.0, stepsize=None,
+             inference_samples=1)
+        _cfg(WeightLayout(2, 2, 1, PAIRWISE_POTTS), solver="graphcut")
 
 
 class TestSteps:
@@ -128,8 +156,6 @@ class TestSteps:
         gamma = 1.0 / (cfg.lam * h)
         expect = WeightVector(w.values + gamma * (grad - cfg.lam * w.values),
                               layout)
-        expect.values[expect.pairwise_block] = np.minimum(
-            expect.values[expect.pairwise_block], 0.0)
         assert np.allclose(w2.values, expect.values, atol=1e-10)
 
     def test_weighted_unit_table_matches_plain_hamming(self, rng):
@@ -430,23 +456,34 @@ class TestDrivers:
         labels, 4 features, Hamming loss, batch 5, lambda 0.05), 100
         iterations on the chain solver: the averaged weights, every
         objective estimate and the solve counters are pinned bit for bit
-        to values recorded with the numpy Viterbi kernel."""
+        to values recorded with unprojected chain pairwise weights."""
         data, teacher = gen_chain_dataset(200, 8, 3, 4, seed=1, teacher_seed=7)
         cfg = TrainConfig(lam=0.05, iters=100, batch=5,
                           loss=LossSpec(HAMMING), seed=1, solver="chain",
                           layout=teacher.layout)
         report = train(data, cfg)
         weights = hashlib.sha256(report.averaged.values.tobytes()).hexdigest()
-        assert weights == ("cffa13e0052827297d1b61c662171537"
-                           "219ea9553fe892f0de5633be82492d48")
+        assert weights == ("bff03476d16758f6ffa8c9c4f32e99fc"
+                           "fda48370a751d6a251f086c06bf59c30")
         objectives = [float(v).hex() for v in report.objective_estimates]
         assert len(objectives) == 100
-        assert objectives[-1] == "-0x1.947170ff66d7cp+2"
+        assert objectives[-1] == "-0x1.9927c53ffe762p+2"
         digest = hashlib.sha256("\n".join(objectives).encode()).hexdigest()
-        assert digest == ("f7230742d5f6b939608e5edb07fb5965"
-                          "e018d17600972f614d1d6546a19663e3")
+        assert digest == ("2f7b3701cb4064a274f03adbb956fdd5"
+                          "26482d144ffbc508cf933240a3537504")
         assert report.counters.as_dict() == {
-            "map_solves": 500, "clamp_solves": 1432, "clamp_skipped": 2568}
+            "map_solves": 500, "clamp_solves": 1404, "clamp_skipped": 2596}
+
+    def test_chain_pairwise_weights_are_not_projected(self):
+        """The chain solver is exact for any transition weights, so only
+        graph-cut training projects: chain Hamming training in the
+        chain-hamming shape learns positive pairwise weights."""
+        data, teacher = gen_chain_dataset(200, 8, 3, 4, seed=1, teacher_seed=7)
+        cfg = TrainConfig(lam=0.05, iters=100, batch=5,
+                          loss=LossSpec(HAMMING), seed=1, solver="chain",
+                          layout=teacher.layout)
+        w = train(data, cfg).averaged
+        assert (w.values[w.pairwise_block] > 0).any()
 
     def test_empty_labeled_set_rejected(self, rng):
         layout, data = _chain_data(rng, n=2)
@@ -472,12 +509,12 @@ class TestPredict:
         x = data[0]
         w = WeightVector(rng.normal(size=layout.total_size), layout)
         w.values[w.pairwise_block] = 0.0
-        cfg = _cfg(layout, inference_samples=4000)
+        est = EstimatorConfig(4000, 17, "chain", stream_context=1)
         from gumbelmap.model import compile_potentials
         from scipy.special import softmax
         p = compile_potentials(w, x)
-        y_map = predict(w, x, "map", cfg)
-        y_marg = predict(w, x, "marginal", cfg)
+        y_map = predict(w, x, "map", est)
+        y_marg = predict(w, x, "marginal", est)
         se = np.sqrt(0.25 / 4000)
         for d in range(5):
             probs = softmax(p.unary[d, :3])
@@ -489,12 +526,12 @@ class TestPredict:
         layout, data = _chain_data(rng, n=1)
         x = data[0]
         w = WeightVector(rng.normal(size=layout.total_size), layout)
-        cfg = _cfg(layout, inference_samples=1)
-        y = predict(w, x, "marginal", cfg)
+        y = predict(w, x, "marginal",
+                    EstimatorConfig(1, 17, "chain", stream_context=1))
         assert y.shape == (5,)
 
     def test_unknown_mode(self, rng):
         layout, data = _chain_data(rng, n=1)
         w = zero_weights(layout)
         with pytest.raises(StructuralError):
-            predict(w, data[0], "nonsense", _cfg(layout))
+            predict(w, data[0], "nonsense", EstimatorConfig(100, 17, "chain"))
