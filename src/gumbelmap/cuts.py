@@ -11,8 +11,11 @@ after updates returns exactly what a from-scratch solve would.  A state
 builds its network with numpy once, then keeps the max-flow state as
 Python lists that the BK kernel mutates in place: on the many small warm
 re-solves of clamped training, converting arrays to lists and back on
-every solve cost more than the flow work.  Python floats are IEEE
-doubles, so the lists hold exactly the values the arrays held.
+every solve cost more than the flow work.  The state's unary and pairwise
+tables are lists too: ``update_unary`` rewrites a unary row in place, and
+``solve`` evaluates its labeling over those lists in the order of
+``evaluate_potential``.  Python floats are IEEE doubles, so the lists hold
+exactly the values the arrays held and the values match bit for bit.
 
 Clamping is one mechanism for every solver: ``clamp_variables`` raises
 u_d(k) by a margin that provably pins y_d = k and keeps the model, so a
@@ -26,7 +29,7 @@ import numpy as np
 
 from ._bk import NODE_NONE, bk_maxflow
 from .errors import PreconditionError, StructuralError
-from .model import CompiledPotentials, evaluate_potential
+from .model import CompiledPotentials
 
 SUPERMODULAR_TOL = 1e-12
 
@@ -41,10 +44,9 @@ class DynamicCutState:
         model = potentials.model
         if not model.is_binary:
             raise PreconditionError("cut solver requires binary labels")
-        unary = np.array(potentials.unary, dtype=np.float64)
-        pairwise = np.array(potentials.pairwise, dtype=np.float64)
+        unary = np.asarray(potentials.unary, dtype=np.float64)
+        pairwise = np.asarray(potentials.pairwise, dtype=np.float64)
         self.model = model
-        self.unary = unary
         ea = model.edge_array()
         n = model.num_vars
         e = model.num_edges
@@ -111,9 +113,11 @@ class DynamicCutState:
         self.solved = False
         self._marked: set[int] = set()
         self.last_augmentations = 0
-        # evaluates the current tables: update_unary writes self.unary
-        # in place
-        self._potentials = CompiledPotentials(model, unary, pairwise)
+        # the tables solve() evaluates: u_d(k) at 2d + k of one list, and
+        # p_e(k, l) at 2k + l of edge e's row (nested rows per label
+        # would triple the objects the garbage collector tracks)
+        self.unary = unary.ravel().tolist()
+        self.pairwise = pairwise.reshape(e, 4).tolist()
 
     # -- mutation ----------------------------------------------------------
 
@@ -127,7 +131,7 @@ class DynamicCutState:
             raise StructuralError(f"variable index {d} out of range")
         nu0, nu1 = float(new_u[0]), float(new_u[1])
         unary = self.unary
-        u0, u1 = unary.item(d, 0), unary.item(d, 1)
+        u0, u1 = unary[2 * d], unary[2 * d + 1]
         if u0 == nu0 and u1 == nu1:
             return
         de0 = u0 - nu0  # energy deltas (E = -u)
@@ -145,15 +149,15 @@ class DynamicCutState:
         m = min(rs, rt)
         self.const += m
         self.trcap[d] = rs - rt
-        unary[d, 0] = nu0
-        unary[d, 1] = nu1
+        unary[2 * d] = nu0
+        unary[2 * d + 1] = nu1
         self._marked.add(d)
 
     # -- solving -----------------------------------------------------------
 
     def solve(self) -> tuple[np.ndarray, float]:
-        """MAP labeling and its value (value computed by direct table
-        evaluation, so it matches evaluate_potential bit for bit)."""
+        """MAP labeling and its value, evaluated over the state's tables in
+        the order of evaluate_potential, so the two match bit for bit."""
         warm = self.solved
         added, n_aug, t = bk_maxflow(
             self.first, self.head, self.nxt, self.rcap, self.trcap,
@@ -165,10 +169,15 @@ class DynamicCutState:
         self._marked.clear()
         self.last_augmentations = n_aug
         # sink-tree nodes get label 1; free nodes keep a stale is_sink
-        labels = np.array([s if p != NODE_NONE else 0
-                           for p, s in zip(self.parent, self.is_sink)],
-                          dtype=np.int64)
-        return labels, evaluate_potential(self._potentials, labels)
+        labels = [s if p != NODE_NONE else 0
+                  for p, s in zip(self.parent, self.is_sink)]
+        unary, pairwise = self.unary, self.pairwise
+        value = 0.0
+        for d, y in enumerate(labels):
+            value += unary[2 * d + y]
+        for table, (i, j) in zip(pairwise, self.model.edges):
+            value += table[2 * labels[i] + labels[j]]
+        return np.array(labels, dtype=np.int64), value
 
 
 def build_cut_problem(p: CompiledPotentials) -> DynamicCutState:

@@ -141,10 +141,17 @@ def write_weights(path: str, w: WeightVector,
 
 
 def read_weights(path: str) -> WeightVector:
+    """A weight artifact; non-finite values (NaN, infinities, JSON null)
+    are rejected here, before they reach any potential."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if doc.get("format") != _WEIGHTS_FORMAT:
         raise DatasetError(f"not a {_WEIGHTS_FORMAT} file: {path}")
     layout = WeightLayout(doc["num_labels"], doc["node_feat_dim"],
                           doc["edge_feat_dim"], doc["pairwise_form"])
-    return WeightVector(np.asarray(doc["values"], dtype=np.float64), layout)
+    values = np.asarray(doc["values"], dtype=np.float64)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise DatasetError(f"{path}: weight {int(bad[0])} is not finite "
+                           f"({doc['values'][bad[0]]!r})")
+    return WeightVector(values, layout)

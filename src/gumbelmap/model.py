@@ -44,9 +44,12 @@ class PairwiseModel:
     edges: tuple[tuple[int, int], ...]
     is_chain: bool = field(init=False, repr=False, compare=False)
     _edge_arr: np.ndarray = field(init=False, repr=False, compare=False)
-    # index ranges evaluate_potential gathers with
-    _var_range: np.ndarray = field(init=False, repr=False, compare=False)
-    _edge_range: np.ndarray = field(init=False, repr=False, compare=False)
+    # edge endpoints, and the flat offsets of each variable's unary row
+    # and each edge's pairwise table, that evaluate_potential gathers with
+    _edge_i: np.ndarray = field(init=False, repr=False, compare=False)
+    _edge_j: np.ndarray = field(init=False, repr=False, compare=False)
+    _unary_offsets: np.ndarray = field(init=False, repr=False, compare=False)
+    _pair_offsets: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.num_vars < 1:
@@ -69,8 +72,13 @@ class PairwiseModel:
         else:
             ea = np.zeros((0, 2), dtype=np.int64)
         object.__setattr__(self, "_edge_arr", ea)
-        object.__setattr__(self, "_var_range", np.arange(self.num_vars))
-        object.__setattr__(self, "_edge_range", np.arange(len(self.edges)))
+        object.__setattr__(self, "_edge_i", ea[:, 0].copy())
+        object.__setattr__(self, "_edge_j", ea[:, 1].copy())
+        k = self.num_labels
+        object.__setattr__(self, "_unary_offsets",
+                           np.arange(self.num_vars) * k)
+        object.__setattr__(self, "_pair_offsets",
+                           np.arange(len(self.edges)) * (k * k))
 
     @property
     def num_edges(self) -> int:
@@ -146,29 +154,42 @@ def zero_potentials(model: PairwiseModel) -> CompiledPotentials:
 
 
 def check_labeling(model: PairwiseModel, y: np.ndarray) -> np.ndarray:
+    """``y`` as an int64 array, checked once: a (D,) labeling or an (n, D)
+    block of labelings, every label in range.  A bad block raises the
+    error its first bad row would raise alone."""
     y = np.asarray(y, dtype=np.int64)
-    if y.shape != (model.num_vars,):
-        raise StructuralError(f"labeling shape {y.shape} != ({model.num_vars},)")
-    if (y < 0).any() or (y >= model.num_labels).any():
-        bad = int(np.argmax((y < 0) | (y >= model.num_labels)))
-        raise StructuralError(f"label {y[bad]} out of range at variable {bad}")
+    d = model.num_vars
+    if y.ndim not in (1, 2) or y.shape[-1] != d:
+        raise StructuralError(f"labeling shape {y.shape} != ({d},) or (n, {d})")
+    # as unsigned, a negative label is out of range too
+    if np.count_nonzero(y.view(np.uint64) >= model.num_labels):
+        bad = int(np.flatnonzero((y < 0) | (y >= model.num_labels))[0])
+        raise StructuralError(
+            f"label {y.flat[bad]} out of range at variable {bad % d}")
     return y
 
 
-def evaluate_potential(p: CompiledPotentials, y: np.ndarray) -> float:
-    """f(y), accumulated in a fixed order: variables ascending, then edges
-    ascending.  The fixed order makes repeated evaluations bit-identical."""
-    y = check_labeling(p.model, y)
+def evaluate_potential(p: CompiledPotentials,
+                       y: np.ndarray) -> float | np.ndarray:
+    """f(y): a float for a (D,) labeling, an (n,) array for an (n, D)
+    block, one value per row.
+
+    Every value is summed in one fixed order, from 0.0: variables
+    ascending, then edges ascending.  Both shapes share the kernel, so a
+    row of a block gives the bits of the labeling alone, and repeated
+    evaluations are bit-identical."""
     model = p.model
-    s = 0.0
-    for v in p.unary[model._var_range, y].tolist():
-        s += v
-    if model.num_edges:
-        ea = model._edge_arr
-        terms = p.pairwise[model._edge_range, y[ea[:, 0]], y[ea[:, 1]]]
-        for v in terms.tolist():
-            s += v
-    return s
+    y = check_labeling(model, y)
+    block = y.reshape(-1, model.num_vars)
+    k = model.num_labels
+    pair_cells = (block.take(model._edge_i, axis=1) * k
+                  + block.take(model._edge_j, axis=1) + model._pair_offsets)
+    terms = np.concatenate((np.zeros((block.shape[0], 1)),
+                            p.unary.take(block + model._unary_offsets),
+                            p.pairwise.take(pair_cells)), axis=1)
+    # a running sum adds strictly left to right (``sum`` adds pairwise)
+    vals = np.add.accumulate(terms, axis=1)[:, -1]
+    return float(vals[0]) if y.ndim == 1 else vals
 
 
 # ---------------------------------------------------------------------------
@@ -354,24 +375,37 @@ def compile_potentials(w: WeightVector, x: FeatureInstance) -> CompiledPotential
 
 def feature_map(x: FeatureInstance, y: np.ndarray,
                 layout: WeightLayout) -> np.ndarray:
-    """The structured feature vector: gradient of f(y|x) with respect to w."""
+    """The structured feature vector, the gradient of f(y|x) with respect
+    to w: an (F,) vector for a (D,) labeling, an (n, F) array for an
+    (n, D) block, one row per labeling.
+
+    Each entry is summed from 0.0 in one fixed order: node features in
+    variable order, edge features in edge order.  Both shapes share the
+    kernel, so a row of a block gives the bits of the labeling alone.  The
+    potts entry follows that order too (it was a pairwise ``sum``); with
+    integer edge features, as every synthetic dataset has, both orders
+    give the same exact sums."""
     _check_layout_compat(layout, x)
     y = check_labeling(x.model, y)
-    psi = np.zeros(layout.total_size)
-    uview = psi[: layout.unary_size].reshape(layout.num_labels,
-                                             layout.node_feat_dim)
-    np.add.at(uview, y, x.node_features)
+    block = y.reshape(-1, x.model.num_vars)
+    n = block.shape[0]
+    rows = np.arange(n)[:, None]
+    k, fe = layout.num_labels, layout.edge_feat_dim
+    # np.add.at adds in index order: row by row, then along the row
+    unary = np.zeros((n, k, layout.node_feat_dim))
+    np.add.at(unary, (rows, block), x.node_features)
+    potts = layout.pairwise_form == PAIRWISE_POTTS
+    pair = np.zeros((n, fe) if potts else (n, k, k, fe))
     if x.model.num_edges:
-        ea = x.model.edge_array()
-        yi, yj = y[ea[:, 0]], y[ea[:, 1]]
-        if layout.pairwise_form == PAIRWISE_POTTS:
-            mask = yi != yj
-            psi[layout.unary_size:] = x.edge_features[mask].sum(axis=0)
+        yi = block.take(x.model._edge_i, axis=1)
+        yj = block.take(x.model._edge_j, axis=1)
+        if potts:
+            r, e = np.nonzero(yi != yj)
+            np.add.at(pair, r, x.edge_features[e])
         else:
-            pview = psi[layout.unary_size:].reshape(
-                layout.num_labels, layout.num_labels, layout.edge_feat_dim)
-            np.add.at(pview, (yi, yj), x.edge_features)
-    return psi
+            np.add.at(pair, (rows, yi, yj), x.edge_features)
+    psi = np.concatenate((unary.reshape(n, -1), pair.reshape(n, -1)), axis=1)
+    return psi[0] if y.ndim == 1 else psi
 
 
 # ---------------------------------------------------------------------------

@@ -57,6 +57,14 @@ def _ffbs_sample(p, rng: np.random.Generator) -> np.ndarray:
     return y
 
 
+def _check_numbers(teacher_scale: float, label_noise: float) -> None:
+    """Generator numbers, checked before any draw."""
+    if not np.isfinite(teacher_scale):
+        raise StructuralError(f"teacher scale {teacher_scale} is not finite")
+    if not 0.0 <= label_noise <= 1.0:
+        raise StructuralError(f"label noise {label_noise} is not in [0, 1]")
+
+
 def _apply_label_noise(y: np.ndarray, num_labels: int, noise: float,
                        rng: np.random.Generator) -> np.ndarray:
     if noise <= 0:
@@ -78,6 +86,7 @@ def gen_chain_dataset(num: int, num_vars: int, num_labels: int,
                       ) -> tuple[list[FeatureInstance], WeightVector]:
     """Chains with Gaussian node features, a constant scalar edge feature,
     full label-pair transition weights, and exactly sampled labels."""
+    _check_numbers(teacher_scale, label_noise)
     layout = WeightLayout(num_labels, feat_dim, 1, PAIRWISE_FULL)
     if teacher is None:
         teacher = sample_teacher(layout, teacher_seed if teacher_seed is not None
@@ -106,6 +115,7 @@ def gen_grid_dataset(num: int, side: int, feat_dim: int, seed: int,
     node features.  Labels come from one perturbed-MAP draw per instance
     (approximate sampler); one-sided labelings are redrawn so the
     volume-balanced loss stays defined."""
+    _check_numbers(teacher_scale, label_noise)
     layout = WeightLayout(2, feat_dim, 1, PAIRWISE_POTTS)
     if teacher is None:
         teacher = sample_teacher(layout, teacher_seed if teacher_seed is not None

@@ -162,10 +162,11 @@ class _ElementSolver:
     """Unconditional and clamped perturbed MAPs for one batch element,
     sharing one noise realization.
 
-    A clamp is ``perturbed_conditional_map``.  With dynamic cuts the
-    clamped problems run on one retained cut state instead: the same pin
-    of p + z is one ``update_unary``, undone afterwards, so the trees
-    carry over between the D re-solves.
+    A clamp is ``perturbed_conditional_map``, whose value is kept.  With
+    dynamic cuts the clamped problems run on one retained cut state
+    instead: the same pin of p + z is one ``update_unary``, undone
+    afterwards, so the trees carry over between the D re-solves, and the
+    clamped maximizers are evaluated together once they are all solved.
     """
 
     def __init__(self, p: CompiledPotentials, z: np.ndarray, solver: str,
@@ -176,8 +177,6 @@ class _ElementSolver:
         self.perturbed = p.with_unary(p.unary + z)
         self.dynamic = dynamic and solver == SOLVER_GRAPHCUT
         self.state = None
-        if self.dynamic:
-            self.pins = pin_margins(self.perturbed)
 
     def map_full(self) -> tuple[np.ndarray, float]:
         if self.dynamic:
@@ -185,21 +184,39 @@ class _ElementSolver:
             return self.state.solve()
         return _solve_map(self.perturbed, self.solver)
 
-    def map_clamped(self, d: int, k: int) -> tuple[np.ndarray, float]:
-        """Maximizer with y_d pinned to k under the shared noise; value
-        excludes z_d."""
+    def clamped(self, pairs: list[tuple[int, int]]
+                ) -> tuple[np.ndarray, np.ndarray]:
+        """Maximizers with y_d pinned to k under the shared noise, one row
+        of an (n, D) block per (d, k) pair in order, and their (n,) values
+        excluding z_d(k)."""
         if not self.dynamic:
-            return perturbed_conditional_map(self.p, d, k, self.z, self.solver)
-        orig = self.perturbed.unary[d].tolist()
-        pinned = orig.copy()
-        pinned[k] += float(self.pins[d])
-        self.state.update_unary(d, pinned)
-        y, _ = self.state.solve()
-        self.state.update_unary(d, orig)
-        if y[d] != k:
-            raise InternalInvariantError(
-                f"pinning bound failed to clamp variable {d}")
-        return y, evaluate_potential(self.perturbed, y) - self.z[d, k]
+            solved = [perturbed_conditional_map(self.p, d, k, self.z,
+                                                self.solver)
+                      for d, k in pairs]
+            return (np.array([y for y, _ in solved]),
+                    np.array([v for _, v in solved]))
+        unary = self.perturbed.unary.tolist()
+        pins = pin_margins(self.perturbed).tolist()
+        block = []
+        for d, k in pairs:
+            pinned = unary[d].copy()
+            pinned[k] += pins[d]
+            self.state.update_unary(d, pinned)
+            y, _ = self.state.solve()
+            self.state.update_unary(d, unary[d])
+            if y[d] != k:
+                raise InternalInvariantError(
+                    f"pinning bound failed to clamp variable {d}")
+            block.append(y)
+        block = np.array(block)
+        d_idx, k_idx = np.array(pairs).T
+        return (block, evaluate_potential(self.perturbed, block)
+                - self.z[d_idx, k_idx])
+
+    def map_clamped(self, d: int, k: int) -> tuple[np.ndarray, float]:
+        """The one-pair case of ``clamped``."""
+        block, vals = self.clamped([(d, k)])
+        return block[0], vals[0]
 
 
 def _element(x: FeatureInstance, weights: np.ndarray, given: dict[int, int],
@@ -215,6 +232,11 @@ def _element(x: FeatureInstance, weights: np.ndarray, given: dict[int, int],
     pinned and their noise rows zeroed: both the unconditional and the
     clamped solves run conditioned on them, and their rows of ``weights``
     are ignored.
+
+    After the solves, one batched pass evaluates the clamped maximizers
+    and maps their features.  The gradient and objective terms are added
+    in the order of the (d, k) loop, so they match term-by-term
+    accumulation bit for bit.
     """
     model = x.model
     if len(given) == model.num_vars:
@@ -226,9 +248,8 @@ def _element(x: FeatureInstance, weights: np.ndarray, given: dict[int, int],
     es = _ElementSolver(p, z, solver, dynamic)
     y_a, val_a = es.map_full()
     counters.map_solves += 1
-    psi_a = feature_map(x, y_a, layout)
-    grad = np.zeros(layout.total_size)
-    obj = 0.0
+    pairs, clamp_weights = [], []
+    terms = []  # objective terms in loop order; None marks a clamp
     for d in range(model.num_vars):
         if d in given:
             continue
@@ -240,12 +261,24 @@ def _element(x: FeatureInstance, weights: np.ndarray, given: dict[int, int],
                 # shared noise: the clamped maximizer equals y_a, so the
                 # gradient term vanishes and B_dk - A is exactly -z_d(k)
                 counters.clamp_skipped += 1
-                obj += w_dk * (-z[d, k])
+                terms.append(w_dk * (-z[d, k]))
                 continue
-            y_b, val_b = es.map_clamped(d, k)
-            counters.clamp_solves += 1
-            grad += w_dk * (feature_map(x, y_b, layout) - psi_a)
-            obj += w_dk * (val_b - val_a)
+            pairs.append((d, k))
+            clamp_weights.append(w_dk)
+            terms.append(None)
+    counters.clamp_solves += len(pairs)
+    grad = np.zeros(layout.total_size)
+    clamp_terms = iter(())
+    if pairs:
+        block, vals = es.clamped(pairs)
+        psi = feature_map(x, np.vstack((y_a, block)), layout)
+        w_b = np.array(clamp_weights)
+        for term in w_b[:, None] * (psi[1:] - psi[0]):
+            grad += term
+        clamp_terms = iter(w_b * (vals - val_a))
+    obj = 0.0
+    for term in terms:
+        obj += next(clamp_terms) if term is None else term
     return grad, obj
 
 

@@ -156,6 +156,23 @@ class TestDynamicUpdates:
             fresh = CompiledPotentials(p.model, u, p.pairwise)
             assert val == pytest.approx(brute_force(fresh).map_value, abs=1e-9)
 
+    def test_solve_value_is_evaluate_on_current_tables(self, rng):
+        """After random unary updates and warm solves, the value solve()
+        computes over its list tables equals evaluate_potential on the
+        same tables bit for bit."""
+        for _ in range(5):
+            p = random_supermodular_grid(rng, rows=4, cols=5)
+            u = p.unary.copy()
+            st = build_cut_problem(p)
+            for _ in range(40):
+                for d in rng.choice(p.model.num_vars, 3, replace=False):
+                    u[d] = rng.normal(size=2) * 2
+                    st.update_unary(int(d), u[d].tolist())
+                y, val = st.solve()
+                tables = CompiledPotentials(p.model, u.copy(), p.pairwise)
+                assert val.hex() == evaluate_potential(tables, y).hex()
+                assert np.array_equal(np.reshape(st.unary, u.shape), u)
+
     def test_update_out_of_range(self, rng):
         st = build_cut_problem(random_supermodular_grid(rng, 2, 2))
         with pytest.raises(StructuralError):

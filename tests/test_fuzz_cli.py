@@ -1,5 +1,5 @@
-"""Dataset fuzzer: whatever a JSON-lines dataset holds, ``train`` ends in a
-clean exit.
+"""Input fuzzers: whatever a JSON-lines dataset, a weight file or a
+generator flag holds, the command ends in a clean exit.
 
 Small records are drawn with mixed feature widths, negative or non-finite
 features and volumes, bad edges, label counts that differ or do not match
@@ -10,17 +10,25 @@ is out of range must not exit 0.
 Every run must exit 0 (trained), 2 (input error) or 3 (configuration
 error): never 4, which is where ``main`` maps any unexpected exception,
 and never with an exception escaping ``main``.
+
+Weight files with one non-finite entry (NaN, an infinity or JSON null)
+must make ``eval`` and ``marginals`` exit 2, and ``gen-synthetic`` must
+exit 3 for a non-finite teacher scale or a label noise outside [0, 1];
+either way no output file is written.
 """
 
 import contextlib
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from gumbelmap.cli import main
+from gumbelmap.datasets import write_dataset, write_weights
+from gumbelmap.synth import gen_chain_dataset
 
 _FIELDS = ("num_vars", "label_counts", "edges", "node_features",
            "edge_features", "labels", "volumes")
@@ -123,3 +131,67 @@ def test_train_exits_cleanly(data, unlabeled, solver, loss, numbers):
                 contextlib.redirect_stderr(err):
             code = main(argv)
     assert code in ((2, 3) if out_of_range else (0, 2, 3)), err.getvalue()
+
+
+def _run(argv) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@settings(max_examples=40, deadline=None)
+@given(bad=st.sampled_from([float("nan"), float("inf"), float("-inf"), None]),
+       index=st.integers(0, 100),
+       last=st.booleans(),
+       command=st.sampled_from(["eval-map", "eval-marginal", "marginals"]))
+def test_non_finite_weights_exit_2(bad, index, last, command):
+    """One non-finite weight value is an input error, named with the file,
+    before any prediction; the values after it do not matter."""
+    data, teacher = gen_chain_dataset(3, 4, 2, 2, seed=5, teacher_seed=1)
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        write_dataset(str(work / "d.jsonl"), data)
+        wpath = work / "w.json"
+        write_weights(str(wpath), teacher)
+        doc = json.loads(wpath.read_text())
+        i = len(doc["values"]) - 1 if last else index % len(doc["values"])
+        doc["values"][i] = bad
+        wpath.write_text(json.dumps(doc))
+        out = work / "out.json"
+        argv = ["--data", str(work / "d.jsonl"), "--weights", str(wpath),
+                "--samples", "3", "--out", str(out)]
+        if command == "marginals":
+            argv = ["marginals", *argv]
+        else:
+            argv = ["eval", "--mode", command.split("-")[1], *argv]
+        code, err = _run(argv)
+        assert code == 2, err
+        assert str(wpath) in err and "not finite" in err
+        assert not out.exists()
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["chain", "grid"]),
+       flag=st.sampled_from(["--teacher-scale", "--label-noise"]),
+       value=st.sampled_from(["nan", "inf", "-inf", "-0.5", "-1e-300",
+                              "1.5", "2", "0", "1", "0.25"]))
+def test_generator_numbers_checked(kind, flag, value):
+    """A non-finite teacher scale or a label noise outside [0, 1] exits 3
+    with no dataset written; every other value generates."""
+    v = float(value)
+    bad = (not math.isfinite(v) if flag == "--teacher-scale"
+           else not 0.0 <= v <= 1.0)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "d.jsonl"
+        shape = (["--vars", "4"] if kind == "chain" else ["--side", "3"])
+        code, err = _run(["gen-synthetic", "--kind", kind, "--num", "2",
+                          *shape, f"{flag}={value}", "--out", str(out)])
+        if bad:
+            assert code == 3, err
+            assert not out.exists()
+            assert not Path(str(out) + ".teacher.json").exists()
+        else:
+            # a grid teacher may be too one-sided to label: exit 3
+            assert code in ((0,) if kind == "chain" else (0, 3)), err

@@ -183,6 +183,82 @@ class TestCompileAndFeatures:
             compile_potentials(w, x)
 
 
+class TestBatchedKernels:
+    """An (n, D) block evaluates and maps row by row to the bits of the
+    (D,) calls, in one fixed order."""
+
+    @pytest.mark.parametrize("form", ["full", "potts"])
+    @pytest.mark.parametrize("num_labels", [2, 3])
+    @pytest.mark.parametrize("edge_dim", [1, 3])
+    def test_rows_equal_scalar_calls_bitwise(self, rng, form, num_labels,
+                                             edge_dim):
+        layout = WeightLayout(num_labels, 3, edge_dim, form)
+        model = grid_model(4, 5, num_labels)
+        for _ in range(5):
+            x = FeatureInstance(model, rng.normal(size=(20, 3)),
+                                rng.random((model.num_edges, edge_dim)) * 3)
+            w = WeightVector(rng.normal(size=layout.total_size), layout)
+            p = compile_potentials(w, x)
+            block = rng.integers(0, num_labels, size=(12, 20))
+            vals = evaluate_potential(p, block)
+            psi = feature_map(x, block, layout)
+            assert vals.shape == (12,)
+            assert psi.shape == (12, layout.total_size)
+            for row, v, f in zip(block, vals, psi):
+                scalar = evaluate_potential(p, row)
+                assert isinstance(scalar, float)
+                assert float(v).hex() == scalar.hex()
+                assert f.tobytes() == feature_map(x, row, layout).tobytes()
+
+    def test_potts_edge_part_is_a_sequential_sum(self, rng):
+        """The disagreeing edges' features are added in edge order from
+        0.0: a pairwise ``sum`` would round differently on most of these
+        masks."""
+        model = grid_model(7, 6)
+        layout = WeightLayout(2, 1, 1, PAIRWISE_POTTS)
+        differs = 0
+        for _ in range(50):
+            ef = rng.random((model.num_edges, 1))
+            x = FeatureInstance(model, rng.normal(size=(42, 1)), ef)
+            y = rng.integers(0, 2, size=42)
+            expected = 0.0
+            for e, (i, j) in enumerate(model.edges):
+                if y[i] != y[j]:
+                    expected += float(ef[e, 0])
+            got = feature_map(x, y, layout)[layout.unary_size]
+            assert got.hex() == expected.hex()
+            mask = y[model.edge_array()[:, 0]] != y[model.edge_array()[:, 1]]
+            differs += float(ef[mask].sum(axis=0)[0]) != expected
+        assert differs > 0  # the order matters on these tables
+
+    def test_out_of_range_row_raises_like_the_scalar_call(self, rng):
+        model = chain_model(5, 3)
+        p = CompiledPotentials(model, rng.normal(size=(5, 3)),
+                               rng.normal(size=(4, 3, 3)))
+        layout = WeightLayout(3, 2, 1)
+        x = FeatureInstance(model, rng.normal(size=(5, 2)), np.ones((4, 1)))
+        for bad in (3, -1):
+            block = rng.integers(0, 3, size=(4, 5))
+            block[2, 3] = bad
+            for call in (lambda y: evaluate_potential(p, y),
+                         lambda y: feature_map(x, y, layout)):
+                with pytest.raises(StructuralError) as scalar:
+                    call(block[2])
+                with pytest.raises(StructuralError) as batched:
+                    call(block)
+                assert str(batched.value) == str(scalar.value)
+                assert "at variable 3" in str(scalar.value)
+
+    def test_block_shapes(self, rng):
+        model = chain_model(3, 2)
+        p = CompiledPotentials(model, rng.normal(size=(3, 2)),
+                               rng.normal(size=(2, 2, 2)))
+        assert evaluate_potential(p, np.zeros((0, 3), dtype=int)).shape == (0,)
+        for bad in (np.zeros((2, 4), dtype=int), np.zeros((1, 2, 3), dtype=int)):
+            with pytest.raises(StructuralError):
+                evaluate_potential(p, bad)
+
+
 class TestLoss:
     def test_identical_labelings_zero(self):
         y = np.array([0, 1, 1, 0])
