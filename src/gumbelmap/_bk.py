@@ -3,9 +3,21 @@
 Grow/augment/adopt scheme over two search trees rooted at the terminals
 (Boykov & Kolmogorov, TPAMI 2004).  The state (residuals, trees,
 timestamps) lives in flat Python lists owned by the caller, so it
-survives between solves; a warm solve repairs the trees around
-explicitly marked nodes instead of rebuilding them (Kohli & Torr, PAMI
-2007).
+survives between solves.  A solve starts its trees one of two ways, over
+whatever flow the residuals already hold:
+
+* ``warm`` repairs the previous trees around explicitly marked nodes
+  (Kohli & Torr, PAMI 2007): cheap when few terminal capacities changed,
+  as for a training clamp's pin and unpin;
+* otherwise every node with terminal residual becomes a root and the
+  trees grow from scratch.  On a new network that is a cold solve; after
+  every terminal capacity changed (a new unary table) it is cheaper than
+  a repair around every node, and the kept flow still saves most of the
+  augmentations.
+
+Either way the sink tree at termination is the set of nodes that can
+reach the sink in the final residual graph, the same for every maximum
+flow, so both starts give the same cut.
 
 The kernel is interpreted Python and reads or writes single elements
 all the time.  On a numpy array each such access boxes a numpy scalar,
@@ -190,7 +202,8 @@ def bk_maxflow(first, head, nxt, rcap, trcap, parent, is_sink, dist, ts,
     """Run max-flow to completion.  Returns (flow pushed, augmentations,
     new timestamp).  With ``warm`` the existing trees are kept and repaired
     around the ``marked`` nodes (a sorted list of the nodes whose terminal
-    capacities changed).
+    capacities changed); without it the trees grow afresh from every node
+    with terminal residual, keeping the flow the residuals hold.
 
     Every state argument is a list; ``rcap``, ``trcap``, ``parent``,
     ``is_sink``, ``dist`` and ``ts`` are updated in place."""

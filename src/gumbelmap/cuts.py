@@ -6,16 +6,30 @@ p(0,0) + p(1,1) - p(0,1) - p(1,0); the accumulated constant is tracked so
 reported MAP values match direct evaluation.  After a solve the source
 side of the cut gets label 0 (free nodes included).
 
-States support in-place unary updates with search-tree reuse: a re-solve
-after updates returns exactly what a from-scratch solve would.  A state
-builds its network with numpy once, then keeps the max-flow state as
-Python lists that the BK kernel mutates in place: on the many small warm
-re-solves of clamped training, converting arrays to lists and back on
-every solve cost more than the flow work.  The state's unary and pairwise
-tables are lists too: ``update_unary`` rewrites a unary row in place, and
-``solve`` evaluates its labeling over those lists in the order of
-``evaluate_potential``.  Python floats are IEEE doubles, so the lists hold
-exactly the values the arrays held and the values match bit for bit.
+States support in-place unary updates with flow reuse: a re-solve after
+updates returns exactly what a from-scratch solve would.  The labels are
+the sink tree at termination, the nodes that can still reach the sink in
+the final residual graph, and that set is the same for every maximum
+flow, so any path to a maximum flow gives the same labels.  Which search
+trees a re-solve starts from depends on the update:
+
+* ``update_unary`` of a few rows (a training clamp's pin and unpin) keeps
+  the trees and marks the row's node; the next solve repairs the trees
+  around the marked nodes (Kohli & Torr, PAMI 2007).
+* ``replace_unary`` of the whole table (one draw of counting marginals)
+  keeps the flow but drops the trees; the next solve grows them afresh
+  over the residual graph.  With every node marked, repairing the old
+  trees costs more than growing new ones, while the kept flow still
+  saves most of the augmentations of a cold build.
+
+A state builds its network with numpy once, then keeps the max-flow state
+as Python lists that the BK kernel mutates in place: on the many small
+warm re-solves of clamped training, converting arrays to lists and back
+on every solve cost more than the flow work.  The state's unary and
+pairwise tables are lists too: ``update_unary`` rewrites a unary row in
+place, and ``solve`` evaluates its labeling over those lists in the order
+of ``evaluate_potential``.  Python floats are IEEE doubles, so the lists
+hold exactly the values the arrays held and the values match bit for bit.
 
 Clamping is one mechanism for every solver: ``clamp_variables`` raises
 u_d(k) by a margin that provably pins y_d = k and keeps the model, so a
@@ -110,6 +124,8 @@ class DynamicCutState:
         self.const = const
         self.flow = 0.0
         self.time = 0
+        # True while the trees of the last solve are kept: the next solve
+        # repairs them around the marked nodes instead of growing new ones
         self.solved = False
         self._marked: set[int] = set()
         self.last_augmentations = 0
@@ -127,31 +143,50 @@ class DynamicCutState:
         An unchanged row changes nothing and needs no repair, so it
         returns at once.  ``new_u`` is any pair of numbers; a list row is
         cheapest."""
-        if not 0 <= d < self.model.num_vars:
+        trcap = self.trcap
+        if not 0 <= d < len(trcap):
             raise StructuralError(f"variable index {d} out of range")
         nu0, nu1 = float(new_u[0]), float(new_u[1])
         unary = self.unary
-        u0, u1 = unary[2 * d], unary[2 * d + 1]
+        k = 2 * d
+        u0, u1 = unary[k], unary[k + 1]
         if u0 == nu0 and u1 == nu1:
             return
         de0 = u0 - nu0  # energy deltas (E = -u)
         de1 = u1 - nu1
-        tr = self.trcap[d]
+        tr = trcap[d]
         rs = (tr if tr > 0.0 else 0.0) + de1
         rt = (-tr if tr < 0.0 else 0.0) + de0
-        low = min(rs, rt)
+        const = self.const
+        # min(rs, rt), which returns rs on a tie
+        low = rt if rt < rs else rs
         if low < 0.0:
             # lift both terminal arcs: every cut grows by -low, so the
             # tracked constant absorbs it
             rs -= low
             rt -= low
-            self.const += low
-        m = min(rs, rt)
-        self.const += m
-        self.trcap[d] = rs - rt
-        unary[2 * d] = nu0
-        unary[2 * d + 1] = nu1
+            const += low
+        self.const = const + (rt if rt < rs else rs)
+        trcap[d] = rs - rt
+        unary[k] = nu0
+        unary[k + 1] = nu1
         self._marked.add(d)
+
+    def replace_unary(self, table) -> None:
+        """Replace the whole (D, 2) unary table: ``update_unary`` row by
+        row, so the flow stays feasible, then drop the search trees.  The
+        next solve grows fresh trees over the kept residual graph instead
+        of repairing the old ones around every node (see the module
+        docstring)."""
+        rows = np.asarray(table, dtype=np.float64)
+        if rows.shape != (self.model.num_vars, 2):
+            raise StructuralError(
+                f"unary table of shape {rows.shape} for "
+                f"{self.model.num_vars} binary variables")
+        update = self.update_unary
+        for d, row in enumerate(rows.tolist()):
+            update(d, row)
+        self.solved = False
 
     # -- solving -----------------------------------------------------------
 

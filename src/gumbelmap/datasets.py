@@ -15,7 +15,7 @@ import json
 
 import numpy as np
 
-from .errors import DatasetError
+from .errors import DatasetError, StructuralError
 from .model import (
     FeatureInstance,
     PairwiseModel,
@@ -118,6 +118,8 @@ def dataset_digest(path: str) -> str:
 # ---------------------------------------------------------------------------
 
 _WEIGHTS_FORMAT = "gumbelmap-weights-v1"
+_WEIGHT_FIELDS = ("num_labels", "node_feat_dim", "edge_feat_dim",
+                  "pairwise_form", "values")
 
 
 def write_weights(path: str, w: WeightVector,
@@ -141,17 +143,38 @@ def write_weights(path: str, w: WeightVector,
 
 
 def read_weights(path: str) -> WeightVector:
-    """A weight artifact; non-finite values (NaN, infinities, JSON null)
-    are rejected here, before they reach any potential."""
+    """A weight artifact.  Anything but a JSON object of this format with
+    a valid layout (integer dimensions, a known pairwise form) and a list
+    of finite numbers matching it is an input error naming the file;
+    non-finite values (NaN, infinities, JSON null) are rejected here,
+    before they reach any potential."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("format") != _WEIGHTS_FORMAT:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DatasetError(f"{path}: bad JSON: {exc.msg}") from exc
+    if not isinstance(doc, dict) or doc.get("format") != _WEIGHTS_FORMAT:
         raise DatasetError(f"not a {_WEIGHTS_FORMAT} file: {path}")
-    layout = WeightLayout(doc["num_labels"], doc["node_feat_dim"],
-                          doc["edge_feat_dim"], doc["pairwise_form"])
-    values = np.asarray(doc["values"], dtype=np.float64)
+    missing = [f for f in _WEIGHT_FIELDS if f not in doc]
+    if missing:
+        raise DatasetError(f"{path}: missing fields: {', '.join(missing)}")
+    dims = [doc[f] for f in _WEIGHT_FIELDS[:3]]
+    if not all(type(v) is int for v in dims):
+        raise DatasetError(f"{path}: layout dimensions must be integers")
+    raw = doc["values"]
+    # JSON null is let through to be reported as not finite below
+    if not isinstance(raw, list) or not all(
+            v is None or type(v) in (int, float) for v in raw):
+        raise DatasetError(f"{path}: values must be a list of numbers")
+    try:
+        values = np.asarray(raw, dtype=np.float64)
+    except OverflowError as exc:
+        raise DatasetError(f"{path}: a weight is beyond float range") from exc
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         raise DatasetError(f"{path}: weight {int(bad[0])} is not finite "
-                           f"({doc['values'][bad[0]]!r})")
-    return WeightVector(values, layout)
+                           f"({raw[bad[0]]!r})")
+    try:
+        return WeightVector(values, WeightLayout(*dims, doc["pairwise_form"]))
+    except StructuralError as exc:
+        raise DatasetError(f"{path}: {exc}") from exc

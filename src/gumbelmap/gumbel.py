@@ -205,7 +205,8 @@ def _perturbed_map_batch(p: CompiledPotentials, znoise: np.ndarray,
         labels = states[idx]
         vals = scores[np.arange(m), idx]
         return labels, vals
-    # graphcut: solve each realization; unary-only changes reuse the state
+    # graphcut: solve each realization on one state; a draw replaces the
+    # unary table, keeping the flow and regrowing the search trees
     labels = np.zeros((m, model.num_vars), dtype=np.int64)
     vals = np.zeros(m)
     state = None
@@ -214,8 +215,7 @@ def _perturbed_map_batch(p: CompiledPotentials, znoise: np.ndarray,
         if state is None:
             state = build_cut_problem(p.with_unary(pert_u))
         else:
-            for d, row in enumerate(pert_u.tolist()):
-                state.update_unary(d, row)
+            state.replace_unary(pert_u)
         y, v = state.solve()
         labels[i] = y
         vals[i] = v

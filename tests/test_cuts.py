@@ -177,6 +177,8 @@ class TestDynamicUpdates:
         st = build_cut_problem(random_supermodular_grid(rng, 2, 2))
         with pytest.raises(StructuralError):
             st.update_unary(99, (0.0, 0.0))
+        with pytest.raises(StructuralError):
+            st.replace_unary(np.zeros((3, 2)))
 
 
 @contextlib.contextmanager
@@ -270,12 +272,56 @@ class TestWarmSolves:
                 best = brute_force(CompiledPotentials(m, u.copy(), pw))
                 assert val == pytest.approx(best.map_value, abs=1e-9)
 
+    @settings(max_examples=150, deadline=None)
+    @given(rows=st.integers(1, 4), cols=st.integers(2, 4),
+           integer=st.booleans(), seed=st.integers(0, 2**32 - 1),
+           steps=st.lists(st.one_of(st.none(), st.integers(0, 15)),
+                          min_size=1, max_size=8))
+    def test_replaced_tables_match_cold_and_brute_force(self, rows, cols,
+                                                       integer, seed, steps):
+        """Re-solves after a whole-table ``replace_unary`` (None), which
+        keeps the flow and regrows the trees, and after single-row
+        ``update_unary`` steps (an index), which repair them, possibly on
+        regrown trees, equal cold solves.  Small-integer tables make
+        ties, zero capacities and unchanged rows common."""
+        rng = np.random.default_rng(seed)
+        m = grid_model(rows, cols)
+        if integer:
+            def table(*shape):
+                return rng.integers(-2, 3, size=shape).astype(float)
+        else:
+            def table(*shape):
+                return rng.normal(size=shape) * 2
+        pw = table(m.num_edges, 2, 2)
+        gap = pw[:, 0, 0] + pw[:, 1, 1] - pw[:, 0, 1] - pw[:, 1, 0]
+        pw[:, 0, 0] += np.maximum(-gap, 0.0)
+        u = table(m.num_vars, 2)
+        state = build_cut_problem(CompiledPotentials(m, u.copy(), pw))
+        with time_limit(60):
+            state.solve()
+            for step in steps:
+                if step is None:
+                    u = table(m.num_vars, 2)
+                    state.replace_unary(u)
+                    assert state.solved is False
+                else:
+                    d = step % m.num_vars
+                    u[d] = table(2)
+                    state.update_unary(d, u[d])
+                y, val = state.solve()
+                y_cold, _ = cold_solve(m, u, pw)
+                assert y.tolist() == y_cold.tolist()
+                best = brute_force(CompiledPotentials(m, u.copy(), pw))
+                assert val == pytest.approx(best.map_value, abs=1e-9)
+                assert np.array_equal(np.reshape(state.unary, u.shape), u)
+
 
 class TestKernelExactness:
     def test_batch_draws_golden(self, monkeypatch):
-        """20 perturbed draws on a fixed 16x16 teacher grid, warm-solved
-        in sequence: labels, augmentations per solve and the final flow
-        are pinned bit for bit."""
+        """20 perturbed draws on a fixed 16x16 teacher grid, solved in
+        sequence on one state that keeps its flow and regrows its trees:
+        labels, augmentations per solve and the final flow are pinned bit
+        for bit."""
         grids, teacher = gen_grid_dataset(1, 16, 3, seed=5, teacher_seed=1006)
         p = compile_potentials(teacher, grids[0])
         znoise = _noise_batch(p.model, EstimatorConfig(20, 11, "graphcut"),
@@ -298,11 +344,11 @@ class TestKernelExactness:
         digest = hashlib.sha256(labels.astype(np.int64).tobytes()).hexdigest()
         assert digest == ("b5a2734725b327227557bd3f61b68bb3"
                           "282a239a1d89faaa67c65d25d49aea3d")
-        assert augmentations == [254, 193, 232, 212, 197, 183, 178, 222, 214,
-                                 190, 192, 199, 191, 199, 223, 221, 190, 198,
-                                 228, 195]
+        assert augmentations == [254, 187, 216, 195, 194, 161, 165, 215, 189,
+                                 168, 178, 187, 178, 173, 193, 202, 170, 182,
+                                 207, 166]
         assert len(states) == 1
-        assert float(states[0].flow) == float.fromhex("0x1.3ba4eef7f5c72p+11")
+        assert float(states[0].flow) == float.fromhex("0x1.3b200a01b1d6ap+11")
 
     def test_clamped_warm_path_golden(self, monkeypatch):
         """The per-variable kernel on three 6x6 teacher grids (labeled,

@@ -11,8 +11,10 @@ Every run must exit 0 (trained), 2 (input error) or 3 (configuration
 error): never 4, which is where ``main`` maps any unexpected exception,
 and never with an exception escaping ``main``.
 
-Weight files with one non-finite entry (NaN, an infinity or JSON null)
-must make ``eval`` and ``marginals`` exit 2, and ``gen-synthetic`` must
+Weight files with one non-finite entry (NaN, an infinity or JSON null),
+and weight files that are truncated, not a JSON object, without layout
+fields or with layout fields or values of the wrong type, must make
+``eval`` and ``marginals`` exit 2, and ``gen-synthetic`` must
 exit 3 for a non-finite teacher scale or a label noise outside [0, 1];
 either way no output file is written.
 """
@@ -159,16 +161,76 @@ def test_non_finite_weights_exit_2(bad, index, last, command):
         i = len(doc["values"]) - 1 if last else index % len(doc["values"])
         doc["values"][i] = bad
         wpath.write_text(json.dumps(doc))
-        out = work / "out.json"
-        argv = ["--data", str(work / "d.jsonl"), "--weights", str(wpath),
-                "--samples", "3", "--out", str(out)]
-        if command == "marginals":
-            argv = ["marginals", *argv]
-        else:
-            argv = ["eval", "--mode", command.split("-")[1], *argv]
-        code, err = _run(argv)
+        code, err, out = _run_with_weights(work, wpath, command)
         assert code == 2, err
         assert str(wpath) in err and "not finite" in err
+        assert not out.exists()
+
+
+def _run_with_weights(work: Path, wpath: Path, command: str):
+    """Exit code, standard error and output path of ``command`` run on
+    work/d.jsonl with the weight file ``wpath``."""
+    out = work / "out.json"
+    argv = ["--data", str(work / "d.jsonl"), "--weights", str(wpath),
+            "--samples", "3", "--out", str(out)]
+    if command == "marginals":
+        argv = ["marginals", *argv]
+    else:
+        argv = ["eval", "--mode", command.split("-")[1], *argv]
+    code, err = _run(argv)
+    return code, err, out
+
+
+def _spoil(text: str, case: str, cut: float) -> str:
+    """A weight file's text spoiled in the way ``case`` names."""
+    if case == "truncated":
+        body = text.rstrip()
+        return body[:int(cut * len(body))]
+    doc = json.loads(text)
+    if case == "top-level-list":
+        return json.dumps(doc["values"])
+    if case == "no-layout":
+        return json.dumps({"format": doc["format"], "values": [1.0]})
+    field, value = {
+        "dim-string": ("num_labels", "2"),
+        "dim-bool": ("node_feat_dim", True),
+        "dim-float": ("edge_feat_dim", 1.0),
+        "dim-out-of-range": ("num_labels", 1),
+        "form-number": ("pairwise_form", 3),
+        "values-string": ("values", "1.0"),
+        "values-object": ("values", {"0": 1.0}),
+        "values-nested": ("values", [doc["values"]]),
+        "values-text-entry": ("values", ["1.0"] + doc["values"][1:]),
+        "values-short": ("values", doc["values"][:-1]),
+        "values-huge": ("values", [10 ** 400] + doc["values"][1:]),
+    }[case]
+    doc[field] = value
+    return json.dumps(doc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.sampled_from(["truncated", "top-level-list", "no-layout",
+                             "dim-string", "dim-bool", "dim-float",
+                             "dim-out-of-range", "form-number",
+                             "values-string", "values-object",
+                             "values-nested", "values-text-entry",
+                             "values-short", "values-huge"]),
+       cut=st.floats(0.0, 1.0, exclude_max=True),
+       command=st.sampled_from(["eval-map", "eval-marginal", "marginals"]))
+def test_malformed_weight_files_exit_2(case, cut, command):
+    """A weight file that is not JSON, not an object, lacks its layout
+    fields, or holds layout fields or values of the wrong type or size is
+    an input error named with the file, not an internal error."""
+    data, teacher = gen_chain_dataset(3, 4, 2, 2, seed=5, teacher_seed=1)
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        write_dataset(str(work / "d.jsonl"), data)
+        wpath = work / "w.json"
+        write_weights(str(wpath), teacher)
+        wpath.write_text(_spoil(wpath.read_text(), case, cut))
+        code, err, out = _run_with_weights(work, wpath, command)
+        assert code == 2, err
+        assert str(wpath) in err
         assert not out.exists()
 
 
