@@ -41,7 +41,6 @@ from .exact import (
     ExactInferenceResult,
     brute_force,
     brute_force_clamped,
-    crf_exact_gradient,
     forward_backward_marginals,
     forward_log_partition,
     viterbi_map,
@@ -69,4 +68,4 @@ from .training import (
     train_semisupervised,
 )
 from .datasets import read_dataset, read_weights, write_dataset, write_weights
-from .synth import gen_chain_dataset, gen_grid_dataset, sample_teacher
+from .synth import gen_chain_dataset, gen_grid_dataset

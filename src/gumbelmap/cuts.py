@@ -17,10 +17,11 @@ trees a re-solve starts from depends on the update:
   the trees and marks the row's node; the next solve repairs the trees
   around the marked nodes (Kohli & Torr, PAMI 2007).
 * ``replace_unary`` of the whole table (one draw of counting marginals)
-  keeps the flow but drops the trees; the next solve grows them afresh
-  over the residual graph.  With every node marked, repairing the old
-  trees costs more than growing new ones, while the kept flow still
-  saves most of the augmentations of a cold build.
+  keeps the flow but drops the trees before its row updates, so it marks
+  no node; the next solve grows the trees afresh over the residual graph.
+  With every node changed, repairing the old trees costs more than
+  growing new ones, while the kept flow still saves most of the
+  augmentations of a cold build.
 
 A state builds its network with numpy once, then keeps the max-flow state
 as Python lists that the BK kernel mutates in place: on the many small
@@ -139,7 +140,8 @@ class DynamicCutState:
 
     def update_unary(self, d: int, new_u) -> None:
         """Replace variable d's unary table; terminal capacities are
-        reparameterized in place and the node is marked for tree repair.
+        reparameterized in place and, while the trees of the last solve
+        are kept, the node is marked for tree repair.
         An unchanged row changes nothing and needs no repair, so it
         returns at once.  ``new_u`` is any pair of numbers; a list row is
         cheapest."""
@@ -170,7 +172,8 @@ class DynamicCutState:
         trcap[d] = rs - rt
         unary[k] = nu0
         unary[k + 1] = nu1
-        self._marked.add(d)
+        if self.solved:
+            self._marked.add(d)
 
     def replace_unary(self, table) -> None:
         """Replace the whole (D, 2) unary table: ``update_unary`` row by
@@ -183,10 +186,12 @@ class DynamicCutState:
             raise StructuralError(
                 f"unary table of shape {rows.shape} for "
                 f"{self.model.num_vars} binary variables")
+        # dropped first, so update_unary marks no node for a repair that
+        # the next, tree-cold solve would not make
+        self.solved = False
         update = self.update_unary
         for d, row in enumerate(rows.tolist()):
             update(d, row)
-        self.solved = False
 
     # -- solving -----------------------------------------------------------
 

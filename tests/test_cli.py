@@ -1,6 +1,9 @@
 """CLI subcommands: determinism, exit codes, and output contracts."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -62,6 +65,20 @@ class TestGenSynthetic:
         rc = run(["gen-synthetic", "--kind", "chain", "--num", "1",
                   "--out", str(tmp_path / "x.jsonl")])
         assert rc == 3
+
+
+class TestImports:
+    def test_cli_loads_no_scipy(self):
+        """The runtime needs numpy alone: a fresh interpreter that imports
+        the CLI has no scipy module loaded."""
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, gumbelmap.cli; print(sorted(m for m in sys.modules"
+             " if m.split('.')[0] == 'scipy'))"],
+            env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
 
 
 class TestArguments:

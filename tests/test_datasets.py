@@ -131,6 +131,15 @@ class TestChainGenerator:
         write_dataset(str(p2), b)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_dataset_digest_golden(self, tmp_path):
+        """The bytes of one generated chain file, recorded when the forward
+        sums came from SciPy's logsumexp: they pin the FFBS labels."""
+        data, _ = gen_chain_dataset(20, 8, 3, 4, seed=3, teacher_seed=7)
+        path = tmp_path / "chain.jsonl"
+        write_dataset(str(path), data)
+        assert dataset_digest(str(path)) == (
+            "1b970eb07ea7b45e053a9acfb6eb90fa7ee05851dc04f57b3d1346e69745b729")
+
     def test_teacher_pairwise_nonpositive(self):
         _, teacher = gen_chain_dataset(1, 4, 3, 2, seed=1, teacher_seed=1)
         assert np.all(teacher.values[teacher.pairwise_block] <= 0)

@@ -1,25 +1,27 @@
-"""Exact inference oracles: brute force, Viterbi, forward-backward."""
+"""Exact inference oracles: brute force, Viterbi, forward-backward, and
+the log-sum-exp they share."""
+
+import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
+from scipy.special import logsumexp as scipy_logsumexp
 
 from gumbelmap.errors import CapacityError, StructuralError
 from gumbelmap.exact import (
     all_state_values,
     brute_force,
     brute_force_clamped,
-    chain_log_likelihood,
-    crf_exact_gradient,
     forward_backward_marginals,
     forward_log_partition,
+    logsumexp,
     viterbi_map,
     viterbi_map_batch,
 )
 from gumbelmap.model import (
     CompiledPotentials,
-    FeatureInstance,
-    WeightLayout,
-    WeightVector,
     chain_model,
     evaluate_potential,
     grid_model,
@@ -176,49 +178,50 @@ class TestForwardBackward:
         assert brute_force(p2).map_value == pytest.approx(3.0 * v1, rel=1e-12)
 
 
-class TestCrfGradient:
-    def _instance(self, rng, num_vars=4, num_labels=2, feat=3):
-        layout = WeightLayout(num_labels, feat, 1)
-        m = chain_model(num_vars, num_labels)
-        x = FeatureInstance(m, rng.normal(size=(num_vars, feat)),
-                            np.ones((num_vars - 1, 1)),
-                            rng.integers(0, num_labels, size=num_vars))
-        return layout, x
+# Reals at scales 1e-3..1e3, small integers (many ties) and the two
+# infinities, the cases where the steps of a log-sum-exp can differ
+_LSE_ELEMENTS = st.one_of(
+    st.floats(-1e3, 1e3),
+    st.integers(-2, 2).map(float),
+    st.sampled_from([np.inf, -np.inf]),
+)
 
-    def test_matches_finite_differences(self, rng):
-        layout, x = self._instance(rng)
-        w = WeightVector(rng.normal(size=layout.total_size), layout)
-        grad = crf_exact_gradient(w, x, x.labels)
-        eps = 1e-4
-        for i in range(layout.total_size):
-            wp, wm = w.values.copy(), w.values.copy()
-            wp[i] += eps
-            wm[i] -= eps
-            fp = chain_log_likelihood(WeightVector(wp, layout), x, x.labels)
-            fm = chain_log_likelihood(WeightVector(wm, layout), x, x.labels)
-            fd = (fp - fm) / (2 * eps)
-            assert abs(fd - grad[i]) <= 1e-5 * max(1.0, abs(grad[i]))
 
-    def test_single_variable_closed_form(self, rng):
-        from scipy.special import softmax
-        from gumbelmap.model import compile_potentials, feature_map
-        layout, _ = self._instance(rng, num_vars=1)
-        m = chain_model(1, 2)
-        x = FeatureInstance(m, rng.normal(size=(1, 3)), np.ones((0, 1)),
-                            np.array([1]))
-        w = WeightVector(rng.normal(size=layout.total_size), layout)
-        p = compile_potentials(w, x)
-        probs = softmax(p.unary[0])
-        expected = feature_map(x, np.array([1]), layout).copy()
-        for k in range(2):
-            expected -= probs[k] * feature_map(x, np.array([k]), layout)
-        assert np.allclose(crf_exact_gradient(w, x, x.labels), expected,
-                           atol=1e-10)
+def _lse_golden_arrays():
+    """A fixed, seeded set of 2-D arrays: scaled reals, small integers with
+    ties, and reals with about 30% of entries set to an infinity."""
+    rng = np.random.default_rng(1014)
+    out = []
+    for i in range(90):
+        shape = (int(rng.integers(1, 5)), int(rng.integers(1, 6)))
+        a = rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3)
+        if i % 3 == 1:
+            a = rng.integers(-2, 3, size=shape).astype(np.float64)
+        elif i % 3 == 2:
+            a[rng.random(shape) < 0.3] = rng.choice([np.inf, -np.inf])
+        out.append(a)
+    return out
 
-    def test_requires_full_labels(self, rng):
-        layout, x = self._instance(rng)
-        partial = FeatureInstance(x.model, x.node_features, x.edge_features,
-                                  np.array([0, -1, 1, 0]))
-        w = WeightVector(np.zeros(layout.total_size), layout)
-        with pytest.raises(StructuralError):
-            crf_exact_gradient(w, partial, partial.labels)
+
+class TestLogSumExp:
+    @settings(max_examples=300, deadline=None)
+    @given(arrays(np.float64, array_shapes(min_dims=2, max_dims=2,
+                                           max_side=6),
+                  elements=_LSE_ELEMENTS),
+           st.sampled_from([None, 0, 1]))
+    def test_matches_scipy(self, a, axis):
+        np.testing.assert_allclose(logsumexp(a, axis=axis),
+                                   scipy_logsumexp(a, axis=axis),
+                                   rtol=1e-14, atol=0)
+
+    def test_golden(self):
+        """sha256 of the float.hex results over a fixed set of arrays and
+        every axis; recorded with SciPy 1.17.1's logsumexp, whose steps
+        exact.logsumexp follows, so it pins the bits, signed zeros
+        included."""
+        h = hashlib.sha256()
+        for a in _lse_golden_arrays():
+            for axis in (None, 0, 1):
+                for v in np.ravel(logsumexp(a, axis=axis)):
+                    h.update(float(v).hex().encode())
+        assert h.hexdigest() == "1af534d8d8475408ff81abcca6b00d79750225cf5ee3102549dcb73286c47e52"
