@@ -22,12 +22,11 @@ kernel loses to numpy from about K = 8-10 (58-68 us against 54-77 us) and
 takes 470-550 us against 80-90 us at K = 26 (2-core x86 host, Python 3.11).
 No workload trains a chain with K > 3, so there is no switch on K.
 
-The sum-product side has one forward pass, ``_forward``, which returns
-the log-space alphas.  ``forward_log_partition`` reads A(f) off its last
-message, ``_forward_backward`` adds the backward pass for marginals, and
-the synthetic-data sampler (``synth._ffbs_sample``) samples backward
-from the alphas alone, so no generated chain pays for a backward pass it
-discards.
+The sum-product side has one forward pass, ``_forward``, over one chain
+or chains stacked on leading axes, each row bit for bit its chain alone:
+``forward_log_partition`` reads A(f) off its last message,
+``_forward_backward`` adds the backward pass for marginals, and
+``synth.gen_chain_dataset`` samples backward from the alphas alone.
 
 Every log-sum-exp here, in enumeration and in the forward and backward
 sums, is ``logsumexp``, written in numpy so that the runtime needs numpy
@@ -205,14 +204,15 @@ def viterbi_map(p: CompiledPotentials) -> np.ndarray:
     return np.array(y, dtype=np.int64)
 
 
-def _forward(p: CompiledPotentials) -> list[np.ndarray]:
-    """Log-space forward messages: ``alphas[d][k]`` is the log-sum of the
-    potential of y_0..y_d over every prefix with y_d = k."""
-    alpha = p.unary[0]
+def _forward(unary: np.ndarray, pairwise: np.ndarray) -> list[np.ndarray]:
+    """Log-space forward messages of ``unary`` (..., D, K) and ``pairwise``
+    (..., D-1, K, K) over any leading batch axes: ``alphas[d][..., k]`` is
+    the log-sum of the potential of y_0..y_d over prefixes with y_d = k."""
+    alpha = unary[..., 0, :]
     alphas = [alpha]
-    for d in range(1, p.model.num_vars):
-        trans = alpha[:, None] + p.pairwise[d - 1]
-        alpha = p.unary[d] + logsumexp(trans, axis=0)
+    for d in range(1, unary.shape[-2]):
+        trans = alpha[..., :, None] + pairwise[..., d - 1, :, :]
+        alpha = unary[..., d, :] + logsumexp(trans, axis=-2)
         alphas.append(alpha)
     return alphas
 
@@ -220,12 +220,12 @@ def _forward(p: CompiledPotentials) -> list[np.ndarray]:
 def forward_log_partition(p: CompiledPotentials) -> float:
     """Exact A(f) for a chain via the log-space forward recursion."""
     _require_chain(p.model)
-    return float(logsumexp(_forward(p)[-1]))
+    return float(logsumexp(_forward(p.unary, p.pairwise)[-1]))
 
 
 def _forward_backward(p: CompiledPotentials):
     d_n = p.model.num_vars
-    alphas = _forward(p)
+    alphas = _forward(p.unary, p.pairwise)
     log_z = float(logsumexp(alphas[-1]))
     beta = np.zeros(p.model.num_labels)
     betas = [beta] * d_n

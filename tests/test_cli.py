@@ -66,6 +66,22 @@ class TestGenSynthetic:
                   "--out", str(tmp_path / "x.jsonl")])
         assert rc == 3
 
+    @pytest.mark.parametrize("flags", [
+        ["--kind", "chain", "--num", "3", "--vars", "4",
+         "--teacher-scale", "1e308"],
+        ["--kind", "grid", "--num", "3", "--side", "4",
+         "--teacher-scale", "1e308"],
+        ["--kind", "chain", "--num", "-1", "--vars", "4"],
+        ["--kind", "grid", "--num", "-1", "--side", "4"],
+    ])
+    def test_refusal_exit_3_writes_nothing(self, tmp_path, capsys, flags):
+        """An overflowing teacher scale and a negative count are
+        configuration errors, refused before any file is written."""
+        out = tmp_path / "x.jsonl"
+        assert run(["gen-synthetic", *flags, "--out", str(out)]) == 3
+        assert "configuration error" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestImports:
     def test_cli_loads_no_scipy(self):

@@ -10,8 +10,10 @@ from gumbelmap.datasets import (
     write_dataset,
     write_weights,
 )
-from gumbelmap.errors import DatasetError
-from gumbelmap.exact import forward_backward_marginals
+from gumbelmap.errors import (DatasetError, InternalInvariantError,
+                              StructuralError)
+from gumbelmap.exact import _forward, forward_backward_marginals
+from gumbelmap.gumbel import TAG_DATA, stream
 from gumbelmap.model import (
     FeatureInstance,
     WeightLayout,
@@ -20,7 +22,8 @@ from gumbelmap.model import (
     compile_potentials,
     grid_model,
 )
-from gumbelmap.synth import gen_chain_dataset, gen_grid_dataset
+from gumbelmap.synth import (_apply_label_noise, _inverse_cdf_draw,
+                             gen_chain_dataset, gen_grid_dataset)
 
 
 def _mixed_instances(rng):
@@ -167,6 +170,93 @@ class TestChainGenerator:
                 tot += float((q.argmax(axis=1) != x.labels).mean())
             return tot / len(data)
         assert bayes(d1) > bayes(d0)
+
+    def test_draw_is_generator_choice(self):
+        """The batched inverse-CDF draw picks, row by row, the label that
+        ``Generator.choice(K, p=row)`` picks on the same stream: zero
+        probabilities, exact ties, and mass near 1 at the first or last
+        label.  This pins the coupling to numpy's ``choice``."""
+        rng = np.random.default_rng(15)
+        rows = []
+        for k in (2, 3, 4, 7):
+            rows.append(rng.normal(size=(300, k)) * 3.0)
+            tied = rng.integers(-1, 2, size=(300, k)).astype(np.float64)
+            rows.append(tied)
+            zero = rng.normal(size=(300, k))
+            zero[rng.random(zero.shape) < 0.4] = -np.inf
+            zero[np.arange(300), rng.integers(0, k, size=300)] = 0.0
+            rows.append(zero)
+            for at in (0, k - 1):  # mass 1 - ~1e-13 at one end
+                near = rng.normal(size=(150, k))
+                near[:, at] += 30.0
+                rows.append(near)
+        for scores in rows:
+            prob = np.exp(scores - scores.max(axis=1, keepdims=True))
+            prob /= prob.sum(axis=1, keepdims=True)
+            ref_rng, rng_b = (np.random.Generator(np.random.Philox(7))
+                              for _ in range(2))
+            expected = [ref_rng.choice(scores.shape[1], p=row) for row in prob]
+            got = _inverse_cdf_draw(scores, rng_b.random(len(scores)))
+            assert got.tolist() == expected
+            # a uniform on a cdf entry counts that entry, as
+            # searchsorted(side="right") does
+            cdf = np.cumsum(prob, axis=1)
+            cdf /= cdf[:, -1:]
+            for j in range(scores.shape[1] - 1):
+                want = [int(np.searchsorted(c, c[j], side="right"))
+                        for c in cdf]
+                assert _inverse_cdf_draw(scores, cdf[:, j]).tolist() == want
+
+    def test_draw_refuses_nan_rows(self):
+        scores = np.array([[0.0, 1.0], [np.nan, 0.0]])
+        with pytest.raises(InternalInvariantError):
+            _inverse_cdf_draw(scores, np.array([0.5, 0.5]))
+
+    @pytest.mark.parametrize("num_vars,num_labels,label_noise,scale", [
+        (8, 3, 0.0, 1.0), (1, 3, 0.0, 1.0), (5, 2, 0.4, 1.0),
+        (6, 4, 0.4, 30.0), (4, 9, 0.0, 3.0)])
+    def test_matches_per_chain_reference(self, num_vars, num_labels,
+                                         label_noise, scale):
+        """Every feature and label equals the per-chain sampler: each
+        chain's stream draws its features, then one ``choice`` per
+        variable from the last to the first, then its label noise."""
+        data, teacher = gen_chain_dataset(25, num_vars, num_labels, 3, seed=4,
+                                          teacher_seed=8, teacher_scale=scale,
+                                          label_noise=label_noise)
+        for i, x in enumerate(data):
+            rng = stream(4, i + 1, 0, TAG_DATA)
+            nf = rng.normal(size=(num_vars, 3))
+            p = compile_potentials(teacher, FeatureInstance(
+                x.model, nf, np.ones((num_vars - 1, 1))))
+            alphas = _forward(p.unary, p.pairwise)
+            y = np.zeros(num_vars, dtype=np.int64)
+            sc = alphas[-1]
+            for d in range(num_vars - 1, -1, -1):
+                if d < num_vars - 1:
+                    sc = alphas[d] + p.pairwise[d, :, y[d + 1]]
+                prob = np.exp(sc - sc.max())
+                prob /= prob.sum()
+                y[d] = rng.choice(num_labels, p=prob)
+            y = _apply_label_noise(y, num_labels, label_noise, rng)
+            assert nf.tobytes() == x.node_features.tobytes()
+            assert y.tolist() == x.labels.tolist()
+
+    @pytest.mark.parametrize("gen,shape", [(gen_chain_dataset, (4, 3, 2)),
+                                           (gen_grid_dataset, (4, 2))])
+    def test_overflowing_teacher_refused(self, gen, shape):
+        """A finite scale whose teacher, tables or forward sums overflow is
+        a configuration error, not NaN probabilities or an infinite
+        teacher."""
+        for scale in (1e308, 8e307):
+            with pytest.raises(StructuralError, match="not finite"):
+                gen(3, *shape, seed=0, teacher_scale=scale)
+
+    @pytest.mark.parametrize("gen,shape", [(gen_chain_dataset, (4, 3, 2)),
+                                           (gen_grid_dataset, (4, 2))])
+    def test_negative_count_refused(self, gen, shape):
+        with pytest.raises(StructuralError, match="negative"):
+            gen(-1, *shape, seed=0)
+        assert gen(0, *shape, seed=0)[0] == []
 
 
 class TestGridGenerator:

@@ -11,6 +11,7 @@ from scipy.special import logsumexp as scipy_logsumexp
 
 from gumbelmap.errors import CapacityError, StructuralError
 from gumbelmap.exact import (
+    _forward,
     all_state_values,
     brute_force,
     brute_force_clamped,
@@ -176,6 +177,36 @@ class TestForwardBackward:
         v1 = brute_force(p).map_value
         p2 = CompiledPotentials(p.model, 3.0 * p.unary, 3.0 * p.pairwise)
         assert brute_force(p2).map_value == pytest.approx(3.0 * v1, rel=1e-12)
+
+    @pytest.mark.parametrize("num_vars,num_labels", [(1, 3), (2, 2), (8, 3),
+                                                     (6, 4), (5, 9), (4, 17)])
+    def test_batched_forward_bitwise(self, rng, num_vars, num_labels):
+        """One forward pass over stacked chains gives each chain's alphas
+        bit for bit, as the one-chain recursion does, forbidden (-inf)
+        transitions and wide scales included; K >= 8 reaches numpy's
+        pairwise summation."""
+        n = 40
+        unary = rng.normal(size=(n, num_vars, num_labels)) * 10.0 ** rng.uniform(
+            -2, 3, size=(n, 1, 1))
+        pairwise = rng.normal(size=(n, num_vars - 1, num_labels, num_labels))
+        pairwise[rng.random(pairwise.shape) < 0.2] = -np.inf
+        batched = _forward(unary, pairwise)
+        assert len(batched) == num_vars
+        for i in range(n):
+            alpha = unary[i, 0]
+            reference = [alpha]
+            for d in range(1, num_vars):
+                alpha = unary[i, d] + logsumexp(
+                    alpha[:, None] + pairwise[i, d - 1], axis=0)
+                reference.append(alpha)
+            alone = _forward(unary[i], pairwise[i])
+            for a, b, r in zip(batched, alone, reference):
+                assert a[i].tobytes() == b.tobytes() == r.tobytes()
+        # a leading axis of more than one dimension, as (2, n/2) batches
+        split = _forward(unary.reshape(2, n // 2, num_vars, num_labels),
+                         pairwise.reshape(2, n // 2, *pairwise.shape[1:]))
+        for a, b in zip(split, batched):
+            assert a.reshape(b.shape).tobytes() == b.tobytes()
 
 
 # Reals at scales 1e-3..1e3, small integers (many ties) and the two
