@@ -55,6 +55,8 @@ class DynamicCutState:
     Single-owner mutable: confine one state to one worker at a time.
     """
 
+    # overflow in the network arithmetic is refused below, not warned about
+    @np.errstate(over="ignore", invalid="ignore")
     def __init__(self, potentials: CompiledPotentials):
         model = potentials.model
         if not model.is_binary:
@@ -70,7 +72,7 @@ class DynamicCutState:
         if e:
             gap = (pairwise[:, 0, 0] + pairwise[:, 1, 1]
                    - pairwise[:, 0, 1] - pairwise[:, 1, 0])
-            worst = float(gap.min()) if e else 0.0
+            worst = float(gap.min())
             if worst < -SUPERMODULAR_TOL:
                 bad = int(np.argmin(gap))
                 raise PreconditionError(
@@ -91,6 +93,12 @@ class DynamicCutState:
             const += float(ea_a.sum())
         shift = np.minimum(e0, e1)
         const += float(shift.sum())
+        trcap = e1 - e0
+        if not (np.isfinite(const) and np.isfinite(lam).all()
+                and np.isfinite(trcap).all()):
+            raise PreconditionError(
+                "cut network overflows: its constant or a capacity is not "
+                "finite")
 
         m = 2 * e
         head = np.zeros(m, dtype=np.int64)
@@ -117,7 +125,7 @@ class DynamicCutState:
         self.head = head.tolist()
         self.nxt = nxt.tolist()
         self.rcap = rcap.tolist()
-        self.trcap = (e1 - e0).tolist()
+        self.trcap = trcap.tolist()
         self.parent = [NODE_NONE] * n
         self.is_sink = [0] * n
         self.dist = [0] * n
@@ -197,7 +205,13 @@ class DynamicCutState:
 
     def solve(self) -> tuple[np.ndarray, float]:
         """MAP labeling and its value, evaluated over the state's tables in
-        the order of evaluate_potential, so the two match bit for bit."""
+        the order of evaluate_potential, so the two match bit for bit.
+
+        The library reads only the labels and evaluates a value where it
+        needs one.  The value stays only for the benchmark, whose workload
+        unpacks ``(labels, value)``, until the benchmark re-baseline
+        (ROADMAP item 1) re-points it; then ``solve`` can return labels
+        alone."""
         warm = self.solved
         added, n_aug, t = bk_maxflow(
             self.first, self.head, self.nxt, self.rcap, self.trcap,

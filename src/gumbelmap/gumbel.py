@@ -12,8 +12,12 @@ unreduced model (``cuts.clamp_variables``) in one of two ways:
   under the pin such a row adds a constant, so the labels do not change,
   and the pin margins, taken without the noise, hold for every draw.
 
-Counting the labels of many perturbed maximizers estimates marginals,
-returned as a plain (D, K) array whose rows sum to exactly 1.
+Every solver returns labels alone (``_map_labels``).  A value is
+evaluated only where it is read, on the unpinned perturbed tables:
+``perturbed_map`` and ``perturbed_conditional_map`` evaluate their one
+maximizer, and ``estimate_A`` sums its draws' values over the tables and
+the noise.  Counting the labels of many perturbed maximizers estimates
+marginals, returned as a plain (D, K) array whose rows sum to exactly 1.
 
 All randomness comes from counter-based streams keyed on
 (seed, context words), so estimates are reproducible regardless of
@@ -123,21 +127,23 @@ def _check_solver(p: CompiledPotentials, solver: str) -> None:
         raise StructuralError("graphcut solver requires binary labels")
 
 
-def _solve_map(p: CompiledPotentials, solver: str) -> tuple[np.ndarray, float]:
-    if solver == SOLVER_CHAIN:
-        y = viterbi_map(p)
-        return y, evaluate_potential(p, y)
-    if solver == SOLVER_GRAPHCUT:
-        return build_cut_problem(p).solve()
-    states, vals = all_state_values(p)
-    best = int(np.argmax(vals))
-    return states[best].copy(), float(vals[best])
-
-
 def _map_labels(p: CompiledPotentials, solver: str) -> np.ndarray:
+    """Labels of an exact maximizer of ``p`` with ``solver``."""
     if solver == SOLVER_CHAIN:
         return viterbi_map(p)
-    return _solve_map(p, solver)[0]
+    if solver == SOLVER_GRAPHCUT:
+        return build_cut_problem(p).solve()[0]
+    states, vals = all_state_values(p)
+    return states[int(np.argmax(vals))].copy()
+
+
+def _perturbed(p: CompiledPotentials, z: np.ndarray,
+               solver: str) -> CompiledPotentials:
+    """p + z, once ``solver`` and the noise shape are checked against p."""
+    _check_solver(p, solver)
+    if z.shape != p.unary.shape:
+        raise StructuralError("noise shape does not match potentials")
+    return p.with_unary(p.unary + z)
 
 
 def perturbed_map(p: CompiledPotentials, z: np.ndarray,
@@ -145,10 +151,9 @@ def perturbed_map(p: CompiledPotentials, z: np.ndarray,
     """Exact maximizer of f + noise; the noise folds into the unary tables
     so every solver applies unchanged.  The returned value includes the
     noise term."""
-    _check_solver(p, solver)
-    if z.shape != p.unary.shape:
-        raise StructuralError("noise shape does not match potentials")
-    return _solve_map(p.with_unary(p.unary + z), solver)
+    perturbed = _perturbed(p, z, solver)
+    y = _map_labels(perturbed, solver)
+    return y, evaluate_potential(perturbed, y)
 
 
 def perturbed_conditional_map(p: CompiledPotentials, d: int, k: int,
@@ -160,10 +165,7 @@ def perturbed_conditional_map(p: CompiledPotentials, d: int, k: int,
     Every solver follows this one rule, so they agree bit for bit.  The
     model keeps all D variables, so the brute-force solver enumerates the
     full state space for each clamp."""
-    _check_solver(p, solver)
-    if z.shape != p.unary.shape:
-        raise StructuralError("noise shape does not match potentials")
-    perturbed = p.with_unary(p.unary + z)
+    perturbed = _perturbed(p, z, solver)
     y = _map_labels(clamp_variables(perturbed, {d: k}), solver)
     if y[d] != k:
         raise InternalInvariantError(
@@ -186,44 +188,37 @@ def _noise_batch(model: PairwiseModel, cfg: EstimatorConfig,
 
 
 def _perturbed_map_batch(p: CompiledPotentials, znoise: np.ndarray,
-                         solver: str) -> tuple[np.ndarray, np.ndarray]:
-    """Labelings (M, D) and perturbed values (M,) for a block of noise."""
+                         solver: str) -> np.ndarray:
+    """Labelings (M, D) of the perturbed maximizers for a block of noise;
+    ``_batch_values`` evaluates them where a value is read."""
     _check_solver(p, solver)
-    m = znoise.shape[0]
-    model = p.model
     if solver == SOLVER_CHAIN:
-        pert = p.unary[None, :, :] + znoise
-        labels = viterbi_map_batch(pert, p.pairwise)
-        vals = _batch_values(p, labels, znoise)
-        return labels, vals
+        return viterbi_map_batch(p.unary[None, :, :] + znoise, p.pairwise)
     if solver == SOLVER_BRUTE:
         states, base = all_state_values(p)
-        scores = np.broadcast_to(base, (m, base.shape[0])).copy()
-        for d in range(model.num_vars):
+        scores = np.broadcast_to(base, (znoise.shape[0], base.shape[0])).copy()
+        for d in range(p.model.num_vars):
             scores += znoise[:, d, states[:, d]]
-        idx = np.argmax(scores, axis=1)
-        labels = states[idx]
-        vals = scores[np.arange(m), idx]
-        return labels, vals
+        return states[np.argmax(scores, axis=1)]
     # graphcut: solve each realization on one state; a draw replaces the
     # unary table, keeping the flow and regrowing the search trees
-    labels = np.zeros((m, model.num_vars), dtype=np.int64)
-    vals = np.zeros(m)
+    labels = np.zeros((znoise.shape[0], p.model.num_vars), dtype=np.int64)
     state = None
-    for i in range(m):
-        pert_u = p.unary + znoise[i]
+    for i, z in enumerate(znoise):
+        pert_u = p.unary + z
         if state is None:
             state = build_cut_problem(p.with_unary(pert_u))
         else:
             state.replace_unary(pert_u)
-        y, v = state.solve()
-        labels[i] = y
-        vals[i] = v
-    return labels, vals
+        labels[i] = state.solve()[0]
+    return labels
 
 
 def _batch_values(p: CompiledPotentials, labels: np.ndarray,
                   znoise: np.ndarray) -> np.ndarray:
+    """(M,) values of labeling m on p + znoise[m]: from 0.0, each
+    variable's u + z, then each edge's term, in the order of
+    ``evaluate_potential`` on the perturbed tables."""
     m, d_n = labels.shape
     vals = np.zeros(m)
     rows = np.arange(m)
@@ -245,7 +240,8 @@ def estimate_A(p: CompiledPotentials, cfg: EstimatorConfig
     """Monte-Carlo mean and standard error of the perturbed maximum over
     cfg.num_samples independent realizations."""
     znoise = _noise_batch(p.model, cfg, TAG_ESTIMATE)
-    _, vals = _perturbed_map_batch(p, znoise, cfg.solver)
+    vals = _batch_values(p, _perturbed_map_batch(p, znoise, cfg.solver),
+                         znoise)
     mean = float(np.mean(vals))
     if cfg.num_samples == 1:
         return mean, 0.0
@@ -258,7 +254,7 @@ def counting_marginals(p: CompiledPotentials,
     """(D, K) table q_d(k) = frequency of label k at variable d across
     perturbed maximizers.  Rows sum to exactly 1."""
     znoise = _noise_batch(p.model, cfg, TAG_COUNT)
-    labels, _ = _perturbed_map_batch(p, znoise, cfg.solver)
+    labels = _perturbed_map_batch(p, znoise, cfg.solver)
     return _count_table(labels, p.model, cfg.num_samples)
 
 
@@ -278,5 +274,5 @@ def conditional_counting_marginals(p: CompiledPotentials,
     if given:
         p = clamp_variables(p, given)
         znoise = zero_given_rows(znoise, given)
-    labels, _ = _perturbed_map_batch(p, znoise, cfg.solver)
+    labels = _perturbed_map_batch(p, znoise, cfg.solver)
     return _count_table(labels, p.model, cfg.num_samples)

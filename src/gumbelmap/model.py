@@ -437,14 +437,12 @@ class LossSpec:
             raise StructuralError("weight_rule only valid for weighted_hamming")
 
 
-def volume_weights(y_true: np.ndarray, volumes: np.ndarray,
-                   floor: float = 0.0) -> np.ndarray:
+def volume_weights(y_true: np.ndarray, volumes: np.ndarray) -> np.ndarray:
     """Volume-balanced per-variable weights for binary ground truth:
 
         theta_d = V_d / (2 V_fg)  if y_d = 1,   V_d / (2 V_bg)  if y_d = 0.
 
-    ``floor`` optionally clamps V_fg and V_bg from below; with floor = 0 a
-    one-sided ground truth raises DegenerateInstanceError.
+    A one-sided ground truth raises DegenerateInstanceError.
     """
     y_true = np.asarray(y_true, dtype=np.int64)
     volumes = np.asarray(volumes, dtype=np.float64)
@@ -452,9 +450,6 @@ def volume_weights(y_true: np.ndarray, volumes: np.ndarray,
         raise StructuralError("volume-balanced weights require binary labels")
     v_fg = float(volumes[y_true == 1].sum())
     v_bg = float(volumes[y_true == 0].sum())
-    if floor > 0.0:
-        v_fg = max(v_fg, floor)
-        v_bg = max(v_bg, floor)
     if v_fg == 0.0 or v_bg == 0.0:
         raise DegenerateInstanceError(
             "all-foreground or all-background ground truth")

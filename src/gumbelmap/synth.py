@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import InternalInvariantError, StructuralError
 from .exact import _forward
-from .gumbel import (SOLVER_GRAPHCUT, TAG_DATA, _gumbel_table, perturbed_map,
+from .gumbel import (SOLVER_GRAPHCUT, TAG_DATA, _gumbel_table, _map_labels,
                      stream)
 from .model import (
     FeatureInstance,
@@ -144,8 +144,8 @@ def gen_grid_dataset(num: int, side: int, feat_dim: int, seed: int,
             p = compile_potentials(teacher, x)
         _require_finite("teacher potentials", p.unary, p.pairwise)
         for attempt in range(100):
-            y, _ = perturbed_map(p, _gumbel_table(rng, model),
-                                 SOLVER_GRAPHCUT)
+            z = _gumbel_table(rng, model)
+            y = _map_labels(p.with_unary(p.unary + z), SOLVER_GRAPHCUT)
             y = _apply_label_noise(y, model.num_labels, label_noise, rng)
             if 0 < y.sum() < model.num_vars:
                 break

@@ -49,7 +49,7 @@ from .gumbel import (
     EstimatorConfig,
     SOLVER_GRAPHCUT,
     TAG_BATCH,
-    _solve_map,
+    _map_labels,
     check_solver_name,
     conditional_counting_marginals,
     counting_marginals,
@@ -160,13 +160,13 @@ def _noise_for(model, seed: int, phase: int, h: int, slot: int) -> np.ndarray:
 
 class _ElementSolver:
     """Unconditional and clamped perturbed MAPs for one batch element,
-    sharing one noise realization.
+    sharing one noise realization.  Both return labels alone; ``_element``
+    evaluates them together on ``perturbed`` where it reads their values.
 
-    A clamp is ``perturbed_conditional_map``, whose value is kept.  With
-    dynamic cuts the clamped problems run on one retained cut state
-    instead: the same pin of p + z is one ``update_unary``, undone
-    afterwards, so the trees carry over between the D re-solves, and the
-    clamped maximizers are evaluated together once they are all solved.
+    A clamp is ``perturbed_conditional_map``.  With dynamic cuts the
+    clamped problems run on one retained cut state instead: the same pin
+    of p + z is one ``update_unary``, undone afterwards, so the trees carry
+    over between the D re-solves.
     """
 
     def __init__(self, p: CompiledPotentials, z: np.ndarray, solver: str,
@@ -178,23 +178,19 @@ class _ElementSolver:
         self.dynamic = dynamic and solver == SOLVER_GRAPHCUT
         self.state = None
 
-    def map_full(self) -> tuple[np.ndarray, float]:
+    def map_full(self) -> np.ndarray:
         if self.dynamic:
             self.state = build_cut_problem(self.perturbed)
-            return self.state.solve()
-        return _solve_map(self.perturbed, self.solver)
+            return self.state.solve()[0]
+        return _map_labels(self.perturbed, self.solver)
 
-    def clamped(self, pairs: list[tuple[int, int]]
-                ) -> tuple[np.ndarray, np.ndarray]:
+    def clamped(self, pairs: list[tuple[int, int]]) -> np.ndarray:
         """Maximizers with y_d pinned to k under the shared noise, one row
-        of an (n, D) block per (d, k) pair in order, and their (n,) values
-        excluding z_d(k)."""
+        of an (n, D) block per (d, k) pair in order."""
         if not self.dynamic:
-            solved = [perturbed_conditional_map(self.p, d, k, self.z,
-                                                self.solver)
-                      for d, k in pairs]
-            return (np.array([y for y, _ in solved]),
-                    np.array([v for _, v in solved]))
+            return np.array([perturbed_conditional_map(self.p, d, k, self.z,
+                                                       self.solver)[0]
+                             for d, k in pairs])
         unary = self.perturbed.unary.tolist()
         pins = pin_margins(self.perturbed).tolist()
         block = []
@@ -202,21 +198,13 @@ class _ElementSolver:
             pinned = unary[d].copy()
             pinned[k] += pins[d]
             self.state.update_unary(d, pinned)
-            y, _ = self.state.solve()
+            y = self.state.solve()[0]
             self.state.update_unary(d, unary[d])
             if y[d] != k:
                 raise InternalInvariantError(
                     f"pinning bound failed to clamp variable {d}")
             block.append(y)
-        block = np.array(block)
-        d_idx, k_idx = np.array(pairs).T
-        return (block, evaluate_potential(self.perturbed, block)
-                - self.z[d_idx, k_idx])
-
-    def map_clamped(self, d: int, k: int) -> tuple[np.ndarray, float]:
-        """The one-pair case of ``clamped``."""
-        block, vals = self.clamped([(d, k)])
-        return block[0], vals[0]
+        return np.array(block)
 
 
 def _element(x: FeatureInstance, weights: np.ndarray, given: dict[int, int],
@@ -233,9 +221,10 @@ def _element(x: FeatureInstance, weights: np.ndarray, given: dict[int, int],
     clamped solves run conditioned on them, and their rows of ``weights``
     are ignored.
 
-    After the solves, one batched pass evaluates the clamped maximizers
-    and maps their features.  The gradient and objective terms are added
-    in the order of the (d, k) loop, so they match term-by-term
+    After the solves, one batched pass evaluates the unconditional and
+    clamped maximizers on p + z and maps their features; an element with
+    no clamp evaluates nothing.  The gradient and objective terms are
+    added in the order of the (d, k) loop, so they match term-by-term
     accumulation bit for bit.
     """
     model = x.model
@@ -246,7 +235,7 @@ def _element(x: FeatureInstance, weights: np.ndarray, given: dict[int, int],
         p = clamp_variables(p, given)
         z = zero_given_rows(z, given)
     es = _ElementSolver(p, z, solver, dynamic)
-    y_a, val_a = es.map_full()
+    y_a = es.map_full()
     counters.map_solves += 1
     pairs, clamp_weights = [], []
     terms = []  # objective terms in loop order; None marks a clamp
@@ -270,12 +259,14 @@ def _element(x: FeatureInstance, weights: np.ndarray, given: dict[int, int],
     grad = np.zeros(layout.total_size)
     clamp_terms = iter(())
     if pairs:
-        block, vals = es.clamped(pairs)
-        psi = feature_map(x, np.vstack((y_a, block)), layout)
+        labelings = np.vstack((y_a, es.clamped(pairs)))
+        vals = evaluate_potential(es.perturbed, labelings)
+        psi = feature_map(x, labelings, layout)
         w_b = np.array(clamp_weights)
         for term in w_b[:, None] * (psi[1:] - psi[0]):
             grad += term
-        clamp_terms = iter(w_b * (vals - val_a))
+        z_b = np.array([z[d, k] for d, k in pairs])
+        clamp_terms = iter(w_b * ((vals[1:] - z_b) - vals[0]))
     obj = 0.0
     for term in terms:
         obj += next(clamp_terms) if term is None else term
@@ -529,8 +520,7 @@ def predict(w: WeightVector, x: FeatureInstance, mode: str,
     to the smallest label) of counting marginals drawn as ``est`` says."""
     p = compile_potentials(w, x)
     if mode == PREDICT_MAP:
-        y, _ = _solve_map(p, est.solver)
-        return y
+        return _map_labels(p, est.solver)
     if mode == PREDICT_MARGINAL:
         return counting_marginals(p, est).argmax(axis=1)
     raise StructuralError(f"unknown prediction mode {mode!r}")

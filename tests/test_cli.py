@@ -73,10 +73,14 @@ class TestGenSynthetic:
          "--teacher-scale", "1e308"],
         ["--kind", "chain", "--num", "-1", "--vars", "4"],
         ["--kind", "grid", "--num", "-1", "--side", "4"],
+        # finite tables, but the cut network of each draw overflows
+        ["--kind", "grid", "--num", "3", "--side", "4",
+         "--teacher-scale", "1e307"],
     ])
     def test_refusal_exit_3_writes_nothing(self, tmp_path, capsys, flags):
-        """An overflowing teacher scale and a negative count are
-        configuration errors, refused before any file is written."""
+        """An overflowing teacher scale, a teacher whose cut network
+        overflows and a negative count are configuration errors, refused
+        before any file is written."""
         out = tmp_path / "x.jsonl"
         assert run(["gen-synthetic", *flags, "--out", str(out)]) == 3
         assert "configuration error" in capsys.readouterr().err

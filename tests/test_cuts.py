@@ -3,6 +3,7 @@
 import contextlib
 import hashlib
 import signal
+import warnings
 
 import numpy as np
 import pytest
@@ -21,8 +22,8 @@ from gumbelmap.gumbel import (
     TAG_COUNT,
     EstimatorConfig,
     _noise_batch,
+    _map_labels,
     _perturbed_map_batch,
-    _solve_map,
     sample_noise,
     zero_given_rows,
 )
@@ -100,6 +101,25 @@ class TestBuildAndSolve:
         pw[0, 0, 1] = pw[0, 1, 0] = 1.0  # repulsive: not supermodular
         with pytest.raises(PreconditionError):
             build_cut_problem(CompiledPotentials(m, np.zeros((2, 2)), pw))
+
+    @pytest.mark.parametrize("unary, agree", [
+        # finite tables whose constant, the sum of the unary shifts,
+        # overflows
+        ([[-1e308, -1e308], [-1e308, -1e308]], 0.0),
+        # finite tables whose edge capacity p(0,0) + p(1,1) overflows
+        ([[0.0, 0.0], [0.0, 0.0]], 1e308),
+    ])
+    def test_rejects_overflowing_network(self, unary, agree):
+        """A network whose constant or a capacity is not finite is refused
+        before any solve, and numpy's overflow warning does not leak."""
+        m = chain_model(2, 2)
+        pw = np.zeros((1, 2, 2))
+        pw[0, 0, 0] = pw[0, 1, 1] = agree
+        p = CompiledPotentials(m, np.array(unary), pw)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PreconditionError, match="overflows"):
+                build_cut_problem(p)
 
 
 class TestDynamicUpdates:
@@ -340,7 +360,7 @@ class TestKernelExactness:
         plain_solve = DynamicCutState.solve
         monkeypatch.setattr(gumbel, "build_cut_problem", build)
         monkeypatch.setattr(DynamicCutState, "solve", solve)
-        labels, _ = _perturbed_map_batch(p, znoise, "graphcut")
+        labels = _perturbed_map_batch(p, znoise, "graphcut")
         digest = hashlib.sha256(labels.astype(np.int64).tobytes()).hexdigest()
         assert digest == ("b5a2734725b327227557bd3f61b68bb3"
                           "282a239a1d89faaa67c65d25d49aea3d")
@@ -508,9 +528,9 @@ class TestClamping:
 
         perturbed = p.with_unary(p.unary + z)
         for solver in solvers:
-            y, _ = _solve_map(clamp_variables(perturbed, given), solver)
+            y = _map_labels(clamp_variables(perturbed, given), solver)
             check(perturbed, y)
-            labels, _ = _perturbed_map_batch(clamp_variables(p, given),
-                                             znoise, solver)
+            labels = _perturbed_map_batch(clamp_variables(p, given), znoise,
+                                          solver)
             for m, y in enumerate(labels):
                 check(p.with_unary(p.unary + znoise[m]), y)

@@ -133,6 +133,21 @@ class TestEstimateA:
         _, se = estimate_A(p, EstimatorConfig(1, seed=0, solver="chain"))
         assert se == 0.0
 
+    @pytest.mark.parametrize("kind, solver, expected", [
+        ("grid", "graphcut", ("0x1.f384eae7e74c9p+2", "0x1.5206e5372e2e4p-1")),
+        ("chain", "chain", ("0x1.80f3f1f49a561p+3", "0x1.060d9c0e360b7p-1")),
+    ])
+    def test_golden(self, kind, solver, expected):
+        """Mean and standard error of 50 draws on a fixed 4x4 teacher grid
+        and 8-variable chain, pinned bit for bit: each draw's value is
+        summed over p + z after its solve returns the labels."""
+        gen = gen_grid_dataset if kind == "grid" else gen_chain_dataset
+        shape = (4, 3) if kind == "grid" else (8, 3, 4)
+        xs, teacher = gen(1, *shape, seed=5, teacher_seed=1006)
+        p = compile_potentials(teacher, xs[0])
+        mean, se = estimate_A(p, EstimatorConfig(50, seed=17, solver=solver))
+        assert (mean.hex(), se.hex()) == expected
+
 
 class TestEstimateB:
     def test_isolated_variable_decomposes(self, rng):

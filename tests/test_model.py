@@ -308,11 +308,6 @@ class TestLoss:
         with pytest.raises(DegenerateInstanceError):
             volume_weights(y, np.ones(4))
 
-    def test_volume_floor_rescues_degenerate(self):
-        y = np.ones(4, dtype=np.int64)
-        theta = volume_weights(y, np.ones(4), floor=1e-6 * 4)
-        assert np.all(np.isfinite(theta))
-
     def test_weight_rule_validation(self):
         with pytest.raises(StructuralError):
             LossSpec(WEIGHTED_HAMMING)
