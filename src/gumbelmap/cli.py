@@ -19,6 +19,7 @@ import time
 import numpy as np
 
 from . import __version__
+from .cuts import pin_margins
 from .datasets import (
     dataset_digest,
     read_dataset,
@@ -145,6 +146,26 @@ def _validate_weighted(path: str, instances) -> None:
                 raise _record_error(path, i, str(exc)) from exc
 
 
+def _compile_finite(w, x, index: int, wpath: str, dpath: str,
+                   conditional: bool = False):
+    """The tables of instance ``index`` of ``dpath`` under the weights
+    ``w`` of ``wpath``.  Finite weights can still overflow: a table that
+    is not finite, or with ``conditional`` a pinned entry u_d(k) +
+    margin_d of a given label, is an input error at the instance's line."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = compile_potentials(w, x)
+        finite = (np.isfinite(p.unary).all()
+                  and np.isfinite(p.pairwise).all())
+        given = x.given_labels() if conditional else {}
+        if finite and given:
+            d, k = list(given), list(given.values())
+            finite = np.isfinite(p.unary[d, k] + pin_margins(p)[d]).all()
+    if not finite:
+        raise _record_error(dpath, index, f"the weights in {wpath} give "
+                            f"tables that are not finite on {dpath}")
+    return p
+
+
 def cmd_train(args) -> int:
     data = read_dataset(args.data)
     if not data:
@@ -214,6 +235,8 @@ def cmd_eval(args) -> int:
     loss_spec = _loss_spec(args.loss)
     if loss_spec.kind == WEIGHTED_HAMMING:
         _validate_weighted(args.data, data)
+    for i, x in enumerate(data):  # every instance, before any solve
+        _compile_finite(w, x, i, args.weights, args.data)
     losses = []
     for i, x in enumerate(data):
         est = EstimatorConfig(args.samples, args.seed, args.solver,
@@ -249,9 +272,10 @@ def cmd_marginals(args) -> int:
     if not data:
         raise DatasetError("dataset is empty")
     w = read_weights(args.weights)
+    tables = [_compile_finite(w, x, i, args.weights, args.data,
+                             args.conditional) for i, x in enumerate(data)]
     rows_out = []
-    for i, x in enumerate(data):
-        p = compile_potentials(w, x)
+    for i, (x, p) in enumerate(zip(data, tables)):
         est = EstimatorConfig(args.samples, args.seed, args.solver,
                               stream_context=i + 1)
         given = x.given_labels() if args.conditional else {}

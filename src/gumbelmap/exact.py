@@ -21,6 +21,22 @@ against.  The cost grows as K^2 interpreted additions: at D = 8 the list
 kernel loses to numpy from about K = 8-10 (58-68 us against 54-77 us) and
 takes 470-550 us against 80-90 us at K = 26 (2-core x86 host, Python 3.11).
 No workload trains a chain with K > 3, so there is no switch on K.
+The steps are one helper, ``_max_product``, shared with the clamp oracle
+below, which also keeps each step's maxima; that made an 8x3 solve about
+1-2.5 us slower than the inlined loop (13-15 us before).
+
+``viterbi_clamped`` solves every clamp y_d = k of one perturbed chain
+from one unpinned forward pass.  A pin raises u_d(k) alone, so Viterbi
+on the pinned table computes the same messages before d and the same
+pointers up to d; at d only entry k differs, and it is the pinned entry
+plus the unpinned step's maximum at k, added in the same order.  The
+oracle keeps the unpinned messages, maxima and pointers, sets that one
+entry, re-runs ``_max_product`` from d + 1 and backtracks the suffix over
+its own pointers and the prefix over the shared ones.  Every float
+operation is the one ``viterbi_map`` makes on the pinned table, in the
+same order, so labels are bit-identical by construction, ties included.
+The pinned entries come from ``cuts.clamp_variables``, the one way to
+pin a variable (see ``gumbel.perturbed_conditional_map``).
 
 The sum-product side has one forward pass, ``_forward``, over one chain
 or chains stacked on leading axes, each row bit for bit its chain alone:
@@ -173,20 +189,18 @@ def _require_chain(model: PairwiseModel) -> None:
         raise StructuralError("operation requires chain structure")
 
 
-def viterbi_map(p: CompiledPotentials) -> np.ndarray:
-    """Exact MAP for a chain by max-product over Python lists; ties toward
-    the smallest label index at each step (see the module docstring)."""
-    _require_chain(p.model)
-    unary = p.unary.tolist()
-    pairwise = p.pairwise.tolist()
-    labels = range(p.model.num_labels)
+def _max_product(msg: list, unary: list, pairwise: list, labels: range
+                 ) -> tuple[list, list, list]:
+    """Max-product steps over lists from the message ``msg``, one per row
+    of ``unary`` and ``pairwise``.  Per step, for each label k: the first
+    l maximizing msg[l] + t[l][k] (an ascending scan with a strict ``>``),
+    that maximum, and u[k] plus it, the next message.  Returns every
+    message, ``msg`` first, and each step's maxima and pointers."""
     rest = labels[1:]
-    msg = unary[0]
-    backptr = []
-    for u, t in zip(unary[1:], pairwise):
-        # best over l of msg[l] + t[l][k], the first l on ties
+    msgs, bests, backptr = [msg], [], []
+    for u, t in zip(unary, pairwise):
         m0, t0 = msg[0], t[0]
-        bp, nxt = [], []
+        bp, step, nxt = [], [], []
         for k in labels:
             arg, best = 0, m0 + t0[k]
             for l in rest:
@@ -194,14 +208,59 @@ def viterbi_map(p: CompiledPotentials) -> np.ndarray:
                 if v > best:
                     arg, best = l, v
             bp.append(arg)
+            step.append(best)
             nxt.append(u[k] + best)
         backptr.append(bp)
+        bests.append(step)
+        msgs.append(nxt)
         msg = nxt
-    y = [0] * p.model.num_vars
+    return msgs, bests, backptr
+
+
+def _backtrack(msg: list, backptr: list) -> list:
+    """Labels of the chain whose last message is ``msg``: its first
+    maximizing label, then each step's pointer, last step first."""
+    y = [0] * (len(backptr) + 1)
     y[-1] = k = msg.index(max(msg))
     for d in reversed(range(len(backptr))):
         y[d] = k = backptr[d][k]
-    return np.array(y, dtype=np.int64)
+    return y
+
+
+def viterbi_map(p: CompiledPotentials) -> np.ndarray:
+    """Exact MAP for a chain by max-product over Python lists; ties toward
+    the smallest label index at each step (see the module docstring)."""
+    _require_chain(p.model)
+    unary = p.unary.tolist()
+    msgs, _, backptr = _max_product(unary[0], unary[1:], p.pairwise.tolist(),
+                                    range(p.model.num_labels))
+    return np.array(_backtrack(msgs[-1], backptr), dtype=np.int64)
+
+
+def viterbi_clamped(p: CompiledPotentials, pairs: list[tuple[int, int]],
+                    pinned: list[float]) -> np.ndarray:
+    """(n, D) block whose row i is ``viterbi_map`` of ``p`` with u_d(k)
+    replaced by ``pinned[i]``, for the i-th pair (d, k): the labels of the
+    clamp y_d = k when ``pinned[i]`` is its pinned entry u_d(k) + margin_d.
+
+    One unpinned forward pass is shared by every pair (see the module
+    docstring): its messages before d and its pointers up to d are the
+    pinned pass's; entry k of message d becomes ``pinned[i]`` plus the
+    step's maximum at k, and the steps after d run again."""
+    _require_chain(p.model)
+    unary = p.unary.tolist()
+    pairwise = p.pairwise.tolist()
+    labels = range(p.model.num_labels)
+    msgs, bests, backptr = _max_product(unary[0], unary[1:], pairwise,
+                                        labels)
+    block = []
+    for (d, k), entry in zip(pairs, pinned):
+        msg = msgs[d].copy()
+        msg[k] = entry if d == 0 else entry + bests[d - 1][k]
+        tail, _, suffix = _max_product(msg, unary[d + 1:], pairwise[d:],
+                                       labels)
+        block.append(_backtrack(tail[-1], backptr[:d] + suffix))
+    return np.array(block, dtype=np.int64)
 
 
 def _forward(unary: np.ndarray, pairwise: np.ndarray) -> list[np.ndarray]:

@@ -6,16 +6,19 @@ expectation, with equality for separable f.  Noise is a plain (D, K)
 array, shaped like the unary table.  Clamps pin variables on the
 unreduced model (``cuts.clamp_variables``) in one of two ways:
 
-* a per-draw clamp of y_d = k pins the perturbed tables p + z, solves
-  them and returns the value on p + z less z_d(k);
+* per-draw clamps y_d = k, a block of (d, k) pairs under one noise draw,
+  pin the perturbed tables p + z, are solved, and each returns its value
+  on p + z less z_d(k); on chains the whole block shares one unpinned
+  Viterbi forward pass (``exact.viterbi_clamped``);
 * given labels, shared by many draws, pin p and zero their noise rows:
   under the pin such a row adds a constant, so the labels do not change,
   and the pin margins, taken without the noise, hold for every draw.
 
 Every solver returns labels alone (``_map_labels``).  A value is
 evaluated only where it is read, on the unpinned perturbed tables:
-``perturbed_map`` and ``perturbed_conditional_map`` evaluate their one
-maximizer, and ``estimate_A`` sums its draws' values over the tables and
+``perturbed_map`` evaluates its one maximizer,
+``perturbed_conditional_map`` its block of clamped maximizers in one
+call, and ``estimate_A`` sums its draws' values over the tables and
 the noise.  Counting the labels of many perturbed maximizers estimates
 marginals, returned as a plain (D, K) array whose rows sum to exactly 1.
 
@@ -33,7 +36,8 @@ import numpy as np
 
 from .cuts import build_cut_problem, clamp_variables
 from .errors import InternalInvariantError, StructuralError
-from .exact import all_state_values, viterbi_map, viterbi_map_batch
+from .exact import (all_state_values, viterbi_clamped, viterbi_map,
+                    viterbi_map_batch)
 from .model import (
     CompiledPotentials,
     PairwiseModel,
@@ -156,21 +160,53 @@ def perturbed_map(p: CompiledPotentials, z: np.ndarray,
     return y, evaluate_potential(perturbed, y)
 
 
-def perturbed_conditional_map(p: CompiledPotentials, d: int, k: int,
-                              z: np.ndarray, solver: str
-                              ) -> tuple[np.ndarray, float]:
-    """Perturbed MAP with y_d clamped to k: the perturbed tables p + z are
-    pinned at (d, k) and solved.  Returns the labeling and its value on
-    p + z less z_d(k), so the value excludes the clamped variable's noise.
-    Every solver follows this one rule, so they agree bit for bit.  The
-    model keeps all D variables, so the brute-force solver enumerates the
-    full state space for each clamp."""
+def _pinned_entries(perturbed: CompiledPotentials,
+                    pairs: list[tuple[int, int]]) -> list[float]:
+    """The pinned entry u_d(k) + margin_d of each (d, k) pair, read from
+    one ``clamp_variables`` table per round: the pairs split, in order,
+    into rounds in which each variable appears once."""
+    rounds, rank, seen = [], [], {}
+    for d, k in pairs:
+        r = seen.get(d, 0)
+        seen[d] = r + 1
+        if r == len(rounds):
+            rounds.append({})
+        rounds[r][d] = k
+        rank.append(r)
+    tables = [clamp_variables(perturbed, given).unary.tolist()
+              for given in rounds]
+    return [tables[r][d][k] for r, (d, k) in zip(rank, pairs)]
+
+
+def perturbed_conditional_map(p: CompiledPotentials,
+                              pairs: list[tuple[int, int]], z: np.ndarray,
+                              solver: str) -> tuple[np.ndarray, np.ndarray]:
+    """Perturbed MAPs with y_d clamped to k, one row of an (n, D) block
+    per (d, k) pair in order, all under the noise z: the perturbed tables
+    p + z are pinned at (d, k) and solved.  Returns the block and the
+    (n,) values of its rows on p + z less z_d(k), so each value excludes
+    the clamped variable's noise.
+
+    The chain solver runs one unpinned forward pass for all the pairs
+    (``exact.viterbi_clamped``), with each pinned entry read from
+    ``_pinned_entries``; its rows are Viterbi's on each pinned table, bit
+    for bit.  Brute force and graph cuts solve each pinned table in turn;
+    the model keeps all D variables, so brute force enumerates the full
+    state space for each clamp.  Every solver pins by the same rule, so
+    they agree bit for bit."""
     perturbed = _perturbed(p, z, solver)
-    y = _map_labels(clamp_variables(perturbed, {d: k}), solver)
-    if y[d] != k:
-        raise InternalInvariantError(
-            f"pinning bound failed to clamp variable {d}")
-    return y, evaluate_potential(perturbed, y) - z[d, k]
+    if solver == SOLVER_CHAIN:
+        block = viterbi_clamped(perturbed, pairs,
+                                _pinned_entries(perturbed, pairs))
+    else:
+        block = np.array([_map_labels(clamp_variables(perturbed, {d: k}),
+                                      solver) for d, k in pairs])
+    for y, (d, k) in zip(block, pairs):
+        if y[d] != k:
+            raise InternalInvariantError(
+                f"pinning bound failed to clamp variable {d}")
+    z_b = np.array([z[d, k] for d, k in pairs])
+    return block, evaluate_potential(perturbed, block) - z_b
 
 
 # ---------------------------------------------------------------------------

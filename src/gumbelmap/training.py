@@ -160,13 +160,15 @@ def _noise_for(model, seed: int, phase: int, h: int, slot: int) -> np.ndarray:
 
 class _ElementSolver:
     """Unconditional and clamped perturbed MAPs for one batch element,
-    sharing one noise realization.  Both return labels alone; ``_element``
-    evaluates them together on ``perturbed`` where it reads their values.
+    sharing one noise realization.  ``map_full`` returns labels alone;
+    ``clamped`` returns the block of clamped maximizers with their values,
+    each evaluated once on ``perturbed`` less z_d(k).
 
-    A clamp is ``perturbed_conditional_map``.  With dynamic cuts the
-    clamped problems run on one retained cut state instead: the same pin
-    of p + z is one ``update_unary``, undone afterwards, so the trees carry
-    over between the D re-solves.
+    The clamps of an element are one ``perturbed_conditional_map`` call,
+    which on chains shares one unpinned Viterbi forward pass among them.
+    With dynamic cuts the clamped problems run on one retained cut state
+    instead: the same pin of p + z is one ``update_unary``, undone
+    afterwards, so the trees carry over between the D re-solves.
     """
 
     def __init__(self, p: CompiledPotentials, z: np.ndarray, solver: str,
@@ -184,13 +186,14 @@ class _ElementSolver:
             return self.state.solve()[0]
         return _map_labels(self.perturbed, self.solver)
 
-    def clamped(self, pairs: list[tuple[int, int]]) -> np.ndarray:
+    def clamped(self, pairs: list[tuple[int, int]]
+                ) -> tuple[np.ndarray, np.ndarray]:
         """Maximizers with y_d pinned to k under the shared noise, one row
-        of an (n, D) block per (d, k) pair in order."""
+        of an (n, D) block per (d, k) pair in order, and their (n,) values
+        on ``perturbed`` less z_d(k)."""
         if not self.dynamic:
-            return np.array([perturbed_conditional_map(self.p, d, k, self.z,
-                                                       self.solver)[0]
-                             for d, k in pairs])
+            return perturbed_conditional_map(self.p, pairs, self.z,
+                                             self.solver)
         unary = self.perturbed.unary.tolist()
         pins = pin_margins(self.perturbed).tolist()
         block = []
@@ -204,7 +207,9 @@ class _ElementSolver:
                 raise InternalInvariantError(
                     f"pinning bound failed to clamp variable {d}")
             block.append(y)
-        return np.array(block)
+        block = np.array(block)
+        z_b = np.array([self.z[d, k] for d, k in pairs])
+        return block, evaluate_potential(self.perturbed, block) - z_b
 
 
 def _element(x: FeatureInstance, weights: np.ndarray, given: dict[int, int],
@@ -221,9 +226,10 @@ def _element(x: FeatureInstance, weights: np.ndarray, given: dict[int, int],
     clamped solves run conditioned on them, and their rows of ``weights``
     are ignored.
 
-    After the solves, one batched pass evaluates the unconditional and
-    clamped maximizers on p + z and maps their features; an element with
-    no clamp evaluates nothing.  The gradient and objective terms are
+    The clamped solves return their values on p + z less z_d(k); ``y_a``
+    is evaluated on p + z alone, and one batched call maps the features
+    of ``y_a`` and the clamped maximizers; an element with no clamp
+    evaluates nothing.  The gradient and objective terms are
     added in the order of the (d, k) loop, so they match term-by-term
     accumulation bit for bit.
     """
@@ -259,14 +265,13 @@ def _element(x: FeatureInstance, weights: np.ndarray, given: dict[int, int],
     grad = np.zeros(layout.total_size)
     clamp_terms = iter(())
     if pairs:
-        labelings = np.vstack((y_a, es.clamped(pairs)))
-        vals = evaluate_potential(es.perturbed, labelings)
-        psi = feature_map(x, labelings, layout)
+        block, vals_b = es.clamped(pairs)
+        psi = feature_map(x, np.vstack((y_a, block)), layout)
         w_b = np.array(clamp_weights)
         for term in w_b[:, None] * (psi[1:] - psi[0]):
             grad += term
-        z_b = np.array([z[d, k] for d, k in pairs])
-        clamp_terms = iter(w_b * ((vals[1:] - z_b) - vals[0]))
+        clamp_terms = iter(w_b * (vals_b
+                                  - evaluate_potential(es.perturbed, y_a)))
     obj = 0.0
     for term in terms:
         obj += next(clamp_terms) if term is None else term

@@ -213,7 +213,7 @@ def test_criterion_05_shared_noise_cancellation():
             y_a, _ = perturbed_map(p, z, solver)
             d = int(rng.integers(p.model.num_vars))
             k = int(y_a[d])
-            y_b, _ = perturbed_conditional_map(p, d, k, z, solver)
+            y_b = perturbed_conditional_map(p, [(d, k)], z, solver)[0][0]
             assert np.array_equal(y_a, y_b)
             assert evaluate_potential(p, y_a) == evaluate_potential(p, y_b)
             checked += 1
@@ -250,7 +250,8 @@ def test_criterion_06_fixed_noise_gradient_check():
         y_a, _ = perturbed_map(p, z, solver)
         out = [y_a.tolist()]
         for d in range(4):
-            y_b, _ = perturbed_conditional_map(p, d, int(x.labels[d]), z, solver)
+            y_b = perturbed_conditional_map(p, [(d, int(x.labels[d]))], z,
+                                            solver)[0][0]
             out.append(y_b.tolist())
         return out
 

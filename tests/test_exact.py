@@ -18,9 +18,12 @@ from gumbelmap.exact import (
     forward_backward_marginals,
     forward_log_partition,
     logsumexp,
+    viterbi_clamped,
     viterbi_map,
     viterbi_map_batch,
 )
+from gumbelmap.cuts import clamp_variables
+from gumbelmap.gumbel import perturbed_conditional_map
 from gumbelmap.model import (
     CompiledPotentials,
     chain_model,
@@ -125,6 +128,54 @@ class TestViterbi:
                 vals = all_state_values(q)[1]
                 tied += int(np.count_nonzero(vals == vals.max()) > 1)
         assert tied > 100  # the integer tables do tie
+
+
+class TestViterbiClamped:
+    @pytest.mark.parametrize("kind", ["normal", "integer"])
+    @pytest.mark.parametrize("num_vars", [1, 2, 5, 8])
+    def test_rows_are_pinned_viterbi(self, rng, kind, num_vars):
+        """Each row of ``viterbi_clamped``, and of the chain solver's block
+        of clamps, is ``viterbi_map`` of p + z pinned at that pair alone,
+        and each block value is that labeling's value on p + z less z_d(k)
+        to the bit.  Tables are normal at scales 1e-2..1e2, or small
+        integers with integer noise, where ties are common; the pairs
+        clamp the first and the last variable and repeat variables, so
+        the block pins them in several rounds."""
+        tied = 0
+        for _ in range(40):
+            k_n = int(rng.integers(2, 5))
+            shapes = (num_vars, k_n), (num_vars - 1, k_n, k_n)
+            if kind == "normal":
+                scale = 10.0 ** int(rng.integers(-2, 3))
+                unary, pairwise, z = (rng.normal(size=s) * scale
+                                      for s in shapes + shapes[:1])
+            else:
+                unary, pairwise, z = (rng.integers(-2, 3, size=s) * 1.0
+                                      for s in shapes + shapes[:1])
+            p = CompiledPotentials(chain_model(num_vars, k_n), unary,
+                                   pairwise)
+            pert = p.with_unary(p.unary + z)
+            pairs = [(0, int(rng.integers(k_n))),
+                     (num_vars - 1, int(rng.integers(k_n)))]
+            pairs += [(int(rng.integers(num_vars)), int(rng.integers(k_n)))
+                      for _ in range(2 * num_vars)]
+            pinned = [clamp_variables(pert, {d: k}) for d, k in pairs]
+            entries = [float(q.unary[d, k])
+                       for q, (d, k) in zip(pinned, pairs)]
+            rows = viterbi_clamped(pert, pairs, entries)
+            block, vals = perturbed_conditional_map(p, pairs, z, "chain")
+            assert rows.shape == block.shape == (len(pairs), num_vars)
+            for i, (q, (d, k)) in enumerate(zip(pinned, pairs)):
+                y = viterbi_map(q)
+                assert np.array_equal(rows[i], y)
+                assert np.array_equal(block[i], y)
+                assert (float(vals[i]).hex()
+                        == float(evaluate_potential(pert, y) - z[d, k]).hex())
+                if num_vars <= 5:
+                    v = all_state_values(q)[1]
+                    tied += int(np.count_nonzero(v == v.max()) > 1)
+        if kind == "integer" and num_vars in (2, 5):
+            assert tied > 0  # the integer tables do tie under the pins
 
 
 class TestForwardBackward:

@@ -12,9 +12,11 @@ error): never 4, which is where ``main`` maps any unexpected exception,
 and never with an exception escaping ``main``.
 
 Weight files with one non-finite entry (NaN, an infinity or JSON null),
-and weight files that are truncated, not a JSON object, without layout
-fields or with layout fields or values of the wrong type, must make
-``eval`` and ``marginals`` exit 2, and ``gen-synthetic`` must
+weight files of finite values whose compiled tables (or, with
+``--conditional``, pinned entries) overflow, and weight files that are
+truncated, not a JSON object, without layout fields or with layout
+fields or values of the wrong type, must make ``eval`` and
+``marginals`` exit 2, and ``gen-synthetic`` must
 exit 3 for a non-finite teacher scale or a label noise outside [0, 1];
 either way no output file is written.
 """
@@ -24,13 +26,16 @@ import io
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
+
+import pytest
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from gumbelmap.cli import main
 from gumbelmap.datasets import write_dataset, write_weights
-from gumbelmap.synth import gen_chain_dataset
+from gumbelmap.synth import gen_chain_dataset, gen_grid_dataset
 
 _FIELDS = ("num_vars", "label_counts", "edges", "node_features",
            "edge_features", "labels", "volumes")
@@ -167,12 +172,72 @@ def test_non_finite_weights_exit_2(bad, index, last, command):
         assert not out.exists()
 
 
-def _run_with_weights(work: Path, wpath: Path, command: str):
+def _overflowing_weights(work: Path, kind: str, value: float) -> Path:
+    """work/d.jsonl, three generated chains (4 variables, 2 labels) or
+    3x3 grids, and a weight file of their teacher's layout with every
+    value set to the finite ``value``."""
+    if kind == "chain":
+        data, teacher = gen_chain_dataset(3, 4, 2, 2, seed=5, teacher_seed=1)
+    else:
+        data, teacher = gen_grid_dataset(3, 3, 2, seed=5, teacher_seed=1)
+    write_dataset(str(work / "d.jsonl"), data)
+    wpath = work / "w.json"
+    write_weights(str(wpath), teacher)
+    doc = json.loads(wpath.read_text())
+    doc["values"] = [value] * len(doc["values"])
+    wpath.write_text(json.dumps(doc))
+    return wpath
+
+
+@pytest.mark.parametrize("command", ["eval-map", "eval-marginal",
+                                     "marginals"])
+@pytest.mark.parametrize("kind, value, line", [("chain", 1.5e308, 2),
+                                               ("grid", -1.5e308, 1)])
+def test_overflowing_tables_exit_2(kind, value, line, command):
+    """A weight file of finite values whose compiled tables overflow is an
+    input error naming the file and the data line, found before any solve
+    (the chains' first table is finite, their second is not): no output
+    and, with warnings as errors, no leaked warning."""
+    solver = "chain" if kind == "chain" else "graphcut"
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        wpath = _overflowing_weights(work, kind, value)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, err, out = _run_with_weights(work, wpath, command,
+                                               "--solver", solver)
+        assert code == 2, err
+        assert str(wpath) in err and "not finite" in err
+        assert f"line {line}:" in err
+        assert not out.exists()
+
+
+def test_overflowing_pins_exit_2():
+    """Grid weights of 5e307 compile to finite tables, but pinning a given
+    label overflows: ``marginals --conditional`` is an input error with no
+    output, and without ``--conditional`` the pins are not checked."""
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        wpath = _overflowing_weights(work, "grid", 5e307)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, err, out = _run_with_weights(
+                work, wpath, "marginals", "--solver", "graphcut",
+                "--conditional")
+        assert code == 2, err
+        assert str(wpath) in err and "not finite" in err
+        assert not out.exists()
+        code, err, out = _run_with_weights(work, wpath, "marginals",
+                                           "--solver", "graphcut")
+        assert "not finite" not in err
+
+
+def _run_with_weights(work: Path, wpath: Path, command: str, *flags: str):
     """Exit code, standard error and output path of ``command`` run on
-    work/d.jsonl with the weight file ``wpath``."""
+    work/d.jsonl with the weight file ``wpath`` and extra ``flags``."""
     out = work / "out.json"
     argv = ["--data", str(work / "d.jsonl"), "--weights", str(wpath),
-            "--samples", "3", "--out", str(out)]
+            "--samples", "3", "--out", str(out), *flags]
     if command == "marginals":
         argv = ["marginals", *argv]
     else:

@@ -286,13 +286,18 @@ class TestAcceleration:
         """On random binary supermodular chains every clamp (d, k) gives the
         same labels and the same value bit for bit on the chain, brute-force
         and graph-cut solvers, the last with dynamic cuts off and on: every
-        solver pins p + z and subtracts z_d(k)."""
+        solver pins p + z and subtracts z_d(k).  Each draw asks for all 8
+        clamps in one ``clamped`` call, so every variable is pinned twice
+        (two rounds of pins on the chain); each row must equal the row of
+        the clamp asked for alone, and each value the clamped labeling's
+        value on p + z less z_d(k)."""
         from gumbelmap.model import CompiledPotentials
         from gumbelmap.training import _ElementSolver
         rng = np.random.default_rng(2400)
         variants = (("chain", False), ("brute", False), ("graphcut", False),
                     ("graphcut", True))
         model = chain_model(4, 2)
+        pairs = [(d, k) for d in range(4) for k in range(2)]
         agree = total = 0
         for m in range(100):
             grid = random_supermodular_grid(rng, rows=1, cols=4)
@@ -302,17 +307,19 @@ class TestAcceleration:
                 solvers = [_ElementSolver(p, z, s, dc) for s, dc in variants]
                 for es in solvers:
                     es.map_full()
-                for d in range(4):
-                    for k in range(2):
-                        out = []
-                        for es in solvers:
-                            y = es.clamped([(d, k)])[0]
-                            out.append((y, evaluate_potential(es.perturbed, y)
-                                        - z[d, k]))
-                        y0, v0 = out[0]
-                        total += 1
-                        agree += all(np.array_equal(y, y0) and v == v0
-                                     for y, v in out[1:])
+                out = [es.clamped(pairs) for es in solvers]
+                block0, vals0 = out[0]
+                for i, (d, k) in enumerate(pairs):
+                    total += 1
+                    agree += all(
+                        np.array_equal(block[i], block0[i])
+                        and vals[i] == vals0[i]
+                        and vals[i] == (evaluate_potential(es.perturbed,
+                                                           block[i])
+                                        - z[d, k])
+                        and np.array_equal(es.clamped([(d, k)])[0][0],
+                                           block[i])
+                        for es, (block, vals) in zip(solvers, out))
         assert (agree, total) == (2400, 2400)
 
 
