@@ -19,7 +19,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .cuts import pin_margins
+from .cuts import clamp_variables
 from .datasets import (
     dataset_digest,
     read_dataset,
@@ -150,16 +150,15 @@ def _compile_finite(w, x, index: int, wpath: str, dpath: str,
                    conditional: bool = False):
     """The tables of instance ``index`` of ``dpath`` under the weights
     ``w`` of ``wpath``.  Finite weights can still overflow: a table that
-    is not finite, or with ``conditional`` a pinned entry u_d(k) +
-    margin_d of a given label, is an input error at the instance's line."""
+    is not finite, or with ``conditional`` its pin of the given labels
+    (``clamp_variables``), is an input error at the instance's line."""
     with np.errstate(over="ignore", invalid="ignore"):
         p = compile_potentials(w, x)
         finite = (np.isfinite(p.unary).all()
                   and np.isfinite(p.pairwise).all())
         given = x.given_labels() if conditional else {}
         if finite and given:
-            d, k = list(given), list(given.values())
-            finite = np.isfinite(p.unary[d, k] + pin_margins(p)[d]).all()
+            finite = np.isfinite(clamp_variables(p, given).unary).all()
     if not finite:
         raise _record_error(dpath, index, f"the weights in {wpath} give "
                             f"tables that are not finite on {dpath}")

@@ -9,18 +9,21 @@ unreduced model (``cuts.clamp_variables``) in one of two ways:
 * per-draw clamps y_d = k, a block of (d, k) pairs under one noise draw,
   pin the perturbed tables p + z, are solved, and each returns its value
   on p + z less z_d(k); on chains the whole block shares one unpinned
-  Viterbi forward pass (``exact.viterbi_clamped``);
+  Viterbi forward pass (``exact.viterbi_clamped``), and on a retained cut
+  state of p + z (training's dynamic cuts, ``_cut_clamped_map``) each
+  pin is one ``update_unary``, undone after its solve;
 * given labels, shared by many draws, pin p and zero their noise rows:
   under the pin such a row adds a constant, so the labels do not change,
   and the pin margins, taken without the noise, hold for every draw.
 
 Every solver returns labels alone (``_map_labels``).  A value is
 evaluated only where it is read, on the unpinned perturbed tables:
-``perturbed_map`` evaluates its one maximizer,
-``perturbed_conditional_map`` its block of clamped maximizers in one
-call, and ``estimate_A`` sums its draws' values over the tables and
-the noise.  Counting the labels of many perturbed maximizers estimates
-marginals, returned as a plain (D, K) array whose rows sum to exactly 1.
+``perturbed_map`` evaluates its one maximizer, both clamp paths their
+block of clamped maximizers in one call, after one check that every
+row took its clamped label (``_clamp_values``), and ``estimate_A``
+sums its draws' values over the tables and the noise.  Counting the
+labels of many perturbed maximizers estimates marginals, returned as a
+plain (D, K) array whose rows sum to exactly 1.
 
 All randomness comes from counter-based streams keyed on
 (seed, context words), so estimates are reproducible regardless of
@@ -34,7 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cuts import build_cut_problem, clamp_variables
+from .cuts import (DynamicCutState, build_cut_problem, clamp_variables,
+                   pin_margins)
 from .errors import InternalInvariantError, StructuralError
 from .exact import (all_state_values, viterbi_clamped, viterbi_map,
                     viterbi_map_batch)
@@ -192,8 +196,9 @@ def perturbed_conditional_map(p: CompiledPotentials,
     ``_pinned_entries``; its rows are Viterbi's on each pinned table, bit
     for bit.  Brute force and graph cuts solve each pinned table in turn;
     the model keeps all D variables, so brute force enumerates the full
-    state space for each clamp.  Every solver pins by the same rule, so
-    they agree bit for bit."""
+    state space for each clamp.  Every solver, and ``_cut_clamped_map``
+    on a retained cut state, pins by the same rule, so they agree bit for
+    bit."""
     perturbed = _perturbed(p, z, solver)
     if solver == SOLVER_CHAIN:
         block = viterbi_clamped(perturbed, pairs,
@@ -201,6 +206,34 @@ def perturbed_conditional_map(p: CompiledPotentials,
     else:
         block = np.array([_map_labels(clamp_variables(perturbed, {d: k}),
                                       solver) for d, k in pairs])
+    return _clamp_values(perturbed, pairs, z, block)
+
+
+def _cut_clamped_map(state: DynamicCutState, perturbed: CompiledPotentials,
+                     pairs: list[tuple[int, int]], z: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """``perturbed_conditional_map`` on ``state``, a retained cut state
+    of ``perturbed`` = p + z: each pin of ``clamp_variables`` is one
+    ``update_unary``, undone after its solve, so the search trees carry
+    over between the re-solves (Kohli & Torr, PAMI 2007) and the state
+    ends as it began."""
+    unary = perturbed.unary.tolist()
+    pins = pin_margins(perturbed).tolist()
+    block = []
+    for d, k in pairs:
+        pinned = unary[d].copy()
+        pinned[k] += pins[d]
+        state.update_unary(d, pinned)
+        block.append(state.solve()[0])
+        state.update_unary(d, unary[d])
+    return _clamp_values(perturbed, pairs, z, np.array(block))
+
+
+def _clamp_values(perturbed: CompiledPotentials, pairs: list[tuple[int, int]],
+                  z: np.ndarray, block: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """The clamp block with its values on ``perturbed`` less z_d(k), once
+    every row is checked to take its clamped label."""
     for y, (d, k) in zip(block, pairs):
         if y[d] != k:
             raise InternalInvariantError(
@@ -289,16 +322,7 @@ def counting_marginals(p: CompiledPotentials,
                        cfg: EstimatorConfig) -> np.ndarray:
     """(D, K) table q_d(k) = frequency of label k at variable d across
     perturbed maximizers.  Rows sum to exactly 1."""
-    znoise = _noise_batch(p.model, cfg, TAG_COUNT)
-    labels = _perturbed_map_batch(p, znoise, cfg.solver)
-    return _count_table(labels, p.model, cfg.num_samples)
-
-
-def _count_table(labels: np.ndarray, model: PairwiseModel,
-                 m: int) -> np.ndarray:
-    counts = np.array([np.bincount(col, minlength=model.num_labels)
-                       for col in labels.T])
-    return exact_row_normalize(counts, m)
+    return conditional_counting_marginals(p, {}, cfg)
 
 
 def conditional_counting_marginals(p: CompiledPotentials,
@@ -311,4 +335,6 @@ def conditional_counting_marginals(p: CompiledPotentials,
         p = clamp_variables(p, given)
         znoise = zero_given_rows(znoise, given)
     labels = _perturbed_map_batch(p, znoise, cfg.solver)
-    return _count_table(labels, p.model, cfg.num_samples)
+    counts = np.array([np.bincount(col, minlength=p.model.num_labels)
+                       for col in labels.T])
+    return exact_row_normalize(counts, cfg.num_samples)

@@ -17,8 +17,6 @@ import numpy as np
 
 from .errors import DegenerateInstanceError, StructuralError
 
-Labeling = np.ndarray  # int array of shape (D,)
-
 PAIRWISE_FULL = "full"
 PAIRWISE_POTTS = "potts"
 
@@ -266,9 +264,6 @@ class WeightVector:
         k = self.layout.num_labels
         return block.reshape(k, k, self.layout.edge_feat_dim)
 
-    def copy(self) -> "WeightVector":
-        return WeightVector(self.values.copy(), self.layout)
-
 
 def zero_weights(layout: WeightLayout) -> WeightVector:
     return WeightVector(np.zeros(layout.total_size), layout)
@@ -318,11 +313,6 @@ class FeatureInstance:
     @property
     def fully_labeled(self) -> bool:
         return self.labels is not None and bool(np.all(self.labels >= 0))
-
-    @property
-    def partially_labeled(self) -> bool:
-        return self.labels is not None and bool(np.any(self.labels >= 0)) \
-            and not self.fully_labeled
 
     def volumes(self) -> np.ndarray:
         if self.node_volumes is None:

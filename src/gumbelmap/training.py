@@ -27,7 +27,10 @@ Two exact accelerations apply to the clamped solves:
 * re-solving the clamped problems on one dynamic cut state instead of
   building each from scratch (graph-cut solver only).
 
-Both are exact rewrites: trajectories do not depend on them.
+Both are exact rewrites: trajectories do not depend on them.  The clamps
+of an element are one call into ``gumbel``, which alone knows how each
+solver answers them: ``perturbed_conditional_map``, or with dynamic cuts
+``_cut_clamped_map`` on the cut state that solved the unconditional MAP.
 
 Only graph-cut training projects: ``project_supermodular`` after each step
 keeps every MAP a min-cut on the binary potts layout that ``TrainConfig``
@@ -39,16 +42,17 @@ from __future__ import annotations
 
 import math
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .cuts import build_cut_problem, clamp_variables, pin_margins
-from .errors import InternalInvariantError, StructuralError
+from .cuts import build_cut_problem, clamp_variables
+from .errors import StructuralError
 from .gumbel import (
     EstimatorConfig,
     SOLVER_GRAPHCUT,
     TAG_BATCH,
+    _cut_clamped_map,
     _map_labels,
     check_solver_name,
     conditional_counting_marginals,
@@ -124,9 +128,7 @@ class TrainCounters:
     clamp_skipped: int = 0
 
     def as_dict(self) -> dict[str, int]:
-        return {"map_solves": self.map_solves,
-                "clamp_solves": self.clamp_solves,
-                "clamp_skipped": self.clamp_skipped}
+        return asdict(self)
 
 
 @dataclass
@@ -158,60 +160,6 @@ def _noise_for(model, seed: int, phase: int, h: int, slot: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-class _ElementSolver:
-    """Unconditional and clamped perturbed MAPs for one batch element,
-    sharing one noise realization.  ``map_full`` returns labels alone;
-    ``clamped`` returns the block of clamped maximizers with their values,
-    each evaluated once on ``perturbed`` less z_d(k).
-
-    The clamps of an element are one ``perturbed_conditional_map`` call,
-    which on chains shares one unpinned Viterbi forward pass among them.
-    With dynamic cuts the clamped problems run on one retained cut state
-    instead: the same pin of p + z is one ``update_unary``, undone
-    afterwards, so the trees carry over between the D re-solves.
-    """
-
-    def __init__(self, p: CompiledPotentials, z: np.ndarray, solver: str,
-                 dynamic: bool):
-        self.p = p
-        self.z = z
-        self.solver = solver
-        self.perturbed = p.with_unary(p.unary + z)
-        self.dynamic = dynamic and solver == SOLVER_GRAPHCUT
-        self.state = None
-
-    def map_full(self) -> np.ndarray:
-        if self.dynamic:
-            self.state = build_cut_problem(self.perturbed)
-            return self.state.solve()[0]
-        return _map_labels(self.perturbed, self.solver)
-
-    def clamped(self, pairs: list[tuple[int, int]]
-                ) -> tuple[np.ndarray, np.ndarray]:
-        """Maximizers with y_d pinned to k under the shared noise, one row
-        of an (n, D) block per (d, k) pair in order, and their (n,) values
-        on ``perturbed`` less z_d(k)."""
-        if not self.dynamic:
-            return perturbed_conditional_map(self.p, pairs, self.z,
-                                             self.solver)
-        unary = self.perturbed.unary.tolist()
-        pins = pin_margins(self.perturbed).tolist()
-        block = []
-        for d, k in pairs:
-            pinned = unary[d].copy()
-            pinned[k] += pins[d]
-            self.state.update_unary(d, pinned)
-            y = self.state.solve()[0]
-            self.state.update_unary(d, unary[d])
-            if y[d] != k:
-                raise InternalInvariantError(
-                    f"pinning bound failed to clamp variable {d}")
-            block.append(y)
-        block = np.array(block)
-        z_b = np.array([self.z[d, k] for d, k in pairs])
-        return block, evaluate_potential(self.perturbed, block) - z_b
-
-
 def _element(x: FeatureInstance, weights: np.ndarray, given: dict[int, int],
              p: CompiledPotentials, z: np.ndarray, solver: str,
              dynamic: bool, acceleration: bool, layout: WeightLayout,
@@ -226,12 +174,13 @@ def _element(x: FeatureInstance, weights: np.ndarray, given: dict[int, int],
     clamped solves run conditioned on them, and their rows of ``weights``
     are ignored.
 
-    The clamped solves return their values on p + z less z_d(k); ``y_a``
-    is evaluated on p + z alone, and one batched call maps the features
-    of ``y_a`` and the clamped maximizers; an element with no clamp
-    evaluates nothing.  The gradient and objective terms are
-    added in the order of the (d, k) loop, so they match term-by-term
-    accumulation bit for bit.
+    With ``dynamic`` graph cuts ``y_a`` and the clamps are solved on one
+    retained cut state of p + z.  The clamped solves return their values
+    on p + z less z_d(k); ``y_a`` is evaluated on p + z alone, and one
+    batched call maps the features of ``y_a`` and the clamped maximizers;
+    an element with no clamp evaluates nothing.  The gradient and
+    objective terms are added in the order of the (d, k) loop, so they
+    match term-by-term accumulation bit for bit.
     """
     model = x.model
     if len(given) == model.num_vars:
@@ -240,8 +189,13 @@ def _element(x: FeatureInstance, weights: np.ndarray, given: dict[int, int],
     if given:
         p = clamp_variables(p, given)
         z = zero_given_rows(z, given)
-    es = _ElementSolver(p, z, solver, dynamic)
-    y_a = es.map_full()
+    perturbed = p.with_unary(p.unary + z)
+    state = None
+    if dynamic and solver == SOLVER_GRAPHCUT:
+        state = build_cut_problem(perturbed)
+        y_a = state.solve()[0]
+    else:
+        y_a = _map_labels(perturbed, solver)
     counters.map_solves += 1
     pairs, clamp_weights = [], []
     terms = []  # objective terms in loop order; None marks a clamp
@@ -265,13 +219,16 @@ def _element(x: FeatureInstance, weights: np.ndarray, given: dict[int, int],
     grad = np.zeros(layout.total_size)
     clamp_terms = iter(())
     if pairs:
-        block, vals_b = es.clamped(pairs)
+        if state is None:
+            block, vals_b = perturbed_conditional_map(p, pairs, z, solver)
+        else:
+            block, vals_b = _cut_clamped_map(state, perturbed, pairs, z)
         psi = feature_map(x, np.vstack((y_a, block)), layout)
         w_b = np.array(clamp_weights)
         for term in w_b[:, None] * (psi[1:] - psi[0]):
             grad += term
         clamp_terms = iter(w_b * (vals_b
-                                  - evaluate_potential(es.perturbed, y_a)))
+                                  - evaluate_potential(perturbed, y_a)))
     obj = 0.0
     for term in terms:
         obj += next(clamp_terms) if term is None else term
@@ -454,10 +411,43 @@ def _drive(step, w: WeightVector, labeled: list[FeatureInstance],
     return w, averaged, objs, series
 
 
+def _check_bounded(cfg: TrainConfig, labeled: list[FeatureInstance],
+                   unlabeled: list[FeatureInstance], steps: int) -> None:
+    """Refuse, before any solve, a lambda (or stepsize) under which the
+    iterates can overflow.  A gradient entry is at most G = (1 + kappa)
+    D t S, S being the largest sum of |features| of an instance and t 1
+    or an explicit loss table's largest entry.  So |w_i| <= B = G/lambda
+    under steps 1/(lambda h) (Shalev-Shwartz et al., "Pegasos", ICML
+    2007), and B = gamma G sum_{j < steps} |1 - gamma lambda|^j under a
+    constant gamma.  B must keep ||w||^2 finite, and 3 B S, which bounds
+    every table entry plus its pin margin."""
+    rule = cfg.loss.weight_rule
+    t = (1.0 if rule is None or isinstance(rule, str)
+         else max(1.0, float(np.abs(rule).max())))
+    data = labeled + unlabeled
+    with np.errstate(over="ignore", invalid="ignore"):
+        size = max(float(np.abs(x.node_features).sum()
+                         + np.abs(x.edge_features).sum()) for x in data)
+        g = (t * (1.0 + (cfg.kappa if unlabeled else 0.0)) * size
+             * max(x.model.num_vars for x in data))
+        bound = g / cfg.lam
+        if cfg.stepsize is not None:
+            r = np.float64(abs(1.0 - cfg.stepsize * cfg.lam))
+            bound = cfg.stepsize * g * (
+                steps if r == 1.0 else (r ** steps - 1.0) / (r - 1.0))
+        finite = (np.isfinite(bound * bound * cfg.layout.total_size)
+                  and np.isfinite(3.0 * bound * size))
+    if not finite:
+        raise StructuralError(
+            f"lambda {cfg.lam:g} lets the weights grow to {bound:.3g}, "
+            f"where their squared norm or a pinned table entry can overflow")
+
+
 def train(dataset: list[FeatureInstance], cfg: TrainConfig) -> TrainReport:
     """Supervised training from w = 0 with the loss-appropriate step."""
     if not dataset:
         raise StructuralError("dataset is empty")
+    _check_bounded(cfg, dataset, [], cfg.iters)
     step = sgd_loglik_step if cfg.loss.kind == ZERO_ONE else sgd_marginal_step
     counters = TrainCounters()
     t0 = _time.perf_counter()
@@ -488,6 +478,7 @@ def train_semisupervised(d1: list[FeatureInstance],
                               "weighted Hamming loss, not zero-one")
     if not d1:
         raise StructuralError("the labeled dataset is empty")
+    _check_bounded(cfg, d1, d2 if cfg.kappa > 0.0 else [], 2 * cfg.iters)
     counters = TrainCounters()
     timings: dict[str, float] = {}
 

@@ -16,7 +16,8 @@ weight files of finite values whose compiled tables (or, with
 ``--conditional``, pinned entries) overflow, and weight files that are
 truncated, not a JSON object, without layout fields or with layout
 fields or values of the wrong type, must make ``eval`` and
-``marginals`` exit 2, and ``gen-synthetic`` must
+``marginals`` exit 2, a lambda under which the iterates can overflow
+must make ``train`` exit 3, and ``gen-synthetic`` must
 exit 3 for a non-finite teacher scale or a label noise outside [0, 1];
 either way no output file is written.
 """
@@ -230,6 +231,31 @@ def test_overflowing_pins_exit_2():
         code, err, out = _run_with_weights(work, wpath, "marginals",
                                            "--solver", "graphcut")
         assert "not finite" not in err
+
+
+@pytest.mark.parametrize("kind, solver, loss", [
+    ("chain", "chain", "hamming"), ("chain", "chain", "zero-one"),
+    ("grid", "graphcut", "weighted-hamming")])
+def test_overflowing_lambda_exits_3(kind, solver, loss):
+    """``train --lambda 1e-300`` lets the iterates reach about 1e302, whose
+    squared norm overflows: a configuration error before any solve, with
+    no weights file and, with warnings as errors, no leaked warning."""
+    if kind == "chain":
+        data, _ = gen_chain_dataset(5, 4, 2, 2, seed=5, teacher_seed=1)
+    else:
+        data, _ = gen_grid_dataset(3, 4, 2, seed=5, teacher_seed=1)
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        write_dataset(str(work / "d.jsonl"), data)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, err = _run(["train", "--data", str(work / "d.jsonl"),
+                              "--solver", solver, "--loss", loss,
+                              "--lambda", "1e-300", "--iters", "2",
+                              "--out", str(work / "w.json")])
+        assert code == 3, err
+        assert "overflow" in err
+        assert not (work / "w.json").exists()
 
 
 def _run_with_weights(work: Path, wpath: Path, command: str, *flags: str):

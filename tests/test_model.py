@@ -320,7 +320,7 @@ class TestFeatureInstance:
         m = chain_model(4, 2)
         x = FeatureInstance(m, rng.normal(size=(4, 2)), np.ones((3, 1)),
                             np.array([1, -1, 0, -1]))
-        assert x.partially_labeled and not x.fully_labeled
+        assert not x.fully_labeled
         assert x.given_labels() == {0: 1, 2: 0}
 
     def test_rejects_bad_volume(self, rng):

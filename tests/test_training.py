@@ -84,6 +84,35 @@ class TestConfig:
              inference_samples=1)
         _cfg(WeightLayout(2, 2, 1, PAIRWISE_POTTS), solver="graphcut")
 
+    @pytest.mark.parametrize("loss,kw", [
+        (LossSpec(HAMMING), dict(lam=1e-300)),
+        (LossSpec(ZERO_ONE), dict(lam=1e-300)),
+        (LossSpec(HAMMING), dict(lam=1.0, stepsize=3.0, iters=2000))])
+    def test_overflowing_iterates_refused_before_any_solve(self, rng, loss,
+                                                           kw, monkeypatch):
+        """A 1e-300 lambda bounds the iterates only by about 1e302, and
+        a constant stepsize with |1 - gamma lambda| = 2 not at all: both
+        drivers refuse before compiling any table.  The same data trains
+        at lambda 0.1, and at a constant stepsize with gamma lambda < 1."""
+        import gumbelmap.training as training
+        layout, data = _chain_data(rng, n=3)
+        unlabeled = [FeatureInstance(x.model, x.node_features,
+                                     x.edge_features) for x in data]
+        cfg = _cfg(layout, loss=loss, **kw)
+
+        def no_solve(*args):
+            raise AssertionError("a table was compiled")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(training, "compile_potentials", no_solve)
+            with pytest.raises(StructuralError, match="overflow"):
+                train(data, cfg)
+            if loss.kind != ZERO_ONE:
+                with pytest.raises(StructuralError, match="overflow"):
+                    train_semisupervised(data, unlabeled, cfg)
+        train(data, _cfg(layout, loss=loss, iters=3))
+        train(data, _cfg(layout, loss=loss, iters=3, lam=1.0, stepsize=0.5))
+
 
 class TestSteps:
     def test_first_step_from_zero_is_grad_over_lambda(self, rng):
@@ -94,14 +123,14 @@ class TestSteps:
         w0 = zero_weights(layout)
         w1, _ = sgd_loglik_step(w0, data[:2], 1, cfg)
         # reconstruct: w1 = 0 + (1/lam)(grad - lam*0) = grad / lam
+        from gumbelmap.gumbel import _map_labels
         from gumbelmap.model import compile_potentials, feature_map
-        from gumbelmap.training import _ElementSolver, _noise_for
+        from gumbelmap.training import _noise_for
         gsum = np.zeros(layout.total_size)
         for t, x in enumerate(data[:2]):
             p = compile_potentials(w0, x)
             z = _noise_for(x.model, cfg.seed, 1, 1, t + 1)
-            es = _ElementSolver(p, z, cfg.solver, True)
-            y_star = es.map_full()
+            y_star = _map_labels(p.with_unary(p.unary + z), cfg.solver)
             gsum += (feature_map(x, x.labels, layout)
                      - feature_map(x, y_star, layout))
         assert np.allclose(w1.values, gsum / 2 / cfg.lam, atol=1e-12)
@@ -287,12 +316,15 @@ class TestAcceleration:
         same labels and the same value bit for bit on the chain, brute-force
         and graph-cut solvers, the last with dynamic cuts off and on: every
         solver pins p + z and subtracts z_d(k).  Each draw asks for all 8
-        clamps in one ``clamped`` call, so every variable is pinned twice
-        (two rounds of pins on the chain); each row must equal the row of
-        the clamp asked for alone, and each value the clamped labeling's
-        value on p + z less z_d(k)."""
+        clamps in one call, so every variable is pinned twice (two rounds
+        of pins on the chain); each row must equal the row of the clamp
+        asked for alone, and each value the clamped labeling's value on
+        p + z less z_d(k).  Dynamic cuts answer on one retained cut state
+        that first solved the unconditional MAP, as in training."""
+        from gumbelmap.cuts import build_cut_problem
+        from gumbelmap.gumbel import (_cut_clamped_map,
+                                      perturbed_conditional_map)
         from gumbelmap.model import CompiledPotentials
-        from gumbelmap.training import _ElementSolver
         rng = np.random.default_rng(2400)
         variants = (("chain", False), ("brute", False), ("graphcut", False),
                     ("graphcut", True))
@@ -304,23 +336,47 @@ class TestAcceleration:
             p = CompiledPotentials(model, grid.unary, grid.pairwise)
             for t in range(3):
                 z = sample_noise(model, m, context=(t, 0))
-                solvers = [_ElementSolver(p, z, s, dc) for s, dc in variants]
-                for es in solvers:
-                    es.map_full()
-                out = [es.clamped(pairs) for es in solvers]
+                perturbed = p.with_unary(p.unary + z)
+                state = build_cut_problem(perturbed)
+                state.solve()
+
+                def clamped(solver, dynamic, asked):
+                    if dynamic:
+                        return _cut_clamped_map(state, perturbed, asked, z)
+                    return perturbed_conditional_map(p, asked, z, solver)
+
+                out = [clamped(s, dc, pairs) for s, dc in variants]
                 block0, vals0 = out[0]
                 for i, (d, k) in enumerate(pairs):
                     total += 1
                     agree += all(
                         np.array_equal(block[i], block0[i])
                         and vals[i] == vals0[i]
-                        and vals[i] == (evaluate_potential(es.perturbed,
-                                                           block[i])
+                        and vals[i] == (evaluate_potential(perturbed, block[i])
                                         - z[d, k])
-                        and np.array_equal(es.clamped([(d, k)])[0][0],
+                        and np.array_equal(clamped(s, dc, [(d, k)])[0][0],
                                            block[i])
-                        for es, (block, vals) in zip(solvers, out))
+                        for (s, dc), (block, vals) in zip(variants, out))
         assert (agree, total) == (2400, 2400)
+
+    def test_cut_clamps_leave_the_state_as_found(self):
+        """After a block of clamps on a retained cut state, the state holds
+        the unpinned perturbed table again and its next solve returns the
+        unconditional maximizer y_a."""
+        from gumbelmap.cuts import build_cut_problem
+        from gumbelmap.gumbel import _cut_clamped_map
+        from gumbelmap.model import compile_potentials
+        data, teacher = gen_grid_dataset(2, 4, 2, seed=3, teacher_seed=3)
+        for i, x in enumerate(data):
+            p = compile_potentials(teacher, x)
+            z = sample_noise(x.model, 7, context=(i, 0))
+            perturbed = p.with_unary(p.unary + z)
+            state = build_cut_problem(perturbed)
+            y_a = state.solve()[0]
+            pairs = [(d, 1 - int(y_a[d])) for d in range(x.model.num_vars)]
+            _cut_clamped_map(state, perturbed, pairs, z)
+            assert state.unary == perturbed.unary.ravel().tolist()
+            assert np.array_equal(state.solve()[0], y_a)
 
 
 class TestProjection:
