@@ -33,6 +33,7 @@ from .model import (
     grid_model,
     loss,
     loss_weights,
+    project_supermodular,
     volume_weights,
     zero_potentials,
     zero_weights,
@@ -60,7 +61,6 @@ from .training import (
     TrainReport,
     frozen_noise_objective,
     predict,
-    project_supermodular,
     sgd_loglik_step,
     sgd_marginal_step,
     sgd_unsup_step,

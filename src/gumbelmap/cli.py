@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import asdict
 
 import numpy as np
 
@@ -81,7 +82,18 @@ def _emit(record: dict) -> None:
     print(json.dumps(record, sort_keys=True))
 
 
-def _write_manifest(path: str, manifest: dict) -> None:
+def _record(args, metric: str, value, stderr=None, variant=None,
+            **extra) -> dict:
+    """One metric record of the run ``args`` describes."""
+    return {"metric": metric, "value": value, "stderr": stderr,
+            "seed": args.seed, "variant": variant, **extra}
+
+
+def _write_manifest(path: str, args, **fields) -> None:
+    """The command, version, arguments and seed of the run, and ``fields``."""
+    manifest = {"command": args.command, "version": __version__,
+                "args": {k: v for k, v in vars(args).items() if k != "func"},
+                "seed": args.seed, **fields}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, sort_keys=True, indent=2)
         fh.write("\n")
@@ -136,29 +148,34 @@ def _require_labeled(path: str, instances, what: str) -> None:
 
 def _validate_weighted(path: str, instances) -> None:
     for i, x in enumerate(instances):
-        if x.labels is not None and x.fully_labeled:
-            try:
-                volume_weights(x.labels, x.volumes())
-            except DegenerateInstanceError as exc:
-                raise _record_error(path, i, f"degenerate instance for "
-                                    f"weighted loss: {exc}") from exc
-            except StructuralError as exc:
-                raise _record_error(path, i, str(exc)) from exc
+        try:
+            volume_weights(x.labels, x.volumes())
+        except DegenerateInstanceError as exc:
+            raise _record_error(path, i, f"degenerate instance for "
+                                f"weighted loss: {exc}") from exc
+        except StructuralError as exc:
+            raise _record_error(path, i, str(exc)) from exc
 
 
 def _compile_finite(w, x, index: int, wpath: str, dpath: str,
                    conditional: bool = False):
     """The tables of instance ``index`` of ``dpath`` under the weights
     ``w`` of ``wpath``.  Finite weights can still overflow: a table that
-    is not finite, or with ``conditional`` its pin of the given labels
-    (``clamp_variables``), is an input error at the instance's line."""
+    is not finite, or with ``conditional`` a pin of the given labels that
+    ``clamp_variables`` refuses (not finite or from 2^52 on), is an input
+    error at the instance's line."""
     with np.errstate(over="ignore", invalid="ignore"):
         p = compile_potentials(w, x)
         finite = (np.isfinite(p.unary).all()
                   and np.isfinite(p.pairwise).all())
         given = x.given_labels() if conditional else {}
         if finite and given:
-            finite = np.isfinite(clamp_variables(p, given).unary).all()
+            try:
+                clamp_variables(p, given)
+            except StructuralError as exc:
+                raise _record_error(
+                    dpath, index, f"the weights in {wpath} give pins that "
+                    f"are not finite or too large on {dpath}: {exc}") from None
     if not finite:
         raise _record_error(dpath, index, f"the weights in {wpath} give "
                             f"tables that are not finite on {dpath}")
@@ -198,28 +215,17 @@ def cmd_train(args) -> int:
                   extra={"seed": args.seed, "loss": args.loss})
     tail = report.objective_estimates[-min(100, len(report.objective_estimates)):]
     metrics = [
-        {"metric": "objective_estimate_tail_mean", "value": float(np.mean(tail)),
-         "stderr": float(np.std(tail) / max(1, np.sqrt(tail.size))),
-         "seed": args.seed, "variant": None},
-        {"metric": "train_seconds", "value": seconds, "stderr": None,
-         "seed": args.seed, "variant": None},
+        _record(args, "objective_estimate_tail_mean", float(np.mean(tail)),
+                float(np.std(tail) / max(1, np.sqrt(tail.size)))),
+        _record(args, "train_seconds", seconds),
     ]
     for rec in metrics:
         _emit(rec)
-    manifest = {
-        "command": "train",
-        "version": __version__,
-        "args": {k: v for k, v in vars(args).items() if k != "func"},
-        "seed": args.seed,
-        "datasets": {args.data: dataset_digest(args.data),
-                     **({args.unlabeled: dataset_digest(args.unlabeled)}
-                        if args.unlabeled else {})},
-        "artifacts": {"weights": args.out},
-        "counters": report.counters.as_dict(),
-        "phase_seconds": report.phase_seconds,
-        "metrics": metrics,
-    }
-    _write_manifest(args.out + ".manifest.json", manifest)
+    _write_manifest(args.out + ".manifest.json", args,
+                    datasets={path: dataset_digest(path) for path, _ in files},
+                    artifacts={"weights": args.out},
+                    counters=asdict(report.counters),
+                    phase_seconds=report.phase_seconds, metrics=metrics)
     print(f"trained {args.iters} iterations in {seconds:.1f}s; "
           f"weights -> {args.out}", file=sys.stderr)
     return EXIT_OK
@@ -234,35 +240,28 @@ def cmd_eval(args) -> int:
     loss_spec = _loss_spec(args.loss)
     if loss_spec.kind == WEIGHTED_HAMMING:
         _validate_weighted(args.data, data)
-    for i, x in enumerate(data):  # every instance, before any solve
-        _compile_finite(w, x, i, args.weights, args.data)
+    tables = [_compile_finite(w, x, i, args.weights, args.data)
+              for i, x in enumerate(data)]  # every instance, before any solve
     losses = []
-    for i, x in enumerate(data):
+    for i, (x, p) in enumerate(zip(data, tables)):
         est = EstimatorConfig(args.samples, args.seed, args.solver,
                               stream_context=i + 1)
-        y_hat = predict(w, x, args.mode, est)
+        y_hat = predict(p, args.mode, est)
         losses.append(eval_loss(loss_spec, x.labels, y_hat, x.volumes()))
     losses = np.asarray(losses)
     mean = float(losses.mean())
     std = float(losses.std(ddof=1)) if len(losses) > 1 else 0.0
-    record = {"metric": f"{args.loss}_mean", "value": mean,
-              "stderr": std / max(1.0, np.sqrt(len(losses))),
-              "seed": args.seed, "variant": args.mode}
+    record = _record(args, f"{args.loss}_mean", mean,
+                     std / max(1.0, np.sqrt(len(losses))), args.mode)
     _emit(record)
     print(f"{args.loss} over {len(losses)} instances: "
           f"{mean:.4f} +- {std:.4f} (std across instances)", file=sys.stderr)
     if args.out:
-        manifest = {
-            "command": "eval", "version": __version__,
-            "args": {k: v for k, v in vars(args).items() if k != "func"},
-            "seed": args.seed,
-            "datasets": {args.data: dataset_digest(args.data)},
-            "artifacts": {"weights": args.weights},
-            "metrics": [record, {"metric": f"{args.loss}_std", "value": std,
-                                 "stderr": None, "seed": args.seed,
-                                 "variant": args.mode}],
-        }
-        _write_manifest(args.out, manifest)
+        _write_manifest(args.out, args,
+                        datasets={args.data: dataset_digest(args.data)},
+                        artifacts={"weights": args.weights},
+                        metrics=[record, _record(args, f"{args.loss}_std",
+                                                 std, variant=args.mode)])
     return EXIT_OK
 
 
@@ -285,8 +284,7 @@ def cmd_marginals(args) -> int:
         for rec in rows_out:
             fh.write(json.dumps(rec, sort_keys=True))
             fh.write("\n")
-    _emit({"metric": "marginals_written", "value": len(rows_out),
-           "stderr": None, "seed": args.seed, "variant": None})
+    _emit(_record(args, "marginals_written", len(rows_out)))
     return EXIT_OK
 
 
@@ -309,8 +307,7 @@ def cmd_gen_synthetic(args) -> int:
     write_weights(args.out + ".teacher.json", teacher,
                   extra={"teacher_seed": args.teacher_seed,
                          "kind": args.kind})
-    _emit({"metric": "instances_written", "value": args.num, "stderr": None,
-           "seed": args.seed, "variant": args.kind})
+    _emit(_record(args, "instances_written", args.num, variant=args.kind))
     print(f"wrote {args.num} {args.kind} instances -> {args.out} "
           f"(digest {dataset_digest(args.out)[:12]})", file=sys.stderr)
     return EXIT_OK
@@ -344,15 +341,12 @@ def cmd_bench_dynamic(args) -> int:
         report = train(instances, cfg)
         seconds = time.perf_counter() - t0
         results[v] = (report, seconds)
-        rec = {"metric": "bench_seconds", "value": seconds, "stderr": None,
-               "seed": args.seed, "variant": v,
-               "iterations": args.iters,
-               **report.counters.as_dict(),
-               "skipped_fraction_series":
-                   [[h, round(f, 6)] for h, f in
-                    report.skipped_fraction_series[:5] +
-                    report.skipped_fraction_series[-5:]]}
-        _emit(rec)
+        _emit(_record(args, "bench_seconds", seconds, variant=v,
+                      iterations=args.iters, **asdict(report.counters),
+                      skipped_fraction_series=[
+                          [h, round(f, 6)] for h, f in
+                          report.skipped_fraction_series[:5] +
+                          report.skipped_fraction_series[-5:]]))
 
     # all variants are exact rewrites of the same updates
     names = list(results)
@@ -361,8 +355,8 @@ def cmd_bench_dynamic(args) -> int:
     for v in names[1:]:
         max_diff = max(max_diff, float(np.max(np.abs(
             results[v][0].weights.values - base))))
-    _emit({"metric": "trajectory_max_diff", "value": max_diff,
-           "stderr": None, "seed": args.seed, "variant": ",".join(names)})
+    _emit(_record(args, "trajectory_max_diff", max_diff,
+                  variant=",".join(names)))
 
     print(f"\n{'variant':>8} {'seconds':>9} {'solves':>8} {'skipped':>8}",
           file=sys.stderr)
@@ -372,15 +366,9 @@ def cmd_bench_dynamic(args) -> int:
               f"{rep.counters.map_solves + rep.counters.clamp_solves:8d} "
               f"{rep.counters.clamp_skipped:8d}", file=sys.stderr)
     if args.out:
-        manifest = {
-            "command": "bench-dynamic", "version": __version__,
-            "args": {k: v for k, v in vars(args).items() if k != "func"},
-            "seed": args.seed,
-            "trajectory_max_diff": max_diff,
-            "variants": {v: {"seconds": sec, **rep.counters.as_dict()}
-                         for v, (rep, sec) in results.items()},
-        }
-        _write_manifest(args.out, manifest)
+        _write_manifest(args.out, args, trajectory_max_diff=max_diff,
+                        variants={v: {"seconds": sec, **asdict(rep.counters)}
+                                  for v, (rep, sec) in results.items()})
     return EXIT_OK
 
 

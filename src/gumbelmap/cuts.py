@@ -251,7 +251,9 @@ def pin_margins(p: CompiledPotentials) -> np.ndarray:
     with the other endpoint held, plus 1.  Moving y_d to k then raises f
     by at least 1 whatever the other labels are, once u_d(k) is raised by
     margin[d]: every maximizer takes y_d = k, whichever variables are
-    pinned with it.
+    pinned with it.  Once a pinned entry |u_d(k)| + margin[d] can reach
+    2^52, doubles there are spaced by 1 or more and the + 1 can be
+    rounded away, so such tables are refused (``StructuralError``).
     """
     u = p.unary
     margins = u.max(axis=1) - u.min(axis=1)
@@ -262,7 +264,13 @@ def pin_margins(p: CompiledPotentials) -> np.ndarray:
         span_j = (pw.max(axis=2) - pw.min(axis=2)).max(axis=1)
         np.add.at(margins, ea[:, 0], span_i)
         np.add.at(margins, ea[:, 1], span_j)
-    return margins + 1.0
+    margins += 1.0
+    top = np.abs(u).max() + margins.max()
+    if not top < 2.0 ** 52:
+        raise StructuralError(
+            f"a pinned table entry can reach {top:.3g} >= 2^52, where the "
+            f"+ 1 of a pin margin can be rounded away")
+    return margins
 
 
 def clamp_variables(p: CompiledPotentials,

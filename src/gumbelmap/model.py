@@ -269,6 +269,16 @@ def zero_weights(layout: WeightLayout) -> WeightVector:
     return WeightVector(np.zeros(layout.total_size), layout)
 
 
+def project_supermodular(w: WeightVector) -> WeightVector:
+    """Clamp the pairwise block to be non-positive (idempotent).  With the
+    disagreement ('potts') parameterization and non-negative edge features
+    this keeps every compiled instance cut-solvable."""
+    values = w.values.copy()
+    block = w.pairwise_block
+    values[block] = np.minimum(values[block], 0.0)
+    return WeightVector(values, w.layout)
+
+
 @dataclass(frozen=True)
 class FeatureInstance:
     """One data point: structure, features, and (possibly partial) labels.

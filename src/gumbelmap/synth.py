@@ -24,6 +24,7 @@ from .model import (
     chain_model,
     compile_potentials,
     grid_model,
+    project_supermodular,
 )
 
 
@@ -35,10 +36,7 @@ def sample_teacher(layout: WeightLayout, seed: int,
     with np.errstate(over="ignore"):  # an overflow is refused below
         values = rng.normal(size=layout.total_size) * scale
     _require_finite("teacher weights", values)
-    w = WeightVector(values, layout)
-    block = w.pairwise_block
-    w.values[block] = np.minimum(w.values[block], 0.0)
-    return w
+    return project_supermodular(WeightVector(values, layout))
 
 
 def _check_numbers(num: int, teacher_scale: float, label_noise: float):

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import math
 import time as _time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -76,11 +76,11 @@ from .model import (
     evaluate_potential,
     feature_map,
     loss_weights,
+    project_supermodular,
     zero_weights,
 )
 
 PHASE_SUPERVISED = 1
-PHASE_MARGINALS = 2
 PHASE_MIXED = 3
 
 PREDICT_MAP = "map"
@@ -127,9 +127,6 @@ class TrainCounters:
     clamp_solves: int = 0
     clamp_skipped: int = 0
 
-    def as_dict(self) -> dict[str, int]:
-        return asdict(self)
-
 
 @dataclass
 class TrainReport:
@@ -139,16 +136,6 @@ class TrainReport:
     counters: TrainCounters
     phase_seconds: dict[str, float] = field(default_factory=dict)
     skipped_fraction_series: list[tuple[int, float]] = field(default_factory=list)
-
-
-def project_supermodular(w: WeightVector) -> WeightVector:
-    """Clamp the pairwise block to be non-positive (idempotent).  With the
-    disagreement ('potts') parameterization and non-negative edge features
-    this keeps every compiled instance cut-solvable."""
-    values = w.values.copy()
-    block = w.pairwise_block
-    values[block] = np.minimum(values[block], 0.0)
-    return WeightVector(values, w.layout)
 
 
 def _noise_for(model, seed: int, phase: int, h: int, slot: int) -> np.ndarray:
@@ -510,11 +497,11 @@ def train_semisupervised(d1: list[FeatureInstance],
 # ---------------------------------------------------------------------------
 
 
-def predict(w: WeightVector, x: FeatureInstance, mode: str,
+def predict(p: CompiledPotentials, mode: str,
             est: EstimatorConfig) -> np.ndarray:
-    """MAP decoding with ``est.solver``, or the per-variable argmax (ties
-    to the smallest label) of counting marginals drawn as ``est`` says."""
-    p = compile_potentials(w, x)
+    """Labels decoded from the compiled potentials ``p``: a MAP labeling
+    with ``est.solver``, or the per-variable argmax (ties to the smallest
+    label) of counting marginals drawn as ``est`` says."""
     if mode == PREDICT_MAP:
         return _map_labels(p, est.solver)
     if mode == PREDICT_MARGINAL:

@@ -353,7 +353,7 @@ def test_criterion_08_semisupervised_direction():
             for i, x in enumerate(test):
                 est = EstimatorConfig(100, seed, "graphcut",
                                       stream_context=i + 1)
-                y_hat = predict(w, x, "marginal", est)
+                y_hat = predict(compile_potentials(w, x), "marginal", est)
                 total += eval_loss(spec, x.labels, y_hat, x.volumes())
             return total / len(test)
 

@@ -9,11 +9,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gumbelmap import cli
+from gumbelmap import __version__, cli
 from gumbelmap.cli import main
-from gumbelmap.datasets import read_dataset, read_weights, write_dataset
-from gumbelmap.model import FeatureInstance, LossSpec, HAMMING, loss as eval_loss
-from gumbelmap.gumbel import EstimatorConfig
+from gumbelmap.datasets import (dataset_digest, read_dataset, read_weights,
+                                write_dataset)
+from gumbelmap.exact import viterbi_map
+from gumbelmap.model import (FeatureInstance, LossSpec, HAMMING,
+                             compile_potentials, loss as eval_loss)
+from gumbelmap.gumbel import EstimatorConfig, counting_marginals
 from gumbelmap.training import predict
 
 
@@ -52,7 +55,7 @@ class TestGenSynthetic:
                     "--vars", "4", "--labels", "2", "--out", str(out)]) == 0
         assert read_dataset(str(out)) == []
 
-    def test_byte_identical_reruns(self, tmp_path):
+    def test_byte_identical_reruns(self, tmp_path, capsys):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         args = ["gen-synthetic", "--kind", "chain", "--num", "5", "--vars", "5",
                 "--labels", "2", "--feat-dim", "2", "--teacher-seed", "3",
@@ -60,6 +63,10 @@ class TestGenSynthetic:
         assert run(args + ["--out", str(a)]) == 0
         assert run(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+        record = json.dumps({"metric": "instances_written", "value": 5,
+                             "stderr": None, "seed": 9, "variant": "chain"},
+                            sort_keys=True)
+        assert capsys.readouterr().out.splitlines() == [record, record]
 
     def test_missing_shape_flag(self, tmp_path):
         rc = run(["gen-synthetic", "--kind", "chain", "--num", "1",
@@ -112,7 +119,7 @@ class TestArguments:
 
 
 class TestTrain:
-    def test_deterministic_artifacts(self, chain_file, tmp_path):
+    def test_deterministic_artifacts(self, chain_file, tmp_path, capsys):
         w1, w2 = tmp_path / "w1.json", tmp_path / "w2.json"
         args = ["train", "--data", chain_file, "--loss", "hamming",
                 "--lambda", "0.1", "--iters", "120", "--batch", "2",
@@ -120,9 +127,30 @@ class TestTrain:
         assert run(args + ["--out", str(w1)]) == 0
         assert run(args + ["--out", str(w2)]) == 0
         assert w1.read_bytes() == w2.read_bytes()
-        manifest = json.loads((tmp_path / "w1.json.manifest.json").read_text())
+        records = [json.loads(s) for s in capsys.readouterr().out.splitlines()]
+        manifest = json.loads((tmp_path / "w2.json.manifest.json").read_text())
+        assert sorted(manifest) == ["args", "artifacts", "command",
+                                    "counters", "datasets", "metrics",
+                                    "phase_seconds", "seed", "version"]
         assert manifest["command"] == "train"
-        assert chain_file in manifest["datasets"]
+        assert manifest["version"] == __version__
+        assert manifest["args"] == {
+            "command": "train", "data": chain_file, "loss": "hamming",
+            "lam": 0.1, "iters": 120, "batch": 2, "kappa": 1.0,
+            "samples": 100, "solver": "chain", "unlabeled": None,
+            "out": str(w2), "seed": 3}
+        assert manifest["seed"] == 3
+        assert manifest["datasets"] == {chain_file: dataset_digest(chain_file)}
+        assert manifest["artifacts"] == {"weights": str(w2)}
+        assert sorted(manifest["counters"]) == ["clamp_skipped",
+                                                "clamp_solves", "map_solves"]
+        assert list(manifest["phase_seconds"]) == ["supervised"]
+        # the records printed by the second run, in order
+        assert manifest["metrics"] == records[2:]
+        assert [r["metric"] for r in records[2:]] == [
+            "objective_estimate_tail_mean", "train_seconds"]
+        assert records[3]["stderr"] is None
+        assert all(r["seed"] == 3 and r["variant"] is None for r in records)
 
     def test_malformed_dataset_exit_2(self, tmp_path):
         bad = tmp_path / "bad.jsonl"
@@ -286,6 +314,11 @@ class TestTrain:
                   "--batch", "2", "--samples", "20", "--kappa", "1.0",
                   "--seed", "4", "--out", str(tmp_path / "w.json")])
         assert rc == 0
+        manifest = json.loads((tmp_path / "w.json.manifest.json").read_text())
+        assert manifest["datasets"] == {str(lab): dataset_digest(str(lab)),
+                                        str(unl): dataset_digest(str(unl))}
+        assert sorted(manifest["phase_seconds"]) == ["marginals", "mixed",
+                                                     "supervised"]
 
     def test_semisupervised_zero_one_exit_3(self, grid_file, tmp_path):
         """Zero-one loss with unlabeled data is a configuration error,
@@ -352,7 +385,7 @@ class TestEval:
         est = EstimatorConfig(100, 0, "chain", stream_context=1)
         relabeled = [
             FeatureInstance(x.model, x.node_features, x.edge_features,
-                            predict(w, x, "map", est))
+                            predict(compile_potentials(w, x), "map", est))
             for x in data]
         oracle = tmp_path / "oracle.jsonl"
         write_dataset(str(oracle), relabeled)
@@ -362,7 +395,7 @@ class TestEval:
         assert rc == 0
         # independent check of the zero loss
         total = sum(eval_loss(LossSpec(HAMMING), x.labels,
-                              predict(w, x, "map", est))
+                              predict(compile_potentials(w, x), "map", est))
                     for x in relabeled)
         assert total == 0.0
 
@@ -381,6 +414,46 @@ class TestEval:
         assert rec["metric"] == "hamming_mean"
         # teacher predictions on its own samples: clearly better than chance
         assert rec["value"] < 0.5
+
+    @pytest.mark.parametrize("mode", ["map", "marginal"])
+    def test_out_manifest(self, chain_file, tmp_path, capsys, mode):
+        """``eval --out`` writes the command, version, arguments, seed,
+        dataset digest and weights path, and two records: the mean loss,
+        as printed, and the standard deviation across instances, both
+        equal to a decode written out here."""
+        wfile = chain_file + ".teacher.json"
+        out = tmp_path / "eval.json"
+        capsys.readouterr()
+        assert run(["eval", "--data", chain_file, "--weights", wfile,
+                    "--mode", mode, "--samples", "20", "--seed", "4",
+                    "--out", str(out)]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        w = read_weights(wfile)
+        losses = []
+        for i, x in enumerate(read_dataset(chain_file)):
+            p = compile_potentials(w, x)
+            if mode == "map":
+                y = viterbi_map(p)
+            else:
+                est = EstimatorConfig(20, 4, "chain", stream_context=i + 1)
+                y = counting_marginals(p, est).argmax(axis=1)
+            losses.append(eval_loss(LossSpec(HAMMING), x.labels, y))
+        losses = np.asarray(losses)
+        std = float(losses.std(ddof=1))
+        mean = {"metric": "hamming_mean", "value": float(losses.mean()),
+                "stderr": std / np.sqrt(len(losses)), "seed": 4,
+                "variant": mode}
+        assert printed == [json.dumps(mean, sort_keys=True)]
+        assert json.loads(out.read_text()) == {
+            "command": "eval", "version": __version__,
+            "args": {"command": "eval", "data": chain_file, "weights": wfile,
+                     "loss": "hamming", "mode": mode, "samples": 20,
+                     "solver": "chain", "out": str(out), "seed": 4},
+            "seed": 4,
+            "datasets": {chain_file: dataset_digest(chain_file)},
+            "artifacts": {"weights": wfile},
+            "metrics": [mean, {"metric": "hamming_std", "value": std,
+                               "stderr": None, "seed": 4, "variant": mode}]}
 
     def test_unlabeled_eval_exit_2(self, tmp_path):
         src = tmp_path / "u.jsonl"
@@ -423,24 +496,32 @@ class TestEval:
             write_weights(str(zfile), zero)
             data = read_dataset(str(src))
             lt = np.mean([eval_loss(LossSpec(HAMMING), x.labels,
-                                    predict(w, x, "marginal", est(i)))
+                                    predict(compile_potentials(w, x),
+                                            "marginal", est(i)))
                           for i, x in enumerate(data)])
             lz = np.mean([eval_loss(LossSpec(HAMMING), x.labels,
-                                    predict(zero, x, "marginal", est(i)))
+                                    predict(compile_potentials(zero, x),
+                                            "marginal", est(i)))
                           for i, x in enumerate(data)])
             wins += int(lt < lz)
         assert wins == 10
 
 
 class TestMarginals:
-    def test_rows_sum_to_one(self, chain_file, tmp_path):
+    def test_rows_sum_to_one(self, chain_file, tmp_path, capsys):
         out = tmp_path / "m.jsonl"
         wfile = tmp_path / "w.json"
         assert run(["train", "--data", chain_file, "--iters", "30",
                     "--solver", "chain", "--seed", "1", "--out", str(wfile)]) == 0
+        capsys.readouterr()
         assert run(["marginals", "--data", chain_file, "--weights", str(wfile),
                     "--samples", "64", "--solver", "chain", "--seed", "2",
                     "--out", str(out)]) == 0
+        assert capsys.readouterr().out.splitlines() == [json.dumps(
+            {"metric": "marginals_written", "value": 30, "stderr": None,
+             "seed": 2, "variant": None}, sort_keys=True)]
+        assert [json.loads(line)["instance"] for line in
+                out.read_text().splitlines()] == list(range(30))
         for line in out.read_text().splitlines():
             rec = json.loads(line)
             for row in rec["marginals"]:
@@ -499,3 +580,24 @@ class TestBenchDynamic:
             return bench[v]["map_solves"] + bench[v]["clamp_solves"]
         assert solves("DC+GR") <= solves("GR") <= solves("basic")
         assert bench["GR"]["clamp_skipped"] > 0
+        counters = ["map_solves", "clamp_solves", "clamp_skipped"]
+        for v, r in bench.items():
+            assert sorted(r) == sorted(["metric", "value", "stderr", "seed",
+                                        "variant", "iterations",
+                                        "skipped_fraction_series", *counters])
+            assert (r["stderr"], r["seed"], r["iterations"]) == (None, 3, 60)
+        assert traj == {"metric": "trajectory_max_diff",
+                        "value": traj["value"], "stderr": None, "seed": 3,
+                        "variant": "basic,DC,GR,DC+GR"}
+        assert json.loads(out.read_text()) == {
+            "command": "bench-dynamic", "version": __version__,
+            "args": {"command": "bench-dynamic", "side": 4, "iters": 60,
+                     "batch": 1, "train_size": 2, "feat_dim": 2,
+                     "lam": 0.005, "stepsize": 0.005,
+                     "variants": "basic,DC,GR,DC+GR", "out": str(out),
+                     "seed": 3},
+            "seed": 3,
+            "trajectory_max_diff": traj["value"],
+            "variants": {v: {"seconds": r["value"],
+                             **{c: r[c] for c in counters}}
+                         for v, r in bench.items()}}

@@ -1,6 +1,7 @@
 """Min-cut MAP solving, dynamic unary updates, and clamping."""
 
 import contextlib
+import dataclasses
 import hashlib
 import signal
 import warnings
@@ -410,7 +411,7 @@ class TestKernelExactness:
         assert objectives == ["-0x1.9cfab423ed209p-1",
                               "-0x1.673a30c23e61ep+5",
                               "-0x1.243e8c794b16ep-2"]
-        assert counters.as_dict() == {
+        assert dataclasses.asdict(counters) == {
             "map_solves": 3, "clamp_solves": 51, "clamp_skipped": 90}
         assert augmentations == [
             31, 3, 1, 3, 7, 6, 1, 4, 2, 1, 1, 31, 7, 3, 5, 1, 2, 0, 3, 4, 4,
@@ -472,6 +473,22 @@ class TestClamping:
         np.add.at(want, ea[:, 1],
                   np.max(np.abs(pw[:, :, 0] - pw[:, :, 1]), axis=1))
         assert pin_margins(p).tobytes() == (want + 1.0).tobytes()
+
+    def test_pins_refused_from_2_52(self, rng):
+        """A pinned entry that can reach 2^52, where doubles are spaced by
+        1 and the + 1 of a margin can round away, is refused on every pin;
+        with the largest entry at 2^50 the same tables pin."""
+        p = random_supermodular_grid(rng, rows=2, cols=3)
+        for entry in [2.0 ** 52, -2.0 ** 52, 2.0 ** 50]:
+            unary = p.unary.copy()
+            unary[5, 0] = entry
+            big = p.with_unary(unary)
+            if abs(entry) == 2.0 ** 52:
+                with pytest.raises(StructuralError, match=r"2\^52"):
+                    clamp_variables(big, {0: 1})
+            else:
+                pinned = clamp_variables(big, {5: 1}).unary
+                assert pinned[5, 1] == unary[5, 1] + pin_margins(big)[5]
 
     @settings(max_examples=120, deadline=None)
     @given(kind=st.sampled_from(["chain", "grid", "general"]),

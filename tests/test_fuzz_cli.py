@@ -12,12 +12,13 @@ error): never 4, which is where ``main`` maps any unexpected exception,
 and never with an exception escaping ``main``.
 
 Weight files with one non-finite entry (NaN, an infinity or JSON null),
-weight files of finite values whose compiled tables (or, with
-``--conditional``, pinned entries) overflow, and weight files that are
-truncated, not a JSON object, without layout fields or with layout
-fields or values of the wrong type, must make ``eval`` and
-``marginals`` exit 2, a lambda under which the iterates can overflow
-must make ``train`` exit 3, and ``gen-synthetic`` must
+weight files of finite values whose compiled tables overflow (or, with
+``--conditional``, whose pinned entries overflow or reach 2^52, where a
+pin margin can be rounded away), and weight files that are truncated,
+not a JSON object, without layout fields or with layout fields or
+values of the wrong type, must make ``eval`` and ``marginals`` exit 2, a
+lambda under which the iterates can overflow, or a run that pins an
+entry of 2^52, must make ``train`` exit 3, and ``gen-synthetic`` must
 exit 3 for a non-finite teacher scale or a label noise outside [0, 1];
 either way no output file is written.
 """
@@ -233,6 +234,24 @@ def test_overflowing_pins_exit_2():
         assert "not finite" not in err
 
 
+def test_pins_past_2_52_exit_2():
+    """Grid weights of -1e20 compile to finite tables and finite pins, but
+    the pinned entries pass 2^52, where a pin margin can be rounded away
+    (here a given label 1 was written as one-hot at 0): ``marginals
+    --conditional`` is an input error with no output."""
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        wpath = _overflowing_weights(work, "grid", -1e20)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, err, out = _run_with_weights(
+                work, wpath, "marginals", "--solver", "graphcut",
+                "--conditional")
+        assert code == 2, err
+        assert str(wpath) in err and "2^52" in err
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("kind, solver, loss", [
     ("chain", "chain", "hamming"), ("chain", "chain", "zero-one"),
     ("grid", "graphcut", "weighted-hamming")])
@@ -256,6 +275,39 @@ def test_overflowing_lambda_exits_3(kind, solver, loss):
         assert code == 3, err
         assert "overflow" in err
         assert not (work / "w.json").exists()
+
+
+def test_lambda_that_rounds_away_a_pin_exits_3():
+    """At lambda 1e-20 the iterates stay finite but pinned table entries
+    pass 2^52, where the + 1 of a pin margin is lost and a clamped solve
+    can return another label: a configuration error at the first such
+    pin (exit 4 from a failed pin check before), with no weights file.
+    Lambda 1e-10 on the same grids still trains, and so does the zero-one
+    loss at 1e-20 on chains, which pins nothing."""
+    data, _ = gen_grid_dataset(3, 4, 4, seed=0)
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        write_dataset(str(work / "d.jsonl"), data)
+        argv = ["train", "--data", str(work / "d.jsonl"), "--solver",
+                "graphcut", "--iters", "50", "--out", str(work / "w.json")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, err = _run(argv + ["--lambda", "1e-20"])
+        assert code == 3, err
+        assert "pin margin" in err
+        assert not (work / "w.json").exists()
+        code, err = _run(argv + ["--lambda", "1e-10"])
+        assert code == 0, err
+        assert (work / "w.json").exists()
+        chains, _ = gen_chain_dataset(3, 6, 3, 2, seed=0, teacher_seed=1)
+        write_dataset(str(work / "c.jsonl"), chains)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, err = _run(["train", "--data", str(work / "c.jsonl"),
+                              "--loss", "zero-one", "--lambda", "1e-20",
+                              "--iters", "50", "--out", str(work / "z.json")])
+        assert code == 0, err
+        assert (work / "z.json").exists()
 
 
 def _run_with_weights(work: Path, wpath: Path, command: str, *flags: str):

@@ -1,5 +1,6 @@
 """SGD steps, acceleration equivalence, and the training drivers."""
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -18,8 +19,10 @@ from gumbelmap.model import (
     WeightVector,
     ZERO_ONE,
     chain_model,
+    compile_potentials,
     evaluate_potential,
     grid_model,
+    project_supermodular,
     zero_weights,
 )
 from gumbelmap.synth import gen_chain_dataset, gen_grid_dataset
@@ -28,7 +31,6 @@ from gumbelmap.training import (
     TrainCounters,
     frozen_noise_objective,
     predict,
-    project_supermodular,
     sgd_loglik_step,
     sgd_marginal_step,
     sgd_unsup_step,
@@ -112,6 +114,20 @@ class TestConfig:
                     train_semisupervised(data, unlabeled, cfg)
         train(data, _cfg(layout, loss=loss, iters=3))
         train(data, _cfg(layout, loss=loss, iters=3, lam=1.0, stepsize=0.5))
+
+    def test_iterate_bound_passes_image_sized_grids(self, rng):
+        """The iterate bound refuses overflow only.  On a 150x150 grid with
+        4 standard-normal features its worst-case table entry (3 B S, about
+        1e16 at lambda 0.1) is past 2^52, but finite: the run is not
+        refused, since whether a pin holds is read from the tables pinned
+        (``cuts.pin_margins``), not from this bound."""
+        from gumbelmap.training import _check_bounded
+        model = grid_model(150, 150)
+        x = FeatureInstance(model, rng.normal(size=(model.num_vars, 4)),
+                            np.ones((model.num_edges, 1)),
+                            rng.integers(0, 2, size=model.num_vars))
+        cfg = _cfg(WeightLayout(2, 4, 1, PAIRWISE_POTTS), solver="graphcut")
+        _check_bounded(cfg, [x], [], cfg.iters)
 
 
 class TestSteps:
@@ -516,7 +532,7 @@ class TestDrivers:
             "-0x1.4c1c1e46503c6p-4", "0x1.267916e028a02p-3",
             "-0x1.b665f539329fdp-3")]
         assert report.averaged.values.tolist() == expect
-        assert report.counters.as_dict() == {
+        assert dataclasses.asdict(report.counters) == {
             "map_solves": 120, "clamp_solves": 649, "clamp_skipped": 687}
 
     def test_chain_training_golden(self):
@@ -539,7 +555,7 @@ class TestDrivers:
         digest = hashlib.sha256("\n".join(objectives).encode()).hexdigest()
         assert digest == ("2f7b3701cb4064a274f03adbb956fdd5"
                           "26482d144ffbc508cf933240a3537504")
-        assert report.counters.as_dict() == {
+        assert dataclasses.asdict(report.counters) == {
             "map_solves": 500, "clamp_solves": 1404, "clamp_skipped": 2596}
 
     def test_chain_pairwise_weights_are_not_projected(self):
@@ -578,11 +594,10 @@ class TestPredict:
         w = WeightVector(rng.normal(size=layout.total_size), layout)
         w.values[w.pairwise_block] = 0.0
         est = EstimatorConfig(4000, 17, "chain", stream_context=1)
-        from gumbelmap.model import compile_potentials
         from scipy.special import softmax
         p = compile_potentials(w, x)
-        y_map = predict(w, x, "map", est)
-        y_marg = predict(w, x, "marginal", est)
+        y_map = predict(p, "map", est)
+        y_marg = predict(p, "marginal", est)
         se = np.sqrt(0.25 / 4000)
         for d in range(5):
             probs = softmax(p.unary[d, :3])
@@ -594,7 +609,7 @@ class TestPredict:
         layout, data = _chain_data(rng, n=1)
         x = data[0]
         w = WeightVector(rng.normal(size=layout.total_size), layout)
-        y = predict(w, x, "marginal",
+        y = predict(compile_potentials(w, x), "marginal",
                     EstimatorConfig(1, 17, "chain", stream_context=1))
         assert y.shape == (5,)
 
@@ -602,4 +617,5 @@ class TestPredict:
         layout, data = _chain_data(rng, n=1)
         w = zero_weights(layout)
         with pytest.raises(StructuralError):
-            predict(w, data[0], "nonsense", EstimatorConfig(100, 17, "chain"))
+            predict(compile_potentials(w, data[0]), "nonsense",
+                    EstimatorConfig(100, 17, "chain"))
