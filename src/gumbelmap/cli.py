@@ -44,7 +44,6 @@ from .model import (
     LossSpec,
     PAIRWISE_FULL,
     PAIRWISE_POTTS,
-    VOLUME_BALANCED,
     WEIGHTED_HAMMING,
     WeightLayout,
     ZERO_ONE,
@@ -69,13 +68,6 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_CONFIG = 3
 EXIT_INTERNAL = 4
-
-
-def _loss_spec(flag: str) -> LossSpec:
-    kind = _LOSS_FLAGS[flag]
-    if kind == WEIGHTED_HAMMING:
-        return LossSpec(kind, VOLUME_BALANCED)
-    return LossSpec(kind)
 
 
 def _emit(record: dict) -> None:
@@ -187,7 +179,7 @@ def cmd_train(args) -> int:
     if not data:
         raise DatasetError("training dataset is empty")
     _require_labeled(args.data, data, "training")
-    loss_spec = _loss_spec(args.loss)
+    loss_spec = LossSpec(_LOSS_FLAGS[args.loss])
     if loss_spec.kind == WEIGHTED_HAMMING:
         _validate_weighted(args.data, data)
     files = [(args.data, data)]
@@ -237,7 +229,7 @@ def cmd_eval(args) -> int:
         raise DatasetError("evaluation dataset is empty")
     _require_labeled(args.data, data, "evaluation")
     w = read_weights(args.weights)
-    loss_spec = _loss_spec(args.loss)
+    loss_spec = LossSpec(_LOSS_FLAGS[args.loss])
     if loss_spec.kind == WEIGHTED_HAMMING:
         _validate_weighted(args.data, data)
     tables = [_compile_finite(w, x, i, args.weights, args.data)

@@ -57,11 +57,13 @@ def record_to_instance(rec: dict, line: int | None = None) -> FeatureInstance:
         edges = tuple(tuple(int(v) for v in e) for e in rec["edges"])
         model = PairwiseModel(d, counts[0], edges)
         nf = np.asarray(rec["node_features"], dtype=np.float64)
-        if nf.size == 0:
-            nf = nf.reshape(d, 0)
         ef = np.asarray(rec["edge_features"], dtype=np.float64)
-        if ef.size == 0:
-            ef = ef.reshape(len(edges), ef.shape[-1] if ef.ndim == 2 else 0)
+        for field, block, rows in (("node_features", nf, d),
+                                   ("edge_features", ef, len(edges))):
+            if rows and block.size == 0:
+                raise DatasetError(f"{field} rows have width 0", line)
+        if ef.size == 0:  # an edgeless record: an empty (0, 0) block
+            ef = ef.reshape(0, 0)
         raw_labels = rec["labels"]
         labels = None
         if raw_labels is not None:

@@ -416,25 +416,18 @@ ZERO_ONE = "zero_one"
 HAMMING = "hamming"
 WEIGHTED_HAMMING = "weighted_hamming"
 
-VOLUME_BALANCED = "volume_balanced"
-
 
 @dataclass(frozen=True)
 class LossSpec:
-    """Loss selector.  For weighted Hamming, ``weight_rule`` is either the
-    string 'volume_balanced' or an explicit (D, K) table of weights."""
+    """Loss selector.  Weighted Hamming always takes its weights from
+    ``volume_weights`` over the instance's volumes (unit volumes when the
+    instance has none)."""
 
     kind: str
-    weight_rule: object = None
 
     def __post_init__(self):
         if self.kind not in (ZERO_ONE, HAMMING, WEIGHTED_HAMMING):
             raise StructuralError(f"unknown loss kind {self.kind!r}")
-        if self.kind == WEIGHTED_HAMMING:
-            if self.weight_rule is None:
-                raise StructuralError("weighted_hamming requires a weight_rule")
-        elif self.weight_rule is not None:
-            raise StructuralError("weight_rule only valid for weighted_hamming")
 
 
 def volume_weights(y_true: np.ndarray, volumes: np.ndarray) -> np.ndarray:
@@ -475,22 +468,14 @@ def loss(spec: LossSpec, y_true: np.ndarray, y_pred: np.ndarray,
 
 def loss_weights(spec: LossSpec, y_true: np.ndarray,
                  volumes: np.ndarray | None = None) -> np.ndarray:
-    """Per-variable theta_d(y_d) for Hamming-family losses (ones for plain
-    Hamming)."""
+    """Per-variable theta_d(y_d) for Hamming-family losses: ones for plain
+    Hamming, ``volume_weights`` for weighted Hamming.  Every entry is in
+    [0, 1]."""
     y_true = np.asarray(y_true, dtype=np.int64)
     d = y_true.shape[0]
     if spec.kind in (ZERO_ONE, HAMMING):
         return np.ones(d)
-    if isinstance(spec.weight_rule, str):
-        if spec.weight_rule != VOLUME_BALANCED:
-            raise StructuralError(f"unknown weight rule {spec.weight_rule!r}")
-        if volumes is None:
-            volumes = np.ones(d)
-        return volume_weights(y_true, volumes)
-    table = np.asarray(spec.weight_rule, dtype=np.float64)
-    if table.ndim != 2 or table.shape[0] != d:
-        raise StructuralError("explicit weight table must be (D, K)")
-    return table[np.arange(d), y_true]
+    return volume_weights(y_true, np.ones(d) if volumes is None else volumes)
 
 
 # ---------------------------------------------------------------------------

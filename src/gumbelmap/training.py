@@ -402,20 +402,17 @@ def _check_bounded(cfg: TrainConfig, labeled: list[FeatureInstance],
                    unlabeled: list[FeatureInstance], steps: int) -> None:
     """Refuse, before any solve, a lambda (or stepsize) under which the
     iterates can overflow.  A gradient entry is at most G = (1 + kappa)
-    D t S, S being the largest sum of |features| of an instance and t 1
-    or an explicit loss table's largest entry.  So |w_i| <= B = G/lambda
+    D S, S being the largest sum of |features| of an instance, since every
+    loss weight-table entry lies in [0, 1].  So |w_i| <= B = G/lambda
     under steps 1/(lambda h) (Shalev-Shwartz et al., "Pegasos", ICML
     2007), and B = gamma G sum_{j < steps} |1 - gamma lambda|^j under a
     constant gamma.  B must keep ||w||^2 finite, and 3 B S, which bounds
     every table entry plus its pin margin."""
-    rule = cfg.loss.weight_rule
-    t = (1.0 if rule is None or isinstance(rule, str)
-         else max(1.0, float(np.abs(rule).max())))
     data = labeled + unlabeled
     with np.errstate(over="ignore", invalid="ignore"):
         size = max(float(np.abs(x.node_features).sum()
                          + np.abs(x.edge_features).sum()) for x in data)
-        g = (t * (1.0 + (cfg.kappa if unlabeled else 0.0)) * size
+        g = ((1.0 + (cfg.kappa if unlabeled else 0.0)) * size
              * max(x.model.num_vars for x in data))
         bound = g / cfg.lam
         if cfg.stepsize is not None:

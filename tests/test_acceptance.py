@@ -32,7 +32,6 @@ from gumbelmap.model import (
     FeatureInstance,
     HAMMING,
     LossSpec,
-    VOLUME_BALANCED,
     WEIGHTED_HAMMING,
     WeightLayout,
     WeightVector,
@@ -345,7 +344,7 @@ def test_criterion_08_semisupervised_direction():
         train_all, test = data[:20], data[20:]
         d1 = train_all[:2]
         d2 = [strip(x) for x in train_all[2:]]
-        spec = LossSpec(WEIGHTED_HAMMING, VOLUME_BALANCED)
+        spec = LossSpec(WEIGHTED_HAMMING)
         layout = teacher.layout
 
         def evaluate(w):

@@ -353,6 +353,30 @@ class TestTrain:
         assert capsys.readouterr().err == (
             f"input error: line 4: node feature dim 4 != 3 in {bad}\n")
 
+    @pytest.mark.parametrize("field", ["node_features", "edge_features"])
+    def test_zero_width_feature_rows_exit_2(self, chain_file, tmp_path,
+                                            capsys, field):
+        """Feature rows of width 0 are an input error at their line on
+        train, eval and marginals, and nothing is written."""
+        wfile = tmp_path / "w.json"
+        assert run(["train", "--data", chain_file, "--iters", "3",
+                    "--out", str(wfile)]) == 0
+        lines = Path(chain_file).read_text().splitlines()
+        rec = json.loads(lines[0])
+        rec[field] = [[] for _ in rec[field]]
+        lines[0] = json.dumps(rec)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out.json"
+        weights = ["--weights", str(wfile)]
+        for argv in (["train"], ["eval", *weights], ["marginals", *weights]):
+            capsys.readouterr()
+            rc = run([*argv, "--data", str(bad), "--out", str(out)])
+            assert rc == 2
+            assert capsys.readouterr().err == (
+                f"input error: line 1: {field} rows have width 0\n")
+            assert not out.exists()
+
     @pytest.mark.parametrize("solver", ["chain", "graphcut", "brute"])
     def test_edgeless_dataset_trains_and_evaluates(self, tmp_path, solver):
         """Single-variable instances have no edges: the layout gets edge

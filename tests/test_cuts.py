@@ -379,7 +379,7 @@ class TestKernelExactness:
         solve are pinned bit for bit.  The given labels of the third grid
         are pinned in the graph, not folded out of it."""
         grids, teacher = gen_grid_dataset(3, 6, 3, seed=17, teacher_seed=1009)
-        spec = LossSpec(WEIGHTED_HAMMING, "volume_balanced")
+        spec = LossSpec(WEIGHTED_HAMMING)
         augmentations = []
 
         def solve(self):

@@ -1,12 +1,12 @@
 """Input fuzzers: whatever a JSON-lines dataset, a weight file or a
 generator flag holds, the command ends in a clean exit.
 
-Small records are drawn with mixed feature widths, negative or non-finite
-features and volumes, bad edges, label counts that differ or do not match
-num_vars, out-of-range labels and missing fields.  Half the runs also set
-one of ``--lambda``, ``--kappa`` or ``--samples`` to NaN, an infinity,
-1e-310 (whose inverse overflows), zero or a negative; a run whose value
-is out of range must not exit 0.
+Small records are drawn with mixed or zero feature widths, negative or
+non-finite features and volumes, bad edges, label counts that differ or
+do not match num_vars, out-of-range labels and missing fields.  Half the
+runs also set one of ``--lambda``, ``--kappa`` or ``--samples`` to NaN,
+an infinity, 1e-310 (whose inverse overflows), zero or a negative; a run
+whose value is out of range must not exit 0.
 Every run must exit 0 (trained), 2 (input error) or 3 (configuration
 error): never 4, which is where ``main`` maps any unexpected exception,
 and never with an exception escaping ``main``.
@@ -44,9 +44,9 @@ _FIELDS = ("num_vars", "label_counts", "edges", "node_features",
 
 values = st.floats(-3.0, 3.0, allow_nan=False)
 faults = st.sampled_from([
-    None, None, None, None, "node width", "edge width", "negative edge",
-    "nan feature", "inf feature", "bad volume", "bad edge", "label counts",
-    "label range", "missing label", "missing field"])
+    None, None, None, None, "node width", "edge width", "zero width",
+    "negative edge", "nan feature", "inf feature", "bad volume", "bad edge",
+    "label counts", "label range", "missing label", "missing field"])
 
 
 @st.composite
@@ -72,6 +72,10 @@ def records(draw):
         rec["node_features"] = [row + [1.0] for row in rec["node_features"]]
     elif fault == "edge width" and edges:
         rec["edge_features"] = [row + [1.0] for row in rec["edge_features"]]
+    elif fault == "zero width":
+        field = ("edge_features" if edges and draw(st.booleans())
+                 else "node_features")
+        rec[field] = [[] for _ in rec[field]]
     elif fault == "negative edge" and edges:
         rec["edge_features"][0][0] = -draw(st.floats(0.1, 2.0))
     elif fault == "nan feature":

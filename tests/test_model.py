@@ -11,7 +11,6 @@ from gumbelmap.model import (
     HAMMING,
     LossSpec,
     PAIRWISE_POTTS,
-    VOLUME_BALANCED,
     WEIGHTED_HAMMING,
     WeightLayout,
     WeightVector,
@@ -264,7 +263,7 @@ class TestLoss:
         y = np.array([0, 1, 1, 0])
         v = np.ones(4)
         for spec in (LossSpec(ZERO_ONE), LossSpec(HAMMING),
-                     LossSpec(WEIGHTED_HAMMING, VOLUME_BALANCED)):
+                     LossSpec(WEIGHTED_HAMMING)):
             assert loss(spec, y, y, v) == 0.0
 
     def test_hamming_counts_mismatches(self):
@@ -287,16 +286,6 @@ class TestLoss:
         assert theta[0] == pytest.approx(10.0 / (2 * 50.0))
         assert theta[5] == pytest.approx(7.0 / (2 * 7.0))
 
-    def test_unit_weight_table_equals_hamming(self, rng):
-        """Weighted Hamming with theta = 1 is plain Hamming, all pairs."""
-        table = np.ones((6, 2))
-        spec_w = LossSpec(WEIGHTED_HAMMING, table)
-        spec_h = LossSpec(HAMMING)
-        for _ in range(50):
-            a = rng.integers(0, 2, size=6)
-            b = rng.integers(0, 2, size=6)
-            assert loss(spec_w, a, b) == loss(spec_h, a, b)
-
     def test_hamming_in_unit_interval(self, rng):
         for _ in range(50):
             a = rng.integers(0, 2, size=8)
@@ -310,9 +299,7 @@ class TestLoss:
 
     def test_weight_rule_validation(self):
         with pytest.raises(StructuralError):
-            LossSpec(WEIGHTED_HAMMING)
-        with pytest.raises(StructuralError):
-            LossSpec(HAMMING, VOLUME_BALANCED)
+            LossSpec("weighted")
 
 
 class TestFeatureInstance:
