@@ -38,7 +38,7 @@ from .errors import (
     StructuralError,
 )
 from .gumbel import (EstimatorConfig, SOLVERS, SOLVER_GRAPHCUT,
-                     conditional_counting_marginals)
+                     check_solvable, conditional_counting_marginals)
 from .model import (
     HAMMING,
     LossSpec,
@@ -232,6 +232,7 @@ def cmd_eval(args) -> int:
     loss_spec = LossSpec(_LOSS_FLAGS[args.loss])
     if loss_spec.kind == WEIGHTED_HAMMING:
         _validate_weighted(args.data, data)
+    check_solvable(args.solver, args.data, (x.model for x in data))
     tables = [_compile_finite(w, x, i, args.weights, args.data)
               for i, x in enumerate(data)]  # every instance, before any solve
     losses = []
@@ -262,6 +263,7 @@ def cmd_marginals(args) -> int:
     if not data:
         raise DatasetError("dataset is empty")
     w = read_weights(args.weights)
+    check_solvable(args.solver, args.data, (x.model for x in data))
     tables = [_compile_finite(w, x, i, args.weights, args.data,
                              args.conditional) for i, x in enumerate(data)]
     rows_out = []

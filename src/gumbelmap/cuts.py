@@ -2,9 +2,11 @@
 
 The cut network minimizes E(y) = -f(y).  Each pairwise table is split into
 terminal capacities plus one non-negative arc with capacity
-p(0,0) + p(1,1) - p(0,1) - p(1,0); the accumulated constant is tracked so
-reported MAP values match direct evaluation.  After a solve the source
-side of the cut gets label 0 (free nodes included).
+p(0,0) + p(1,1) - p(0,1) - p(1,0); the accumulated constant is tracked, so
+a solve reads its MAP value from the flow accounting, -(constant + flow):
+the terms of direct evaluation summed in another order, so equal to
+``evaluate_potential`` up to rounding, not bit for bit.  After a solve the
+source side of the cut gets label 0 (free nodes included).
 
 States support in-place unary updates with flow reuse: a re-solve after
 updates returns exactly what a from-scratch solve would.  The labels are
@@ -26,11 +28,9 @@ trees a re-solve starts from depends on the update:
 A state builds its network with numpy once, then keeps the max-flow state
 as Python lists that the BK kernel mutates in place: on the many small
 warm re-solves of clamped training, converting arrays to lists and back
-on every solve cost more than the flow work.  The state's unary and
-pairwise tables are lists too: ``update_unary`` rewrites a unary row in
-place, and ``solve`` evaluates its labeling over those lists in the order
-of ``evaluate_potential``.  Python floats are IEEE doubles, so the lists
-hold exactly the values the arrays held and the values match bit for bit.
+on every solve cost more than the flow work.  The state's unary table is
+a list too, which ``update_unary`` compares and rewrites a row of in
+place.
 
 Clamping is one mechanism for every solver: ``clamp_variables`` raises
 u_d(k) by a margin that provably pins y_d = k and keeps the model, so a
@@ -138,11 +138,10 @@ class DynamicCutState:
         self.solved = False
         self._marked: set[int] = set()
         self.last_augmentations = 0
-        # the tables solve() evaluates: u_d(k) at 2d + k of one list, and
-        # p_e(k, l) at 2k + l of edge e's row (nested rows per label
-        # would triple the objects the garbage collector tracks)
+        # the unary table update_unary compares and rewrites: u_d(k) at
+        # 2d + k of one list (nested rows per label would triple the
+        # objects the garbage collector tracks)
         self.unary = unary.ravel().tolist()
-        self.pairwise = pairwise.reshape(e, 4).tolist()
 
     # -- mutation ----------------------------------------------------------
 
@@ -204,8 +203,9 @@ class DynamicCutState:
     # -- solving -----------------------------------------------------------
 
     def solve(self) -> tuple[np.ndarray, float]:
-        """MAP labeling and its value, evaluated over the state's tables in
-        the order of evaluate_potential, so the two match bit for bit.
+        """MAP labeling and its value, read from the flow accounting:
+        -(const + flow), the min-cut energy negated, which equals
+        evaluate_potential on the current tables up to rounding.
 
         The library reads only the labels and evaluates a value where it
         needs one.  The value stays only for the benchmark, whose workload
@@ -225,13 +225,7 @@ class DynamicCutState:
         # sink-tree nodes get label 1; free nodes keep a stale is_sink
         labels = [s if p != NODE_NONE else 0
                   for p, s in zip(self.parent, self.is_sink)]
-        unary, pairwise = self.unary, self.pairwise
-        value = 0.0
-        for d, y in enumerate(labels):
-            value += unary[2 * d + y]
-        for table, (i, j) in zip(pairwise, self.model.edges):
-            value += table[2 * labels[i] + labels[j]]
-        return np.array(labels, dtype=np.int64), value
+        return np.array(labels, dtype=np.int64), -(self.const + self.flow)
 
 
 def build_cut_problem(p: CompiledPotentials) -> DynamicCutState:

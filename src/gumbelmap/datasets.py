@@ -4,6 +4,8 @@ Datasets are JSON Lines, one instance per line, with fields
 num_vars, label_counts, edges, node_features, edge_features, labels,
 volumes.  Every variable of an instance has the same label count, so
 label_counts lists num_vars equal entries.  Unobserved labels are null.
+num_vars, label_counts, edges and labels hold JSON integers only: a
+fractional or boolean index is an input error at its line, never rounded.
 Chain structure is recognized from the edge list; anything else loads as
 a general graph.
 """
@@ -49,12 +51,21 @@ def record_to_instance(rec: dict, line: int | None = None) -> FeatureInstance:
     if missing:
         raise DatasetError(f"missing fields: {', '.join(missing)}", line)
     try:
-        d = int(rec["num_vars"])
-        counts = [int(k) for k in rec["label_counts"]]
+        d = rec["num_vars"]
+        counts = rec["label_counts"]
+        edges = tuple(tuple(e) for e in rec["edges"])
+        raw_labels = rec["labels"]
+        for field, values, null in (
+                ("num_vars", [d], False), ("label_counts", counts, False),
+                ("edges", [v for e in edges for v in e], False),
+                ("labels", raw_labels or [], True)):
+            # bool is a subclass of int, and JSON true is no index
+            if not all(type(v) is int or (null and v is None)
+                       for v in values):
+                raise DatasetError(f"{field} must hold integers", line)
         if len(counts) != d or len(set(counts)) != 1:
             raise DatasetError(
                 f"label_counts must hold {d} equal entries", line)
-        edges = tuple(tuple(int(v) for v in e) for e in rec["edges"])
         model = PairwiseModel(d, counts[0], edges)
         nf = np.asarray(rec["node_features"], dtype=np.float64)
         ef = np.asarray(rec["edge_features"], dtype=np.float64)
@@ -64,11 +75,10 @@ def record_to_instance(rec: dict, line: int | None = None) -> FeatureInstance:
                 raise DatasetError(f"{field} rows have width 0", line)
         if ef.size == 0:  # an edgeless record: an empty (0, 0) block
             ef = ef.reshape(0, 0)
-        raw_labels = rec["labels"]
         labels = None
         if raw_labels is not None:
-            labels = np.array([-1 if v is None else int(v)
-                               for v in raw_labels], dtype=np.int64)
+            labels = np.array([-1 if v is None else v for v in raw_labels],
+                              dtype=np.int64)
         vols = np.asarray(rec["volumes"], dtype=np.float64)
         return FeatureInstance(model, nf, ef, labels, vols)
     except DatasetError:

@@ -39,9 +39,9 @@ import numpy as np
 
 from .cuts import (DynamicCutState, build_cut_problem, clamp_variables,
                    pin_margins)
-from .errors import InternalInvariantError, StructuralError
-from .exact import (all_state_values, viterbi_clamped, viterbi_map,
-                    viterbi_map_batch)
+from .errors import CapacityError, InternalInvariantError, StructuralError
+from .exact import (BRUTE_FORCE_GUARD, all_state_values, viterbi_clamped,
+                    viterbi_map, viterbi_map_batch)
 from .model import (
     CompiledPotentials,
     PairwiseModel,
@@ -127,12 +127,28 @@ def sample_noise(model: PairwiseModel, seed: int,
 # ---------------------------------------------------------------------------
 
 
-def _check_solver(p: CompiledPotentials, solver: str) -> None:
+def _check_solver(model: PairwiseModel, solver: str) -> None:
+    """Refuse a model that ``solver`` cannot solve: a chain solver on
+    another graph, a graph cut on more than two labels, or brute force
+    past ``BRUTE_FORCE_GUARD`` joint states."""
     check_solver_name(solver)
-    if solver == SOLVER_CHAIN and not p.model.is_chain:
+    if solver == SOLVER_CHAIN and not model.is_chain:
         raise StructuralError("chain solver requires chain structure")
-    if solver == SOLVER_GRAPHCUT and not p.model.is_binary:
+    if solver == SOLVER_GRAPHCUT and not model.is_binary:
         raise StructuralError("graphcut solver requires binary labels")
+    if (solver == SOLVER_BRUTE
+            and model.num_labels ** model.num_vars > BRUTE_FORCE_GUARD):
+        raise CapacityError(f"state space exceeds {BRUTE_FORCE_GUARD}")
+
+
+def check_solvable(solver: str, name: str, models) -> None:
+    """``_check_solver`` on every model of a dataset, before any solve: a
+    refusal names the dataset and the instance's index."""
+    for i, model in enumerate(models):
+        try:
+            _check_solver(model, solver)
+        except (StructuralError, CapacityError) as exc:
+            raise type(exc)(f"{name}, instance {i}: {exc}") from None
 
 
 def _map_labels(p: CompiledPotentials, solver: str) -> np.ndarray:
@@ -148,7 +164,7 @@ def _map_labels(p: CompiledPotentials, solver: str) -> np.ndarray:
 def _perturbed(p: CompiledPotentials, z: np.ndarray,
                solver: str) -> CompiledPotentials:
     """p + z, once ``solver`` and the noise shape are checked against p."""
-    _check_solver(p, solver)
+    _check_solver(p.model, solver)
     if z.shape != p.unary.shape:
         raise StructuralError("noise shape does not match potentials")
     return p.with_unary(p.unary + z)
@@ -260,7 +276,7 @@ def _perturbed_map_batch(p: CompiledPotentials, znoise: np.ndarray,
                          solver: str) -> np.ndarray:
     """Labelings (M, D) of the perturbed maximizers for a block of noise;
     ``_batch_values`` evaluates them where a value is read."""
-    _check_solver(p, solver)
+    _check_solver(p.model, solver)
     if solver == SOLVER_CHAIN:
         return viterbi_map_batch(p.unary[None, :, :] + znoise, p.pairwise)
     if solver == SOLVER_BRUTE:

@@ -54,6 +54,7 @@ from .gumbel import (
     TAG_BATCH,
     _cut_clamped_map,
     _map_labels,
+    check_solvable,
     check_solver_name,
     conditional_counting_marginals,
     counting_marginals,
@@ -243,8 +244,6 @@ def _unlabeled_table(w: WeightVector, x: FeatureInstance, index: int,
     q = conditional_counting_marginals(p, x.given_labels(), est)
     if cfg.loss.kind != WEIGHTED_HAMMING:
         return q
-    if not x.model.is_binary:
-        raise StructuralError("weighted loss requires binary labels")
     vols = x.volumes()
     eps = 1e-6 * float(vols.sum())
     v_fg = max(float((q[:, 1] * vols).sum()), eps)
@@ -432,6 +431,8 @@ def train(dataset: list[FeatureInstance], cfg: TrainConfig) -> TrainReport:
     if not dataset:
         raise StructuralError("dataset is empty")
     _check_bounded(cfg, dataset, [], cfg.iters)
+    check_solvable(cfg.solver, "the labeled dataset",
+                   (x.model for x in dataset))
     step = sgd_loglik_step if cfg.loss.kind == ZERO_ONE else sgd_marginal_step
     counters = TrainCounters()
     t0 = _time.perf_counter()
@@ -462,7 +463,17 @@ def train_semisupervised(d1: list[FeatureInstance],
                               "weighted Hamming loss, not zero-one")
     if not d1:
         raise StructuralError("the labeled dataset is empty")
-    _check_bounded(cfg, d1, d2 if cfg.kappa > 0.0 else [], 2 * cfg.iters)
+    # the unlabeled elements are solved only when kappa > 0
+    used = d2 if cfg.kappa > 0.0 else []
+    if cfg.loss.kind == WEIGHTED_HAMMING:
+        for i, x in enumerate(used):
+            if not x.model.is_binary:
+                raise StructuralError(f"the unlabeled dataset, instance {i}: "
+                                      f"weighted loss requires binary labels")
+    _check_bounded(cfg, d1, used, 2 * cfg.iters)
+    check_solvable(cfg.solver, "the labeled dataset", (x.model for x in d1))
+    check_solvable(cfg.solver, "the unlabeled dataset",
+                   (x.model for x in used))
     counters = TrainCounters()
     timings: dict[str, float] = {}
 

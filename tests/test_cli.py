@@ -301,6 +301,38 @@ class TestTrain:
                   "--iters", "3", "--out", str(tmp_path / "w.json")])
         assert rc == 3
 
+    @pytest.mark.parametrize("command", ["train", "eval", "marginals"])
+    def test_solver_mismatch_exit_3_before_any_table(
+            self, grid_file, chain_file, tmp_path, capsys, monkeypatch,
+            command):
+        """The chain solver on grids is refused before any table is
+        compiled: on the unlabeled data of a semi-supervised run, which
+        used to train its whole first phase before the refusal, and on
+        the data of eval and marginals.  The message names the dataset and
+        the instance, and nothing is written."""
+        import gumbelmap.training as training
+        monkeypatch.setattr(cli, "compile_potentials", _never)
+        monkeypatch.setattr(training, "compile_potentials", _never)
+        out = tmp_path / "out.json"
+        if command == "train":
+            unl = tmp_path / "unl.jsonl"
+            write_dataset(str(unl), [
+                FeatureInstance(x.model, x.node_features, x.edge_features)
+                for x in read_dataset(grid_file)[:1]])
+            argv = ["train", "--data", chain_file, "--unlabeled", str(unl),
+                    "--iters", "3000"]
+            where = "the unlabeled dataset, instance 0"
+        else:
+            argv = [command, "--data", grid_file,
+                    "--weights", grid_file + ".teacher.json"]
+            where = f"{grid_file}, instance 0"
+        rc = run([*argv, "--solver", "chain", "--out", str(out)])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            f"configuration error: {where}: chain solver requires chain "
+            f"structure\n")
+        assert not out.exists()
+
     def test_semisupervised_path(self, grid_file, tmp_path):
         data = read_dataset(grid_file)
         unl = tmp_path / "unl.jsonl"

@@ -1,5 +1,7 @@
 """Dataset file round-trips, validation, and the synthetic generators."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -102,6 +104,28 @@ class TestValidation:
         path.write_text(rec + "\n")
         with pytest.raises(DatasetError, match="line 1"):
             read_dataset(str(path))
+
+
+    @pytest.mark.parametrize("field, value", [
+        ("num_vars", 4.0), ("label_counts", [2, 2, 2.0, 2]),
+        ("edges", [[0.9, 1.2], [1, 2], [2, 3]]), ("edges", [[0, True]]),
+        ("labels", [1.7, 0, 1, None]), ("labels", [1, 0, True, None])])
+    def test_non_integer_index_reports_line(self, tmp_path, field, value):
+        """Indices are JSON integers, and labels may be null: a fractional
+        or boolean one is an input error at its line, not truncated to an
+        index (the edges [[0.9, 1.2], ...] used to read as (0, 1))."""
+        rec = {"num_vars": 4, "label_counts": [2] * 4,
+               "edges": [[0, 1], [1, 2], [2, 3]],
+               "node_features": [[1.0]] * 4, "edge_features": [[1.0]] * 3,
+               "labels": [1, 0, None, 1], "volumes": [1.0] * 4}
+        bad = dict(rec, **{field: value})
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(rec) + "\n" + json.dumps(bad) + "\n")
+        with pytest.raises(DatasetError,
+                           match=f"^line 2: {field} must hold integers$"):
+            read_dataset(str(path))
+        path.write_text(json.dumps(rec) + "\n")
+        assert read_dataset(str(path))[0].labels.tolist() == [1, 0, -1, 1]
 
 
 class TestWeightsArtifact:

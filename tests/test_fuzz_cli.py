@@ -3,10 +3,11 @@ generator flag holds, the command ends in a clean exit.
 
 Small records are drawn with mixed or zero feature widths, negative or
 non-finite features and volumes, bad edges, label counts that differ or
-do not match num_vars, out-of-range labels and missing fields.  Half the
-runs also set one of ``--lambda``, ``--kappa`` or ``--samples`` to NaN,
-an infinity, 1e-310 (whose inverse overflows), zero or a negative; a run
-whose value is out of range must not exit 0.
+do not match num_vars, out-of-range labels, fractional or boolean indices
+(num_vars, a label count, an edge endpoint or a label) and missing
+fields.  Half the runs also set one of ``--lambda``, ``--kappa`` or
+``--samples`` to NaN, an infinity, 1e-310 (whose inverse overflows), zero
+or a negative; a run whose value is out of range must not exit 0.
 Every run must exit 0 (trained), 2 (input error) or 3 (configuration
 error): never 4, which is where ``main`` maps any unexpected exception,
 and never with an exception escaping ``main``.
@@ -46,7 +47,8 @@ values = st.floats(-3.0, 3.0, allow_nan=False)
 faults = st.sampled_from([
     None, None, None, None, "node width", "edge width", "zero width",
     "negative edge", "nan feature", "inf feature", "bad volume", "bad edge",
-    "label counts", "label range", "missing label", "missing field"])
+    "label counts", "label range", "missing label", "fractional index",
+    "missing field"])
 
 
 @st.composite
@@ -97,6 +99,18 @@ def records(draw):
         rec["labels"][v] = draw(st.sampled_from([-2, k, k + 3]))
     elif fault == "missing label":
         rec["labels"][v] = None
+    elif fault == "fractional index":
+        # a float, whole or not, or a boolean where an integer belongs
+        field = draw(st.sampled_from(["num_vars", "label_counts", "edges",
+                                      "labels"]))
+        index = {"num_vars": [rec, "num_vars"],
+                 "label_counts": [rec["label_counts"], v],
+                 "edges": [edges[0], 1] if edges else None,
+                 "labels": [rec["labels"], v]}[field]
+        if index is not None:
+            box, key = index
+            i = box[key]
+            box[key] = draw(st.sampled_from([i + 0.5, float(i), i % 2 == 1]))
     elif fault == "missing field":
         del rec[draw(st.sampled_from(_FIELDS))]
     return rec

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gumbelmap.errors import StructuralError
+from gumbelmap.errors import CapacityError, StructuralError
 from gumbelmap.gumbel import EstimatorConfig, sample_noise
 from gumbelmap.model import (
     FeatureInstance,
@@ -117,6 +117,57 @@ class TestConfig:
                     train_semisupervised(data, unlabeled, cfg)
         train(data, _cfg(layout, loss=loss, iters=3))
         train(data, _cfg(layout, loss=loss, iters=3, lam=1.0, stepsize=0.5))
+
+    @pytest.mark.parametrize("case", ["grid on chain", "3-label weighted",
+                                      "labeled grid", "brute past guard"])
+    def test_unsolvable_instances_refused_before_any_solve(self, rng, case,
+                                                           monkeypatch):
+        """An instance the solver cannot solve, and with the weighted loss
+        an unlabeled instance of more than two labels, is refused before
+        any table is compiled, naming the dataset and the instance: the
+        first two used to be found only after a whole supervised phase."""
+        import gumbelmap.training as training
+        layout, data = _chain_data(rng, n=3, num_labels=2)
+        unlabeled = [FeatureInstance(x.model, x.node_features,
+                                     x.edge_features) for x in data]
+        cfg = _cfg(layout, kappa=1.0)
+        if case == "grid on chain":
+            grid = grid_model(2, 2)
+            unlabeled.append(FeatureInstance(
+                grid, rng.normal(size=(4, 3)), np.ones((grid.num_edges, 1))))
+            where, match = "unlabeled dataset, instance 3", "chain structure"
+        elif case == "3-label weighted":
+            three = chain_model(5, 3)
+            unlabeled.insert(0, FeatureInstance(
+                three, rng.normal(size=(5, 3)), np.ones((4, 1))))
+            cfg = _cfg(WeightLayout(3, 3, 1), loss=LossSpec(WEIGHTED_HAMMING),
+                       kappa=1.0)
+            where, match = "unlabeled dataset, instance 0", "binary labels"
+        elif case == "labeled grid":
+            grid = grid_model(2, 2)
+            data.append(FeatureInstance(
+                grid, rng.normal(size=(4, 3)), np.ones((grid.num_edges, 1)),
+                np.zeros(4, dtype=np.int64)))
+            where, match = "labeled dataset, instance 3", "chain structure"
+        else:
+            big = chain_model(21, 2)
+            data.append(FeatureInstance(
+                big, rng.normal(size=(21, 3)), np.ones((20, 1)),
+                np.zeros(21, dtype=np.int64)))
+            cfg = _cfg(layout, kappa=1.0, solver="brute")
+            where, match = "labeled dataset, instance 3", "state space"
+
+        def no_solve(*args):
+            raise AssertionError("a table was compiled")
+
+        monkeypatch.setattr(training, "compile_potentials", no_solve)
+        with pytest.raises((StructuralError, CapacityError),
+                           match=f"{where}: .*{match}"):
+            train_semisupervised(data, unlabeled, cfg)
+        if where.startswith("labeled"):
+            with pytest.raises((StructuralError, CapacityError),
+                               match=f"{where}: .*{match}"):
+                train(data, cfg)
 
     def test_iterate_bound_passes_image_sized_grids(self, rng):
         """The iterate bound refuses overflow only.  On a 150x150 grid with
