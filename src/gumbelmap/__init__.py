@@ -59,7 +59,6 @@ from .training import (
     TrainConfig,
     TrainCounters,
     TrainReport,
-    frozen_noise_objective,
     predict,
     sgd_loglik_step,
     sgd_marginal_step,

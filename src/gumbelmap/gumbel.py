@@ -7,20 +7,23 @@ array, shaped like the unary table.  Clamps pin variables on the
 unreduced model (``cuts.clamp_variables``) in one of two ways:
 
 * per-draw clamps y_d = k, a block of (d, k) pairs under one noise draw,
-  pin the perturbed tables p + z, are solved, and each returns its value
-  on p + z less z_d(k); on chains the whole block shares one unpinned
-  Viterbi forward pass (``exact.viterbi_clamped``), and on a retained cut
-  state of p + z (training's dynamic cuts, ``_cut_clamped_map``) each
-  pin is one ``update_unary``, undone after its solve;
-* given labels, shared by many draws, pin p and zero their noise rows:
-  under the pin such a row adds a constant, so the labels do not change,
-  and the pin margins, taken without the noise, hold for every draw.
+  pin the perturbed tables p + z and are solved: on chains the whole
+  block shares one unpinned Viterbi forward pass
+  (``exact.viterbi_clamped``), and on a retained cut state of p + z
+  (training's dynamic cuts, ``_cut_clamped_map``) each pin is one
+  ``update_unary``, undone after its solve;
+* given labels, shared by many draws, pin p and zero their noise rows
+  (``condition_on_given``): under the pin such a row adds a constant, so
+  the labels do not change, and the pin margins, taken without the
+  noise, hold for every draw.
 
-Every solver returns labels alone (``_map_labels``).  A value is
-evaluated only where it is read, on the unpinned perturbed tables:
-``perturbed_map`` evaluates its one maximizer, both clamp paths their
-block of clamped maximizers in one call, after one check that every
-row took its clamped label (``_clamp_values``), and ``estimate_A``
+Every solver returns labels alone (``_map_labels``), and so do both clamp
+paths: they take the p + z their caller built and return the block of
+clamped maximizers, once every row is checked to take its clamped label
+(``_checked_block``).  A value is evaluated only where it is read, on the
+unpinned perturbed tables: ``perturbed_map`` evaluates its one
+maximizer, training's ``_element`` its unconditional maximizer together
+with its block of clamped maximizers in one call, and ``estimate_A``
 sums its draws' values over the tables and the noise.  Counting the
 labels of many perturbed maximizers estimates marginals, returned as a
 plain (D, K) array whose rows sum to exactly 1.
@@ -104,13 +107,17 @@ def _gumbel_table(rng: np.random.Generator, model: PairwiseModel) -> np.ndarray:
     return gumbel_from_uniform(u)
 
 
-def zero_given_rows(values: np.ndarray, given) -> np.ndarray:
-    """A copy of noise of shape (D, K) or (M, D, K) with the rows of
-    the ``given`` variables (valid indices) set to 0; see the module
-    docstring for why."""
-    out = values.copy()
-    out[..., list(given), :] = 0.0
-    return out
+def condition_on_given(p: CompiledPotentials, z: np.ndarray, given
+                       ) -> tuple[CompiledPotentials, np.ndarray]:
+    """p with the ``given`` labels (valid indices) pinned, and a copy of
+    the noise z, of shape (D, K) or (M, D, K), with their rows set to 0;
+    see the module docstring for why.  With no given labels both are
+    returned as they are."""
+    if not given:
+        return p, z
+    z = z.copy()
+    z[..., list(given), :] = 0.0
+    return clamp_variables(p, given), z
 
 
 def sample_noise(model: PairwiseModel, seed: int,
@@ -161,21 +168,15 @@ def _map_labels(p: CompiledPotentials, solver: str) -> np.ndarray:
     return states[int(np.argmax(vals))].copy()
 
 
-def _perturbed(p: CompiledPotentials, z: np.ndarray,
-               solver: str) -> CompiledPotentials:
-    """p + z, once ``solver`` and the noise shape are checked against p."""
-    _check_solver(p.model, solver)
-    if z.shape != p.unary.shape:
-        raise StructuralError("noise shape does not match potentials")
-    return p.with_unary(p.unary + z)
-
-
 def perturbed_map(p: CompiledPotentials, z: np.ndarray,
                   solver: str) -> tuple[np.ndarray, float]:
     """Exact maximizer of f + noise; the noise folds into the unary tables
     so every solver applies unchanged.  The returned value includes the
     noise term."""
-    perturbed = _perturbed(p, z, solver)
+    _check_solver(p.model, solver)
+    if z.shape != p.unary.shape:
+        raise StructuralError("noise shape does not match potentials")
+    perturbed = p.with_unary(p.unary + z)
     y = _map_labels(perturbed, solver)
     return y, evaluate_potential(perturbed, y)
 
@@ -198,14 +199,15 @@ def _pinned_entries(perturbed: CompiledPotentials,
     return [tables[r][d][k] for r, (d, k) in zip(rank, pairs)]
 
 
-def perturbed_conditional_map(p: CompiledPotentials,
-                              pairs: list[tuple[int, int]], z: np.ndarray,
-                              solver: str) -> tuple[np.ndarray, np.ndarray]:
+def perturbed_conditional_map(perturbed: CompiledPotentials,
+                              pairs: list[tuple[int, int]],
+                              solver: str) -> np.ndarray:
     """Perturbed MAPs with y_d clamped to k, one row of an (n, D) block
-    per (d, k) pair in order, all under the noise z: the perturbed tables
-    p + z are pinned at (d, k) and solved.  Returns the block and the
-    (n,) values of its rows on p + z less z_d(k), so each value excludes
-    the clamped variable's noise.
+    per (d, k) pair in order, all on ``perturbed`` = p + z under one noise
+    draw: the perturbed tables are pinned at (d, k) and solved.  Returns
+    the block of labels alone; where a row's value is read, it is its
+    value on p + z less z_d(k), so that it excludes the clamped
+    variable's noise.
 
     The chain solver runs one unpinned forward pass for all the pairs
     (``exact.viterbi_clamped``), with each pinned entry read from
@@ -215,19 +217,18 @@ def perturbed_conditional_map(p: CompiledPotentials,
     state space for each clamp.  Every solver, and ``_cut_clamped_map``
     on a retained cut state, pins by the same rule, so they agree bit for
     bit."""
-    perturbed = _perturbed(p, z, solver)
+    _check_solver(perturbed.model, solver)
     if solver == SOLVER_CHAIN:
         block = viterbi_clamped(perturbed, pairs,
                                 _pinned_entries(perturbed, pairs))
     else:
         block = np.array([_map_labels(clamp_variables(perturbed, {d: k}),
                                       solver) for d, k in pairs])
-    return _clamp_values(perturbed, pairs, z, block)
+    return _checked_block(pairs, block)
 
 
 def _cut_clamped_map(state: DynamicCutState, perturbed: CompiledPotentials,
-                     pairs: list[tuple[int, int]], z: np.ndarray
-                     ) -> tuple[np.ndarray, np.ndarray]:
+                     pairs: list[tuple[int, int]]) -> np.ndarray:
     """``perturbed_conditional_map`` on ``state``, a retained cut state
     of ``perturbed`` = p + z: each pin of ``clamp_variables`` is one
     ``update_unary``, undone after its solve, so the search trees carry
@@ -242,20 +243,18 @@ def _cut_clamped_map(state: DynamicCutState, perturbed: CompiledPotentials,
         state.update_unary(d, pinned)
         block.append(state.solve()[0])
         state.update_unary(d, unary[d])
-    return _clamp_values(perturbed, pairs, z, np.array(block))
+    return _checked_block(pairs, np.array(block))
 
 
-def _clamp_values(perturbed: CompiledPotentials, pairs: list[tuple[int, int]],
-                  z: np.ndarray, block: np.ndarray
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """The clamp block with its values on ``perturbed`` less z_d(k), once
-    every row is checked to take its clamped label."""
+def _checked_block(pairs: list[tuple[int, int]],
+                   block: np.ndarray) -> np.ndarray:
+    """The clamp block, once every row is checked to take its clamped
+    label."""
     for y, (d, k) in zip(block, pairs):
         if y[d] != k:
             raise InternalInvariantError(
                 f"pinning bound failed to clamp variable {d}")
-    z_b = np.array([z[d, k] for d, k in pairs])
-    return block, evaluate_potential(perturbed, block) - z_b
+    return block
 
 
 # ---------------------------------------------------------------------------
@@ -346,10 +345,8 @@ def conditional_counting_marginals(p: CompiledPotentials,
                                    cfg: EstimatorConfig) -> np.ndarray:
     """Counting marginals with the given variables pinned in every
     perturbed solve; rows for given variables are exact one-hot."""
-    znoise = _noise_batch(p.model, cfg, TAG_COUNT)
-    if given:
-        p = clamp_variables(p, given)
-        znoise = zero_given_rows(znoise, given)
+    p, znoise = condition_on_given(p, _noise_batch(p.model, cfg, TAG_COUNT),
+                                   given)
     labels = _perturbed_map_batch(p, znoise, cfg.solver)
     counts = np.array([np.bincount(col, minlength=p.model.num_labels)
                        for col in labels.T])

@@ -12,8 +12,9 @@ label (``cuts.clamp_variables``), applied in one of two ways:
 
 * a per-draw clamp of y_d = k pins the perturbed tables p + z, and B_dk is
   their value at the clamped maximizer less z_d(k), on every solver;
-* given labels pin p once per element and zero their noise rows, so that
-  under the pin those rows add only a constant.
+* given labels pin p once per element and zero their noise rows
+  (``gumbel.condition_on_given``), so that under the pin those rows add
+  only a constant.
 
 One per-variable kernel (``_element``) computes the estimator; the
 whole-labeling likelihood (zero-one loss) needs only the unconditional
@@ -31,6 +32,8 @@ Both are exact rewrites: trajectories do not depend on them.  The clamps
 of an element are one call into ``gumbel``, which alone knows how each
 solver answers them: ``perturbed_conditional_map``, or with dynamic cuts
 ``_cut_clamped_map`` on the cut state that solved the unconditional MAP.
+Both take the element's p + z and return labels alone; A and every B_dk
+are read from one evaluation of the maximizers on p + z.
 
 Only graph-cut training projects: ``project_supermodular`` after each step
 keeps every MAP a min-cut on the binary potts layout that ``TrainConfig``
@@ -46,7 +49,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cuts import build_cut_problem, clamp_variables
+from .cuts import build_cut_problem
 from .errors import StructuralError
 from .gumbel import (
     EstimatorConfig,
@@ -56,13 +59,13 @@ from .gumbel import (
     _map_labels,
     check_solvable,
     check_solver_name,
+    condition_on_given,
     conditional_counting_marginals,
     counting_marginals,
     perturbed_conditional_map,
     perturbed_map,
     sample_noise,
     stream,
-    zero_given_rows,
 )
 from .model import (
     CompiledPotentials,
@@ -162,21 +165,20 @@ def _element(x: FeatureInstance, weights: np.ndarray, given: dict[int, int],
     clamped solves run conditioned on them, and their rows of ``weights``
     are ignored.
 
-    With ``dynamic`` graph cuts ``y_a`` and the clamps are solved on one
-    retained cut state of p + z.  The clamped solves return their values
-    on p + z less z_d(k); ``y_a`` is evaluated on p + z alone, and one
-    batched call maps the features of ``y_a`` and the clamped maximizers;
-    an element with no clamp evaluates nothing.  The gradient and
-    objective terms are added in the order of the (d, k) loop, so they
-    match term-by-term accumulation bit for bit.
+    p + z is built once.  With ``dynamic`` graph cuts ``y_a`` and the
+    clamps are solved on one retained cut state of it; otherwise the
+    clamps are one ``perturbed_conditional_map`` call.  ``y_a`` stacked
+    over the clamped maximizers is evaluated on p + z in one call and
+    feature-mapped in one call: each row keeps the bits it has alone, and
+    B_dk is its row's value less z_d(k).  An element with no clamp does
+    neither.  The gradient and objective terms are added in the order of
+    the (d, k) loop, so they match term-by-term accumulation bit for bit.
     """
     model = x.model
     if len(given) == model.num_vars:
         # every conditional marginal is degenerate: nothing to match
         return np.zeros(layout.total_size), 0.0
-    if given:
-        p = clamp_variables(p, given)
-        z = zero_given_rows(z, given)
+    p, z = condition_on_given(p, z, given)
     perturbed = p.with_unary(p.unary + z)
     state = None
     if dynamic and solver == SOLVER_GRAPHCUT:
@@ -208,15 +210,17 @@ def _element(x: FeatureInstance, weights: np.ndarray, given: dict[int, int],
     clamp_terms = iter(())
     if pairs:
         if state is None:
-            block, vals_b = perturbed_conditional_map(p, pairs, z, solver)
+            block = perturbed_conditional_map(perturbed, pairs, solver)
         else:
-            block, vals_b = _cut_clamped_map(state, perturbed, pairs, z)
-        psi = feature_map(x, np.vstack((y_a, block)), layout)
+            block = _cut_clamped_map(state, perturbed, pairs)
+        stack = np.vstack((y_a, block))
+        psi = feature_map(x, stack, layout)
+        vals = evaluate_potential(perturbed, stack)
         w_b = np.array(clamp_weights)
         for term in w_b[:, None] * (psi[1:] - psi[0]):
             grad += term
-        clamp_terms = iter(w_b * (vals_b
-                                  - evaluate_potential(perturbed, y_a)))
+        z_b = np.array([z[d, k] for d, k in pairs])
+        clamp_terms = iter(w_b * ((vals[1:] - z_b) - vals[0]))
     obj = 0.0
     for term in terms:
         obj += next(clamp_terms) if term is None else term
@@ -279,15 +283,6 @@ def _batch_mean(w: WeightVector,
     return gsum / n, obj / n
 
 
-def _labeled_mean(w: WeightVector, batch: list[FeatureInstance], h: int,
-                  cfg: TrainConfig, counters: TrainCounters, phase: int
-                  ) -> tuple[np.ndarray, float]:
-    if not all(x.fully_labeled for x in batch):
-        raise StructuralError("marginal step requires full labels")
-    items = [(x, _label_table(x, x.labels, cfg.loss), {}) for x in batch]
-    return _batch_mean(w, items, h, cfg, counters, phase, 1)
-
-
 def _update(w: WeightVector, grad: np.ndarray, obj: float, h: int,
             cfg: TrainConfig) -> tuple[WeightVector, float]:
     """w + gamma_h (grad - lam w), gamma_h = cfg.stepsize or 1 / (lam h),
@@ -322,14 +317,32 @@ def sgd_loglik_step(w: WeightVector, batch: list[FeatureInstance], h: int,
     return _update(w, gsum / len(batch), obj / len(batch), h, cfg)
 
 
+def _marginal_step(w: WeightVector, labeled: list[FeatureInstance],
+                   unlabeled: list[tuple[FeatureInstance, np.ndarray]],
+                   h: int, cfg: TrainConfig, counters: TrainCounters | None,
+                   phase: int) -> tuple[WeightVector, float]:
+    """The body of both marginal steps: the labeled mean, plus kappa times
+    the unlabeled mean when there are unlabeled items."""
+    counters = counters if counters is not None else TrainCounters()
+    if not all(x.fully_labeled for x in labeled):
+        raise StructuralError("marginal step requires full labels")
+    items = [(x, _label_table(x, x.labels, cfg.loss), {}) for x in labeled]
+    grad, obj = _batch_mean(w, items, h, cfg, counters, phase, 1)
+    if unlabeled:
+        items = [(x, weights, x.given_labels()) for x, weights in unlabeled]
+        g_u, o_u = _batch_mean(w, items, h, cfg, counters, phase,
+                               len(labeled) + 1)
+        grad = grad + cfg.kappa * g_u
+        obj = obj + cfg.kappa * o_u
+    return _update(w, grad, obj, h, cfg)
+
+
 def sgd_marginal_step(w: WeightVector, batch: list[FeatureInstance], h: int,
                       cfg: TrainConfig, counters: TrainCounters | None = None,
                       phase: int = PHASE_SUPERVISED
                       ) -> tuple[WeightVector, float]:
     """One marginal-likelihood step (plain or weighted Hamming)."""
-    counters = counters if counters is not None else TrainCounters()
-    grad, obj = _labeled_mean(w, batch, h, cfg, counters, phase)
-    return _update(w, grad, obj, h, cfg)
+    return _marginal_step(w, batch, [], h, cfg, counters, phase)
 
 
 def sgd_unsup_step(w: WeightVector, labeled: list[FeatureInstance],
@@ -346,15 +359,7 @@ def sgd_unsup_step(w: WeightVector, labeled: list[FeatureInstance],
     element t slot len(labeled) + t + 1.  With no unlabeled items the step
     equals ``sgd_marginal_step`` bit for bit.
     """
-    counters = counters if counters is not None else TrainCounters()
-    grad, obj = _labeled_mean(w, labeled, h, cfg, counters, phase)
-    if unlabeled:
-        items = [(x, weights, x.given_labels()) for x, weights in unlabeled]
-        g_u, o_u = _batch_mean(w, items, h, cfg, counters, phase,
-                               len(labeled) + 1)
-        grad = grad + cfg.kappa * g_u
-        obj = obj + cfg.kappa * o_u
-    return _update(w, grad, obj, h, cfg)
+    return _marginal_step(w, labeled, unlabeled, h, cfg, counters, phase)
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +506,7 @@ def train_semisupervised(d1: list[FeatureInstance],
 
 
 # ---------------------------------------------------------------------------
-# Prediction and the frozen-noise objective
+# Prediction
 # ---------------------------------------------------------------------------
 
 
@@ -516,14 +521,3 @@ def predict(p: CompiledPotentials, mode: str,
         return counting_marginals(p, est).argmax(axis=1)
     raise StructuralError(f"unknown prediction mode {mode!r}")
 
-
-def frozen_noise_objective(w: WeightVector, x: FeatureInstance,
-                           y: np.ndarray, z: np.ndarray, loss_spec: LossSpec,
-                           solver: str) -> tuple[float, np.ndarray]:
-    """Value and analytic gradient of the per-element marginal objective at
-    one fixed noise realization: piecewise linear in w, so away from
-    argmax-switch boundaries the gradient matches finite differences."""
-    grad, obj = _element(x, _label_table(x, y, loss_spec), {},
-                         compile_potentials(w, x), z, solver, False, True,
-                         w.layout, TrainCounters())
-    return obj, grad

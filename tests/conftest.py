@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from gumbelmap.model import CompiledPotentials, chain_model, grid_model
+from gumbelmap.model import (CompiledPotentials, chain_model,
+                             compile_potentials, grid_model)
+from gumbelmap.training import TrainCounters, _element, _label_table
 
 
 def random_chain_potentials(rng, num_vars=None, num_labels=None, scale=1.0):
@@ -26,6 +28,16 @@ def random_supermodular_grid(rng, rows=None, cols=None, scale=1.0):
         pairwise[:, 0, 0] += lift / 2
         pairwise[:, 1, 1] += lift / 2
     return CompiledPotentials(model, unary, pairwise)
+
+
+def frozen_noise_objective(w, x, y, z, loss_spec, solver):
+    """Value and analytic gradient of the per-element marginal objective at
+    one fixed noise realization: piecewise linear in w, so away from
+    argmax-switch boundaries the gradient matches finite differences."""
+    grad, obj = _element(x, _label_table(x, y, loss_spec), {},
+                         compile_potentials(w, x), z, solver, False, True,
+                         w.layout, TrainCounters())
+    return obj, grad
 
 
 @pytest.fixture

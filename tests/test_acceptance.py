@@ -45,13 +45,13 @@ from gumbelmap.model import (
 from gumbelmap.synth import gen_chain_dataset, gen_grid_dataset
 from gumbelmap.training import (
     TrainConfig,
-    frozen_noise_objective,
     predict,
     train,
     train_semisupervised,
 )
 
-from conftest import random_chain_potentials, random_supermodular_grid
+from conftest import (frozen_noise_objective, random_chain_potentials,
+                      random_supermodular_grid)
 
 
 def _report(num, name, ok, detail=""):
@@ -212,7 +212,8 @@ def test_criterion_05_shared_noise_cancellation():
             y_a, _ = perturbed_map(p, z, solver)
             d = int(rng.integers(p.model.num_vars))
             k = int(y_a[d])
-            y_b = perturbed_conditional_map(p, [(d, k)], z, solver)[0][0]
+            y_b = perturbed_conditional_map(p.with_unary(p.unary + z),
+                                            [(d, k)], solver)[0]
             assert np.array_equal(y_a, y_b)
             assert evaluate_potential(p, y_a) == evaluate_potential(p, y_b)
             checked += 1
@@ -249,8 +250,8 @@ def test_criterion_06_fixed_noise_gradient_check():
         y_a, _ = perturbed_map(p, z, solver)
         out = [y_a.tolist()]
         for d in range(4):
-            y_b = perturbed_conditional_map(p, [(d, int(x.labels[d]))], z,
-                                            solver)[0][0]
+            y_b = perturbed_conditional_map(pert, [(d, int(x.labels[d]))],
+                                            solver)[0]
             out.append(y_b.tolist())
         return out
 

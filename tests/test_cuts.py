@@ -25,8 +25,8 @@ from gumbelmap.gumbel import (
     _noise_batch,
     _map_labels,
     _perturbed_map_batch,
+    condition_on_given,
     sample_noise,
-    zero_given_rows,
 )
 from gumbelmap.model import (
     WEIGHTED_HAMMING,
@@ -527,8 +527,8 @@ class TestClamping:
         given = {int(d): int(rng.integers(model.num_labels))
                  for d in variables}
         z = sample_noise(model, seed % 9973)
-        znoise = zero_given_rows(
-            _noise_batch(model, EstimatorConfig(3, seed % 9973), TAG_COUNT),
+        pinned, znoise = condition_on_given(
+            p, _noise_batch(model, EstimatorConfig(3, seed % 9973), TAG_COUNT),
             given)
 
         def conditional_max(tables):
@@ -547,7 +547,6 @@ class TestClamping:
         for solver in solvers:
             y = _map_labels(clamp_variables(perturbed, given), solver)
             check(perturbed, y)
-            labels = _perturbed_map_batch(clamp_variables(p, given), znoise,
-                                          solver)
+            labels = _perturbed_map_batch(pinned, znoise, solver)
             for m, y in enumerate(labels):
                 check(p.with_unary(p.unary + znoise[m]), y)

@@ -163,7 +163,9 @@ class TestViterbiClamped:
             entries = [float(q.unary[d, k])
                        for q, (d, k) in zip(pinned, pairs)]
             rows = viterbi_clamped(pert, pairs, entries)
-            block, vals = perturbed_conditional_map(p, pairs, z, "chain")
+            block = perturbed_conditional_map(pert, pairs, "chain")
+            vals = (evaluate_potential(pert, block)
+                    - np.array([z[d, k] for d, k in pairs]))
             assert rows.shape == block.shape == (len(pairs), num_vars)
             for i, (q, (d, k)) in enumerate(zip(pinned, pairs)):
                 y = viterbi_map(q)

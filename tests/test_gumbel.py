@@ -155,7 +155,9 @@ class TestEstimateB:
         u = rng.normal(size=(3, 2))
         p = CompiledPotentials(m, u, np.zeros((0, 2, 2)))
         z = sample_noise(m, 9)
-        val = perturbed_conditional_map(p, [(1, 0)], z, "brute")[1][0]
+        pert = p.with_unary(p.unary + z)
+        y_b = perturbed_conditional_map(pert, [(1, 0)], "brute")[0]
+        val = evaluate_potential(pert, y_b) - z[1, 0]
         rest = sum(max(u[d] + z[d, :2]) for d in (0, 2))
         assert val == pytest.approx(u[1, 0] + rest, abs=1e-9)
 
@@ -166,17 +168,20 @@ class TestEstimateB:
             z = sample_noise(p.model, 500 + t)
             y_a, _ = perturbed_map(p, z, "chain")
             d = int(rng.integers(5))
-            y_b = perturbed_conditional_map(p, [(d, int(y_a[d]))], z,
-                                            "chain")[0][0]
+            y_b = perturbed_conditional_map(p.with_unary(p.unary + z),
+                                            [(d, int(y_a[d]))], "chain")[0]
             assert np.array_equal(y_a, y_b)
 
     def test_mean_bounds_clamped_partition(self, rng):
         p = random_chain_potentials(rng, num_vars=5, num_labels=2)
         d, k = 2, 1
         b_true, _, _ = brute_force_clamped(p, d, k)
-        vals = [perturbed_conditional_map(
-                    p, [(d, k)], sample_noise(p.model, 7000 + i),
-                    "chain")[1][0] for i in range(2000)]
+        vals = []
+        for i in range(2000):
+            z = sample_noise(p.model, 7000 + i)
+            pert = p.with_unary(p.unary + z)
+            y_b = perturbed_conditional_map(pert, [(d, k)], "chain")[0]
+            vals.append(evaluate_potential(pert, y_b) - z[d, k])
         mean = float(np.mean(vals))
         se = float(np.std(vals, ddof=1) / np.sqrt(len(vals)))
         assert mean >= b_true - 3 * se

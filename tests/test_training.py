@@ -32,7 +32,6 @@ from gumbelmap.training import (
     TrainCounters,
     _label_table,
     _unlabeled_table,
-    frozen_noise_objective,
     predict,
     sgd_loglik_step,
     sgd_marginal_step,
@@ -41,7 +40,7 @@ from gumbelmap.training import (
     train_semisupervised,
 )
 
-from conftest import random_supermodular_grid
+from conftest import frozen_noise_objective, random_supermodular_grid
 
 
 def _chain_data(rng, n=10, num_vars=5, num_labels=3, feat=3):
@@ -451,8 +450,12 @@ class TestAcceleration:
 
                 def clamped(solver, dynamic, asked):
                     if dynamic:
-                        return _cut_clamped_map(state, perturbed, asked, z)
-                    return perturbed_conditional_map(p, asked, z, solver)
+                        block = _cut_clamped_map(state, perturbed, asked)
+                    else:
+                        block = perturbed_conditional_map(perturbed, asked,
+                                                          solver)
+                    z_b = np.array([z[d, k] for d, k in asked])
+                    return block, evaluate_potential(perturbed, block) - z_b
 
                 out = [clamped(s, dc, pairs) for s, dc in variants]
                 block0, vals0 = out[0]
@@ -467,6 +470,51 @@ class TestAcceleration:
                                            block[i])
                         for (s, dc), (block, vals) in zip(variants, out))
         assert (agree, total) == (2400, 2400)
+
+    @pytest.mark.parametrize("solver, dynamic", [
+        ("chain", False), ("brute", False), ("graphcut", True)])
+    def test_element_evaluates_and_maps_once(self, monkeypatch, rng, solver,
+                                             dynamic):
+        """An element with clamps evaluates y_a stacked over its clamp
+        block in one ``evaluate_potential`` call on p + z, and maps their
+        features in one ``feature_map`` call; an element whose clamps are
+        all skipped makes neither call.  Calls are counted through every
+        module the element runs in."""
+        from gumbelmap import gumbel, model as model_mod, training
+        from gumbelmap.gumbel import _map_labels
+        from gumbelmap.training import _element
+        layout = WeightLayout(2, 2, 1, PAIRWISE_POTTS)
+        model = chain_model(4, 2)
+        x = FeatureInstance(model, rng.normal(size=(4, 2)), np.ones((3, 1)))
+        w = project_supermodular(
+            WeightVector(rng.normal(size=layout.total_size), layout))
+        p = compile_potentials(w, x)
+        z = sample_noise(model, 31)
+        y_a = _map_labels(p.with_unary(p.unary + z), "brute")
+        all_skipped = np.zeros((4, 2))
+        all_skipped[np.arange(4), y_a] = 1.0
+        calls = {"evaluate": 0, "feature_map": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module in (training, gumbel):
+            monkeypatch.setattr(module, "evaluate_potential", counted(
+                "evaluate", model_mod.evaluate_potential))
+        monkeypatch.setattr(training, "feature_map", counted(
+            "feature_map", model_mod.feature_map))
+        for table, clamps, expected in ((np.ones((4, 2)), 4, 1),
+                                        (all_skipped, 0, 0)):
+            calls.update(evaluate=0, feature_map=0)
+            counters = TrainCounters()
+            _element(x, table, {}, p, z, solver, dynamic, True, layout,
+                     counters)
+            assert (counters.clamp_solves, counters.clamp_skipped) == (
+                clamps, 4)
+            assert calls == {"evaluate": expected, "feature_map": expected}
 
     def test_cut_clamps_leave_the_state_as_found(self):
         """After a block of clamps on a retained cut state, the state holds
@@ -483,7 +531,7 @@ class TestAcceleration:
             state = build_cut_problem(perturbed)
             y_a = state.solve()[0]
             pairs = [(d, 1 - int(y_a[d])) for d in range(x.model.num_vars)]
-            _cut_clamped_map(state, perturbed, pairs, z)
+            _cut_clamped_map(state, perturbed, pairs)
             assert state.unary == perturbed.unary.ravel().tolist()
             assert np.array_equal(state.solve()[0], y_a)
 
