@@ -35,13 +35,11 @@ from .model import (
     loss_weights,
     project_supermodular,
     volume_weights,
-    zero_potentials,
     zero_weights,
 )
 from .exact import (
     ExactInferenceResult,
     brute_force,
-    brute_force_clamped,
     forward_backward_marginals,
     forward_log_partition,
     viterbi_map,

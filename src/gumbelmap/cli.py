@@ -293,6 +293,9 @@ def cmd_gen_synthetic(args) -> int:
     else:
         if args.side is None:
             raise StructuralError("--side is required for grids")
+        if args.labels != 2:
+            raise StructuralError(
+                f"grids are binary: --labels {args.labels} is not 2")
         instances, teacher = gen_grid_dataset(
             args.num, args.side, args.feat_dim, seed=args.seed,
             teacher_seed=args.teacher_seed, teacher_scale=args.teacher_scale,

@@ -9,7 +9,9 @@ the terms of direct evaluation summed in another order, so equal to
 source side of the cut gets label 0 (free nodes included).
 
 States support in-place unary updates with flow reuse: a re-solve after
-updates returns exactly what a from-scratch solve would.  The labels are
+updates returns exactly what a from-scratch solve would.  An update that
+would make the constant or a capacity not finite is refused, as a build
+is (``PreconditionError``), before it writes anything.  The labels are
 the sink tree at termination, the nodes that can still reach the sink in
 the final residual graph, and that set is the same for every maximum
 flow, so any path to a maximum flow gives the same labels.  Which search
@@ -40,6 +42,8 @@ clamped problem is the same graph (and, for a retained state, one
 
 from __future__ import annotations
 
+from math import isfinite
+
 import numpy as np
 
 from ._bk import NODE_NONE, bk_maxflow
@@ -47,6 +51,7 @@ from .errors import PreconditionError, StructuralError
 from .model import CompiledPotentials
 
 SUPERMODULAR_TOL = 1e-12
+_OVERFLOW = "cut network overflows: its constant or a capacity is not finite"
 
 
 class DynamicCutState:
@@ -96,9 +101,7 @@ class DynamicCutState:
         trcap = e1 - e0
         if not (np.isfinite(const) and np.isfinite(lam).all()
                 and np.isfinite(trcap).all()):
-            raise PreconditionError(
-                "cut network overflows: its constant or a capacity is not "
-                "finite")
+            raise PreconditionError(_OVERFLOW)
 
         m = 2 * e
         head = np.zeros(m, dtype=np.int64)
@@ -151,7 +154,9 @@ class DynamicCutState:
         are kept, the node is marked for tree repair.
         An unchanged row changes nothing and needs no repair, so it
         returns at once.  ``new_u`` is any pair of numbers; a list row is
-        cheapest."""
+        cheapest.  A row that makes its terminal capacity or the constant
+        not finite (NaN, infinite or overflowing) is refused as
+        ``__init__`` refuses it, before anything is written."""
         trcap = self.trcap
         if not 0 <= d < len(trcap):
             raise StructuralError(f"variable index {d} out of range")
@@ -175,8 +180,12 @@ class DynamicCutState:
             rs -= low
             rt -= low
             const += low
-        self.const = const + (rt if rt < rs else rs)
-        trcap[d] = rs - rt
+        const += rt if rt < rs else rs
+        cap = rs - rt
+        if not (isfinite(cap) and isfinite(const)):
+            raise PreconditionError(_OVERFLOW)
+        self.const = const
+        trcap[d] = cap
         unary[k] = nu0
         unary[k + 1] = nu1
         if self.solved:
@@ -187,12 +196,15 @@ class DynamicCutState:
         row, so the flow stays feasible, then drop the search trees.  The
         next solve grows fresh trees over the kept residual graph instead
         of repairing the old ones around every node (see the module
-        docstring)."""
+        docstring).  A NaN or infinite entry is refused before the state
+        is touched; a finite row that overflows, by its ``update_unary``."""
         rows = np.asarray(table, dtype=np.float64)
         if rows.shape != (self.model.num_vars, 2):
             raise StructuralError(
                 f"unary table of shape {rows.shape} for "
                 f"{self.model.num_vars} binary variables")
+        if not np.isfinite(rows).all():
+            raise PreconditionError(_OVERFLOW)
         # dropped first, so update_unary marks no node for a repair that
         # the next, tree-cold solve would not make
         self.solved = False

@@ -163,22 +163,6 @@ def brute_force(p: CompiledPotentials) -> ExactInferenceResult:
     )
 
 
-def brute_force_clamped(p: CompiledPotentials, d: int, k: int
-                        ) -> tuple[float, float, np.ndarray]:
-    """(log-partition, max value, argmax labeling) over states with y_d = k.
-
-    The log-partition is B(f, y_d = k); the max is the conditional MAP value
-    max_{y_{-d}} f(y_{-d} | y_d = k) including u_d(k).
-    """
-    if not 0 <= k < p.model.num_labels:
-        raise StructuralError(f"label {k} out of range at variable {d}")
-    states, vals = all_state_values(p)
-    mask = states[:, d] == k
-    sub = vals[mask]
-    best = int(np.argmax(sub))
-    return float(logsumexp(sub)), float(sub[best]), states[mask][best].copy()
-
-
 # ---------------------------------------------------------------------------
 # Chain dynamic programming
 # ---------------------------------------------------------------------------

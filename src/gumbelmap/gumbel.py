@@ -24,7 +24,8 @@ clamped maximizers, once every row is checked to take its clamped label
 unpinned perturbed tables: ``perturbed_map`` evaluates its one
 maximizer, training's ``_element`` its unconditional maximizer together
 with its block of clamped maximizers in one call, and ``estimate_A``
-sums its draws' values over the tables and the noise.  Counting the
+each draw's maximizer on that draw's perturbed tables, through
+``evaluate_potential``'s own summation kernel.  Counting the
 labels of many perturbed maximizers estimates marginals, returned as a
 plain (D, K) array whose rows sum to exactly 1.
 
@@ -48,6 +49,7 @@ from .exact import (BRUTE_FORCE_GUARD, all_state_values, viterbi_clamped,
 from .model import (
     CompiledPotentials,
     PairwiseModel,
+    _sum_terms,
     evaluate_potential,
     exact_row_normalize,
 )
@@ -274,7 +276,7 @@ def _noise_batch(model: PairwiseModel, cfg: EstimatorConfig,
 def _perturbed_map_batch(p: CompiledPotentials, znoise: np.ndarray,
                          solver: str) -> np.ndarray:
     """Labelings (M, D) of the perturbed maximizers for a block of noise;
-    ``_batch_values`` evaluates them where a value is read."""
+    ``estimate_A`` evaluates them where a value is read."""
     _check_solver(p.model, solver)
     if solver == SOLVER_CHAIN:
         return viterbi_map_batch(p.unary[None, :, :] + znoise, p.pairwise)
@@ -298,22 +300,6 @@ def _perturbed_map_batch(p: CompiledPotentials, znoise: np.ndarray,
     return labels
 
 
-def _batch_values(p: CompiledPotentials, labels: np.ndarray,
-                  znoise: np.ndarray) -> np.ndarray:
-    """(M,) values of labeling m on p + znoise[m]: from 0.0, each
-    variable's u + z, then each edge's term, in the order of
-    ``evaluate_potential`` on the perturbed tables."""
-    m, d_n = labels.shape
-    vals = np.zeros(m)
-    rows = np.arange(m)
-    for d in range(d_n):
-        vals += p.unary[d, labels[:, d]] + znoise[rows, d, labels[:, d]]
-    ea = p.model.edge_array()
-    for e in range(p.model.num_edges):
-        vals += p.pairwise[e, labels[:, ea[e, 0]], labels[:, ea[e, 1]]]
-    return vals
-
-
 # ---------------------------------------------------------------------------
 # Estimators
 # ---------------------------------------------------------------------------
@@ -322,10 +308,14 @@ def _batch_values(p: CompiledPotentials, labels: np.ndarray,
 def estimate_A(p: CompiledPotentials, cfg: EstimatorConfig
                ) -> tuple[float, float]:
     """Monte-Carlo mean and standard error of the perturbed maximum over
-    cfg.num_samples independent realizations."""
+    cfg.num_samples independent realizations.  Draw m's value has the bits
+    of ``evaluate_potential`` on p + znoise[m]: the same kernel sums the
+    draw's u + z, gathered at its labels, and the pairwise terms."""
     znoise = _noise_batch(p.model, cfg, TAG_ESTIMATE)
-    vals = _batch_values(p, _perturbed_map_batch(p, znoise, cfg.solver),
-                         znoise)
+    labels = _perturbed_map_batch(p, znoise, cfg.solver)
+    perturbed = (p.unary + znoise).reshape(cfg.num_samples, -1)
+    vals = _sum_terms(p, labels, np.take_along_axis(
+        perturbed, labels + p.model._unary_offsets, axis=1))
     mean = float(np.mean(vals))
     if cfg.num_samples == 1:
         return mean, 0.0

@@ -145,12 +145,6 @@ class CompiledPotentials:
         return CompiledPotentials(self.model, unary, self.pairwise)
 
 
-def zero_potentials(model: PairwiseModel) -> CompiledPotentials:
-    k = model.num_labels
-    return CompiledPotentials(model, np.zeros((model.num_vars, k)),
-                              np.zeros((model.num_edges, k, k)))
-
-
 def check_labeling(model: PairwiseModel, y: np.ndarray) -> np.ndarray:
     """``y`` as an int64 array, checked once: a (D,) labeling or an (n, D)
     block of labelings, every label in range.  A bad block raises the
@@ -173,21 +167,29 @@ def evaluate_potential(p: CompiledPotentials,
     block, one value per row.
 
     Every value is summed in one fixed order, from 0.0: variables
-    ascending, then edges ascending.  Both shapes share the kernel, so a
-    row of a block gives the bits of the labeling alone, and repeated
-    evaluations are bit-identical."""
+    ascending, then edges ascending.  Both shapes, and the perturbed draws
+    of ``gumbel.estimate_A``, share the kernel ``_sum_terms``, so a row of
+    a block gives the bits of the labeling alone."""
     model = p.model
     y = check_labeling(model, y)
     block = y.reshape(-1, model.num_vars)
+    vals = _sum_terms(p, block, p.unary.take(block + model._unary_offsets))
+    return float(vals[0]) if y.ndim == 1 else vals
+
+
+def _sum_terms(p: CompiledPotentials, block: np.ndarray,
+               unary_terms: np.ndarray) -> np.ndarray:
+    """(n,) values of the checked (n, D) labelings ``block``: each row
+    summed from 0.0, its row of ``unary_terms`` (n, D) left to right, then
+    the pairwise cells of ``p`` at its labels, edges ascending."""
+    model = p.model
     k = model.num_labels
     pair_cells = (block.take(model._edge_i, axis=1) * k
                   + block.take(model._edge_j, axis=1) + model._pair_offsets)
-    terms = np.concatenate((np.zeros((block.shape[0], 1)),
-                            p.unary.take(block + model._unary_offsets),
+    terms = np.concatenate((np.zeros((block.shape[0], 1)), unary_terms,
                             p.pairwise.take(pair_cells)), axis=1)
     # a running sum adds strictly left to right (``sum`` adds pairwise)
-    vals = np.add.accumulate(terms, axis=1)[:, -1]
-    return float(vals[0]) if y.ndim == 1 else vals
+    return np.add.accumulate(terms, axis=1)[:, -1]
 
 
 # ---------------------------------------------------------------------------

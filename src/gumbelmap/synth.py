@@ -125,8 +125,11 @@ def gen_grid_dataset(num: int, side: int, feat_dim: int, seed: int,
     """Binary grids with the disagreement pairwise form and standard-normal
     node features.  Labels come from one perturbed-MAP draw per instance
     (approximate sampler); one-sided labelings are redrawn so the
-    volume-balanced loss stays defined."""
+    volume-balanced loss stays defined, which needs a side of at least 2."""
     _check_numbers(num, teacher_scale, label_noise)
+    if side < 2:
+        raise StructuralError(
+            f"grid side {side} < 2: no labeling has both labels")
     layout = WeightLayout(2, feat_dim, 1, PAIRWISE_POTTS)
     if teacher is None:
         teacher = sample_teacher(layout, teacher_seed if teacher_seed is not None

@@ -1,9 +1,32 @@
 import numpy as np
 import pytest
 
+from gumbelmap.errors import StructuralError
+from gumbelmap.exact import all_state_values, logsumexp
 from gumbelmap.model import (CompiledPotentials, chain_model,
                              compile_potentials, grid_model)
 from gumbelmap.training import TrainCounters, _element, _label_table
+
+
+def zero_potentials(model):
+    k = model.num_labels
+    return CompiledPotentials(model, np.zeros((model.num_vars, k)),
+                              np.zeros((model.num_edges, k, k)))
+
+
+def brute_force_clamped(p, d, k):
+    """(log-partition, max value, argmax labeling) over states with y_d = k.
+
+    The log-partition is B(f, y_d = k); the max is the conditional MAP value
+    max_{y_{-d}} f(y_{-d} | y_d = k) including u_d(k).
+    """
+    if not 0 <= k < p.model.num_labels:
+        raise StructuralError(f"label {k} out of range at variable {d}")
+    states, vals = all_state_values(p)
+    mask = states[:, d] == k
+    sub = vals[mask]
+    best = int(np.argmax(sub))
+    return float(logsumexp(sub)), float(sub[best]), states[mask][best].copy()
 
 
 def random_chain_potentials(rng, num_vars=None, num_labels=None, scale=1.0):

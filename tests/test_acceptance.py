@@ -14,7 +14,6 @@ from scipy.special import logsumexp, softmax
 from gumbelmap.cuts import build_cut_problem, clamp_variables
 from gumbelmap.exact import (
     brute_force,
-    brute_force_clamped,
     forward_backward_marginals,
     forward_log_partition,
     viterbi_map,
@@ -50,8 +49,8 @@ from gumbelmap.training import (
     train_semisupervised,
 )
 
-from conftest import (frozen_noise_objective, random_chain_potentials,
-                      random_supermodular_grid)
+from conftest import (brute_force_clamped, frozen_noise_objective,
+                      random_chain_potentials, random_supermodular_grid)
 
 
 def _report(num, name, ok, detail=""):

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gumbelmap import __version__, cli
+from gumbelmap import __version__, cli, synth
 from gumbelmap.cli import main
 from gumbelmap.datasets import (dataset_digest, read_dataset, read_weights,
                                 write_dataset)
@@ -91,6 +91,29 @@ class TestGenSynthetic:
         out = tmp_path / "x.jsonl"
         assert run(["gen-synthetic", *flags, "--out", str(out)]) == 3
         assert "configuration error" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("side, labels, named", [
+        (4, 3, "--labels 3"), (1, 2, "grid side 1"), (0, 2, "grid side 0"),
+    ], ids=["labels-3", "side-1", "side-0"])
+    def test_grid_options_refused_before_any_draw(self, tmp_path, capsys,
+                                                  monkeypatch, side, labels,
+                                                  named):
+        """Grids are binary and need a side of at least 2 to have a
+        two-sided labeling: other values exit 3, naming the option, before
+        the teacher or any label is drawn and before any file is
+        written."""
+        def draw(*args, **kwargs):
+            raise AssertionError("drawn before the refusal")
+
+        monkeypatch.setattr(synth, "sample_teacher", draw)
+        monkeypatch.setattr(synth, "_gumbel_table", draw)
+        rc = run(["gen-synthetic", "--kind", "grid", "--num", "3",
+                  "--side", str(side), "--labels", str(labels),
+                  "--out", str(tmp_path / "x.jsonl")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "configuration error" in err and named in err
         assert list(tmp_path.iterdir()) == []
 
 

@@ -18,7 +18,7 @@ from gumbelmap.cuts import (
     pin_margins,
 )
 from gumbelmap.errors import PreconditionError, StructuralError
-from gumbelmap.exact import all_state_values, brute_force, brute_force_clamped
+from gumbelmap.exact import all_state_values, brute_force
 from gumbelmap.gumbel import (
     TAG_COUNT,
     EstimatorConfig,
@@ -37,12 +37,12 @@ from gumbelmap.model import (
     compile_potentials,
     evaluate_potential,
     grid_model,
-    zero_potentials,
 )
 from gumbelmap.synth import gen_grid_dataset
 from gumbelmap.training import TrainCounters, _element, _label_table
 
-from conftest import random_supermodular_grid
+from conftest import (brute_force_clamped, random_supermodular_grid,
+                      zero_potentials)
 
 
 class TestBuildAndSolve:
@@ -200,6 +200,35 @@ class TestDynamicUpdates:
             st.update_unary(99, (0.0, 0.0))
         with pytest.raises(StructuralError):
             st.replace_unary(np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("row", [
+        [np.nan, 0.0], [0.0, np.nan], [np.inf, 0.0], [-np.inf, 0.0],
+        [0.0, np.inf],
+        # finite entries whose terminal capacity overflows
+        [1.7e308, -1.7e308],
+    ])
+    def test_updates_refuse_what_build_refuses(self, rng, row):
+        """A row that a build refuses is refused by ``update_unary`` and
+        ``replace_unary`` too, before the state's tables change: the next
+        solve is the cold solve of the tables the state had."""
+        p = random_supermodular_grid(rng, 3, 3)
+        table = p.unary.copy()
+        table[4] = row
+        with pytest.raises(PreconditionError, match="overflows"):
+            build_cut_problem(p.with_unary(table))
+        st = build_cut_problem(p)
+        st.solve()
+        before = (list(st.trcap), st.const, list(st.unary))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PreconditionError, match="overflows"):
+                st.update_unary(4, row)
+            assert (st.trcap, st.const, st.unary) == before
+            with pytest.raises(PreconditionError, match="overflows"):
+                st.replace_unary(table)
+            assert (st.trcap, st.const, st.unary) == before
+        assert np.array_equal(st.solve()[0],
+                              cold_solve(p.model, p.unary, p.pairwise)[0])
 
 
 @contextlib.contextmanager

@@ -14,7 +14,6 @@ from gumbelmap.exact import (
     _forward,
     all_state_values,
     brute_force,
-    brute_force_clamped,
     forward_backward_marginals,
     forward_log_partition,
     logsumexp,
@@ -29,10 +28,10 @@ from gumbelmap.model import (
     chain_model,
     evaluate_potential,
     grid_model,
-    zero_potentials,
 )
 
-from conftest import random_chain_potentials
+from conftest import (brute_force_clamped, random_chain_potentials,
+                      zero_potentials)
 
 
 class TestBruteForce:

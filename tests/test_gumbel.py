@@ -1,13 +1,15 @@
 """Gumbel noise and the perturb-and-MAP estimators."""
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
 from scipy.special import logsumexp, softmax
 
+from gumbelmap import gumbel
 from gumbelmap.errors import StructuralError
-from gumbelmap.exact import all_state_values, brute_force, brute_force_clamped
+from gumbelmap.exact import all_state_values, brute_force
 from gumbelmap.gumbel import (
     EULER_GAMMA,
     EstimatorConfig,
@@ -25,11 +27,11 @@ from gumbelmap.model import (
     compile_potentials,
     evaluate_potential,
     grid_model,
-    zero_potentials,
 )
 from gumbelmap.synth import gen_chain_dataset, gen_grid_dataset
 
-from conftest import random_chain_potentials, random_supermodular_grid
+from conftest import (brute_force_clamped, random_chain_potentials,
+                      random_supermodular_grid, zero_potentials)
 
 
 class TestNoise:
@@ -147,6 +149,29 @@ class TestEstimateA:
         p = compile_potentials(teacher, xs[0])
         mean, se = estimate_A(p, EstimatorConfig(50, seed=17, solver=solver))
         assert (mean.hex(), se.hex()) == expected
+
+    @pytest.mark.parametrize("kind, solver", [
+        ("chain", "chain"), ("chain", "brute"),
+        ("grid", "graphcut"), ("grid", "brute"),
+    ])
+    @pytest.mark.parametrize("num_samples", [1, 2, 50])
+    def test_values_are_evaluate_potential(self, rng, kind, solver,
+                                           num_samples):
+        """(mean, stderr) bit for bit from ``evaluate_potential`` on each
+        draw's perturbed tables at that draw's labels."""
+        for i in range(10):
+            if kind == "chain":
+                p = random_chain_potentials(rng, scale=10.0 ** (i % 5 - 2))
+            else:
+                p = random_supermodular_grid(rng, scale=10.0 ** (i % 5 - 2))
+            cfg = EstimatorConfig(num_samples, seed=i, solver=solver)
+            znoise = gumbel._noise_batch(p.model, cfg, gumbel.TAG_ESTIMATE)
+            labels = gumbel._perturbed_map_batch(p, znoise, solver)
+            vals = np.array([evaluate_potential(p.with_unary(p.unary + z), y)
+                             for z, y in zip(znoise, labels)])
+            se = (0.0 if num_samples == 1 else
+                  float(np.std(vals, ddof=1) / math.sqrt(num_samples)))
+            assert estimate_A(p, cfg) == (float(np.mean(vals)), se)
 
 
 class TestEstimateB:

@@ -22,8 +22,9 @@ from gumbelmap.model import (
     grid_model,
     loss,
     volume_weights,
-    zero_potentials,
 )
+
+from conftest import zero_potentials
 
 
 class TestPairwiseModel:
