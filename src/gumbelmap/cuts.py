@@ -197,7 +197,9 @@ class DynamicCutState:
         next solve grows fresh trees over the kept residual graph instead
         of repairing the old ones around every node (see the module
         docstring).  A NaN or infinite entry is refused before the state
-        is touched; a finite row that overflows, by its ``update_unary``."""
+        is touched; a finite row that overflows, by its ``update_unary``,
+        after which the rows written before it are restored: a refused
+        replacement leaves the state as it was."""
         rows = np.asarray(table, dtype=np.float64)
         if rows.shape != (self.model.num_vars, 2):
             raise StructuralError(
@@ -205,12 +207,18 @@ class DynamicCutState:
                 f"{self.model.num_vars} binary variables")
         if not np.isfinite(rows).all():
             raise PreconditionError(_OVERFLOW)
+        saved = (self.trcap.copy(), self.unary.copy(), self.const, self.solved)
         # dropped first, so update_unary marks no node for a repair that
         # the next, tree-cold solve would not make
         self.solved = False
         update = self.update_unary
-        for d, row in enumerate(rows.tolist()):
-            update(d, row)
+        try:
+            for d, row in enumerate(rows.tolist()):
+                update(d, row)
+        except PreconditionError:
+            # in place: the lists are the ones the kernel mutates
+            self.trcap[:], self.unary[:], self.const, self.solved = saved
+            raise
 
     # -- solving -----------------------------------------------------------
 

@@ -32,11 +32,12 @@ pointers up to d; at d only entry k differs, and it is the pinned entry
 plus the unpinned step's maximum at k, added in the same order.  The
 oracle keeps the unpinned messages, maxima and pointers, sets that one
 entry, re-runs ``_max_product`` from d + 1 and backtracks the suffix over
-its own pointers and the prefix over the shared ones.  Every float
-operation is the one ``viterbi_map`` makes on the pinned table, in the
-same order, so labels are bit-identical by construction, ties included.
-The pinned entries come from ``cuts.clamp_variables``, the one way to
-pin a variable (see ``gumbel.perturbed_conditional_map``).
+its own pointers and the prefix over the shared ones, so no clamp reads
+the shared pass past the last clamped variable, where it stops.  Every
+float operation is the one ``viterbi_map`` makes on the pinned table, in
+the same order, so labels are bit-identical by construction, ties
+included.  The pinned entries come from ``cuts.clamp_variables``, the one
+way to pin a variable (see ``gumbel.perturbed_conditional_map``).
 
 The sum-product side has one forward pass, ``_forward``, over one chain
 or chains stacked on leading axes, each row bit for bit its chain alone:
@@ -222,29 +223,33 @@ def viterbi_map(p: CompiledPotentials) -> np.ndarray:
 
 
 def viterbi_clamped(p: CompiledPotentials, pairs: list[tuple[int, int]],
-                    pinned: list[float]) -> np.ndarray:
-    """(n, D) block whose row i is ``viterbi_map`` of ``p`` with u_d(k)
-    replaced by ``pinned[i]``, for the i-th pair (d, k): the labels of the
-    clamp y_d = k when ``pinned[i]`` is its pinned entry u_d(k) + margin_d.
+                    pinned: list[float]) -> list[list[int]]:
+    """(n, D) block, as a list of label rows, whose row i is
+    ``viterbi_map`` of ``p`` with u_d(k) replaced by ``pinned[i]``, for
+    the i-th pair (d, k): the labels of the clamp y_d = k when
+    ``pinned[i]`` is its pinned entry u_d(k) + margin_d.
 
     One unpinned forward pass is shared by every pair (see the module
     docstring): its messages before d and its pointers up to d are the
     pinned pass's; entry k of message d becomes ``pinned[i]`` plus the
-    step's maximum at k, and the steps after d run again."""
+    step's maximum at k, and the steps after d run again.  The shared
+    pass stops at the last clamped variable, since no row reads its
+    messages or pointers past that."""
     _require_chain(p.model)
     unary = p.unary.tolist()
     pairwise = p.pairwise.tolist()
     labels = range(p.model.num_labels)
-    msgs, bests, backptr = _max_product(unary[0], unary[1:], pairwise,
-                                        labels)
-    block = []
+    last = max((d for d, _ in pairs), default=0)
+    msgs, bests, backptr = _max_product(unary[0], unary[1:last + 1],
+                                        pairwise[:last], labels)
+    rows = []
     for (d, k), entry in zip(pairs, pinned):
         msg = msgs[d].copy()
         msg[k] = entry if d == 0 else entry + bests[d - 1][k]
         tail, _, suffix = _max_product(msg, unary[d + 1:], pairwise[d:],
                                        labels)
-        block.append(_backtrack(tail[-1], backptr[:d] + suffix))
-    return np.array(block, dtype=np.int64)
+        rows.append(_backtrack(tail[-1], backptr[:d] + suffix))
+    return rows
 
 
 def _forward(unary: np.ndarray, pairwise: np.ndarray) -> list[np.ndarray]:

@@ -22,20 +22,29 @@ paths: they take the p + z their caller built and return the block of
 clamped maximizers, once every row is checked to take its clamped label
 (``_checked_block``).  A value is evaluated only where it is read, on the
 unpinned perturbed tables: ``perturbed_map`` evaluates its one
-maximizer, training's ``_element`` its unconditional maximizer together
-with its block of clamped maximizers in one call, and ``estimate_A``
-each draw's maximizer on that draw's perturbed tables, through
-``evaluate_potential``'s own summation kernel.  Counting the
+maximizer, training every element's unconditional maximizer together
+with its block of clamped maximizers, one call per batch, and
+``estimate_A`` each draw's maximizer on that draw's perturbed tables,
+through ``evaluate_potential``'s own summation kernel.  Counting the
 labels of many perturbed maximizers estimates marginals, returned as a
 plain (D, K) array whose rows sum to exactly 1.
 
 All randomness comes from counter-based streams keyed on
 (seed, context words), so estimates are reproducible regardless of
-batching or evaluation order.
+batching or evaluation order.  A draw that is made and consumed at once
+re-keys one retained generator (``_rekeyed``) to the state a fresh
+``stream`` of its key starts in, and draws the same bits without
+building a generator: ``sample_noise``'s tables, so every training
+element's noise, and training's batch indices.  ``stream`` still builds
+a fresh generator where one must outlive the next draw (``synth`` keeps
+a chain's stream across its features, labels and label noise) and for
+the noise blocks of the estimators (``_noise_batch``), one stream per
+draw.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -49,6 +58,7 @@ from .exact import (BRUTE_FORCE_GUARD, all_state_values, viterbi_clamped,
 from .model import (
     CompiledPotentials,
     PairwiseModel,
+    _pair_cells,
     _sum_terms,
     evaluate_potential,
     exact_row_normalize,
@@ -71,12 +81,60 @@ TAG_BATCH = 4
 TAG_DATA = 5
 
 
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+
+
+def _counter(w1: int, w2: int, w3: int) -> list[int]:
+    """Philox's counter [0, w1, w2, w3], each word mod 2^64.  A word
+    outside [-2^63, 2^64) raises ``OverflowError``: reduced, it would
+    name another stream."""
+    words = [int(w1), int(w2), int(w3)]
+    if not all(-(1 << 63) <= w <= _MASK64 for w in words):
+        raise OverflowError(
+            f"stream words {words} must lie in [-2^63, 2^64)")
+    return [0] + [w & _MASK64 for w in words]
+
+
 def stream(seed: int, w1: int = 0, w2: int = 0, w3: int = 0) -> np.random.Generator:
     """Counter-based generator: identical (seed, words) always yields the
-    identical stream, independent of any other stream's consumption."""
-    key = int(seed) & ((1 << 128) - 1)
-    bits = np.random.Philox(key=key, counter=[0, int(w1), int(w2), int(w3)])
+    identical stream, independent of any other stream's consumption.
+    The key is seed mod 2^128 and the counter ``_counter(w1, w2, w3)``."""
+    bits = np.random.Philox(key=int(seed) & _MASK128,
+                            counter=np.array(_counter(w1, w2, w3),
+                                             dtype=np.uint64))
     return np.random.Generator(bits)
+
+
+@functools.cache
+def _retained() -> np.random.Generator:
+    """The generator ``_rekeyed`` re-keys, made on first use: importing
+    the package does not load ``numpy.random``."""
+    return np.random.Generator(np.random.Philox(0))
+
+
+def _rekeyed(seed: int, w1: int = 0, w2: int = 0,
+             w3: int = 0) -> np.random.Generator:
+    """The one retained generator, re-keyed to the state a fresh
+    ``stream(seed, w1, w2, w3)`` starts in: key seed mod 2^128, counter
+    ``_counter(w1, w2, w3)`` (which refuses what ``stream`` refuses), an
+    empty buffer and no spare 32-bit half.  It draws what that stream
+    draws, bit for bit, without building a Philox and the
+    ``SeedSequence`` each new one makes.
+
+    For a draw consumed at once only: the next call re-keys the same
+    generator.  It is module state, so it is single-threaded; a caller
+    that keeps several streams alive together (``synth``) or draws from
+    threads uses ``stream``."""
+    key = int(seed) & _MASK128
+    rng = _retained()
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _counter(w1, w2, w3),
+                  "key": [key & _MASK64, key >> 64]},
+        "buffer": [0, 0, 0, 0], "buffer_pos": 4,
+        "has_uint32": 0, "uinteger": 0}
+    return rng
 
 
 def gumbel_from_uniform(u):
@@ -104,9 +162,15 @@ def check_solver_name(solver: str) -> None:
 
 def _gumbel_table(rng: np.random.Generator, model: PairwiseModel) -> np.ndarray:
     """(D, K) zero-mean Gumbel draws from ``rng``.  Uniforms are clamped
-    away from {0, 1}."""
-    u = np.clip(rng.random((model.num_vars, model.num_labels)), _U_LO, _U_HI)
-    return gumbel_from_uniform(u)
+    away from {0, 1}.  ``gumbel_from_uniform``'s ufuncs, in its order, in
+    place."""
+    z = rng.random((model.num_vars, model.num_labels))
+    np.clip(z, _U_LO, _U_HI, out=z)
+    np.log(z, out=z)
+    np.negative(z, out=z)
+    np.log(z, out=z)
+    np.negative(z, out=z)
+    return np.subtract(z, EULER_GAMMA, out=z)
 
 
 def condition_on_given(p: CompiledPotentials, z: np.ndarray, given
@@ -125,10 +189,13 @@ def condition_on_given(p: CompiledPotentials, z: np.ndarray, given
 def sample_noise(model: PairwiseModel, seed: int,
                  context: tuple[int, ...] = ()) -> np.ndarray:
     """(D, K) independent zero-mean Gumbel per (variable, label);
-    deterministic given (seed, context)."""
+    deterministic given (seed, context): the table of
+    ``stream(seed, *context, TAG_NOISE)``, drawn from the retained
+    generator (``_rekeyed``).  That generator is module state, so this is
+    single-threaded: call it from one thread at a time.  A context word
+    outside [-2^63, 2^64) raises ``OverflowError``, as ``stream`` does."""
     words = tuple(context) + (0, 0)
-    rng = stream(seed, words[0], words[1], TAG_NOISE)
-    return _gumbel_table(rng, model)
+    return _gumbel_table(_rekeyed(seed, words[0], words[1], TAG_NOISE), model)
 
 
 # ---------------------------------------------------------------------------
@@ -221,12 +288,12 @@ def perturbed_conditional_map(perturbed: CompiledPotentials,
     bit."""
     _check_solver(perturbed.model, solver)
     if solver == SOLVER_CHAIN:
-        block = viterbi_clamped(perturbed, pairs,
-                                _pinned_entries(perturbed, pairs))
+        rows = viterbi_clamped(perturbed, pairs,
+                               _pinned_entries(perturbed, pairs))
     else:
-        block = np.array([_map_labels(clamp_variables(perturbed, {d: k}),
-                                      solver) for d, k in pairs])
-    return _checked_block(pairs, block)
+        rows = [_map_labels(clamp_variables(perturbed, {d: k}), solver)
+                for d, k in pairs]
+    return _checked_block(pairs, rows)
 
 
 def _cut_clamped_map(state: DynamicCutState, perturbed: CompiledPotentials,
@@ -238,25 +305,24 @@ def _cut_clamped_map(state: DynamicCutState, perturbed: CompiledPotentials,
     ends as it began."""
     unary = perturbed.unary.tolist()
     pins = pin_margins(perturbed).tolist()
-    block = []
+    rows = []
     for d, k in pairs:
         pinned = unary[d].copy()
         pinned[k] += pins[d]
         state.update_unary(d, pinned)
-        block.append(state.solve()[0])
+        rows.append(state.solve()[0])
         state.update_unary(d, unary[d])
-    return _checked_block(pairs, np.array(block))
+    return _checked_block(pairs, rows)
 
 
-def _checked_block(pairs: list[tuple[int, int]],
-                   block: np.ndarray) -> np.ndarray:
-    """The clamp block, once every row is checked to take its clamped
-    label."""
-    for y, (d, k) in zip(block, pairs):
+def _checked_block(pairs: list[tuple[int, int]], rows: list) -> np.ndarray:
+    """The clamp block, the label ``rows`` as one (n, D) array, once every
+    row is checked to take its clamped label."""
+    for y, (d, k) in zip(rows, pairs):
         if y[d] != k:
             raise InternalInvariantError(
                 f"pinning bound failed to clamp variable {d}")
-    return block
+    return np.array(rows, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -314,8 +380,9 @@ def estimate_A(p: CompiledPotentials, cfg: EstimatorConfig
     znoise = _noise_batch(p.model, cfg, TAG_ESTIMATE)
     labels = _perturbed_map_batch(p, znoise, cfg.solver)
     perturbed = (p.unary + znoise).reshape(cfg.num_samples, -1)
-    vals = _sum_terms(p, labels, np.take_along_axis(
-        perturbed, labels + p.model._unary_offsets, axis=1))
+    vals = _sum_terms(
+        np.take_along_axis(perturbed, labels + p.model._unary_offsets, axis=1),
+        p.pairwise.take(_pair_cells(p.model, labels)))
     mean = float(np.mean(vals))
     if cfg.num_samples == 1:
         return mean, 0.0

@@ -102,7 +102,10 @@ def chain_model(num_vars: int, num_labels: int) -> PairwiseModel:
 
 
 def grid_model(rows: int, cols: int, num_labels: int = 2) -> PairwiseModel:
-    """4-connected rows x cols lattice, variables in row-major order."""
+    """4-connected rows x cols lattice, variables in row-major order; each
+    side is at least 1."""
+    if rows < 1 or cols < 1:
+        raise StructuralError(f"grid sides must be >= 1, not {rows} x {cols}")
     edges = []
     for r in range(rows):
         for c in range(cols):
@@ -161,33 +164,85 @@ def check_labeling(model: PairwiseModel, y: np.ndarray) -> np.ndarray:
     return y
 
 
-def evaluate_potential(p: CompiledPotentials,
-                       y: np.ndarray) -> float | np.ndarray:
+def _runs(models: list[PairwiseModel], ys: list) -> tuple[int, list]:
+    """The labelings of a list form, one (D,) labeling or (n, D) block per
+    model, checked and split into runs of consecutive items with equal
+    models.  Returns the number of rows, and per run: its model, its items
+    ``first:stop``, its first row, the (n, D) labels of its rows stacked,
+    and the item of each row within the run.  A bad labeling raises what
+    ``check_labeling`` raises for the first bad one."""
+    if len(models) != len(ys):
+        raise StructuralError(f"{len(models)} models and {len(ys)} labelings")
+    blocks = []
+    for model, y in zip(models, ys):
+        y = np.asarray(y, dtype=np.int64)
+        if y.ndim not in (1, 2) or y.shape[-1] != model.num_vars:
+            check_labeling(model, y)
+        blocks.append(y.reshape(-1, model.num_vars))
+    runs, row, first = [], 0, 0
+    for stop in range(1, len(models) + 1):
+        if stop < len(models) and models[stop] == models[first]:
+            continue
+        model = models[first]
+        labels = np.concatenate(blocks[first:stop])
+        # as unsigned, a negative label is out of range too
+        if np.count_nonzero(labels.view(np.uint64) >= model.num_labels):
+            for m, block in zip(models, blocks):
+                check_labeling(m, block)
+        item = np.repeat(np.arange(stop - first),
+                         [len(b) for b in blocks[first:stop]])
+        runs.append((model, first, stop, row, labels, item))
+        row += len(labels)
+        first = stop
+    return row, runs
+
+
+def evaluate_potential(p: CompiledPotentials | list[CompiledPotentials],
+                       y) -> float | np.ndarray:
     """f(y): a float for a (D,) labeling, an (n,) array for an (n, D)
     block, one value per row.
 
-    Every value is summed in one fixed order, from 0.0: variables
-    ascending, then edges ascending.  Both shapes, and the perturbed draws
-    of ``gumbel.estimate_A``, share the kernel ``_sum_terms``, so a row of
-    a block gives the bits of the labeling alone."""
-    model = p.model
-    y = check_labeling(model, y)
-    block = y.reshape(-1, model.num_vars)
-    vals = _sum_terms(p, block, p.unary.take(block + model._unary_offsets))
-    return float(vals[0]) if y.ndim == 1 else vals
+    The list form takes a list of compiled tables and a list of matching
+    labelings or blocks, one per table, and returns the values of all
+    their rows as one array, concatenated in order.  A single table is a
+    list of one.  Both run in runs of consecutive tables of equal models:
+    each run gathers its rows' terms from its tables stacked, so each row
+    reads the entries of its own table, and one ``_sum_terms`` call sums
+    the run's rows.  Every value is summed in one fixed order, from 0.0:
+    variables ascending, then edges ascending, so each row has the bits
+    of the labeling alone, whatever the other rows of the call; a run's
+    rows all have its width, so none is padded."""
+    single = isinstance(p, CompiledPotentials)
+    ps, ys = ([p], [np.asarray(y, dtype=np.int64)]) if single else (p, y)
+    n, runs = _runs([pi.model for pi in ps], ys)
+    vals = np.empty(n)
+    for model, first, stop, row, labels, item in runs:
+        m, k = stop - first, model.num_labels
+        unary = np.array([pi.unary for pi in ps[first:stop]])
+        pairwise = np.array([pi.pairwise for pi in ps[first:stop]])
+        item = item[:, None]
+        vals[row:row + len(labels)] = _sum_terms(
+            unary.reshape(m, -1)[item, labels + model._unary_offsets],
+            pairwise.reshape(m, model.num_edges * k * k)[
+                item, _pair_cells(model, labels)])
+    return float(vals[0]) if single and ys[0].ndim == 1 else vals
 
 
-def _sum_terms(p: CompiledPotentials, block: np.ndarray,
-               unary_terms: np.ndarray) -> np.ndarray:
-    """(n,) values of the checked (n, D) labelings ``block``: each row
-    summed from 0.0, its row of ``unary_terms`` (n, D) left to right, then
-    the pairwise cells of ``p`` at its labels, edges ascending."""
-    model = p.model
+def _pair_cells(model: PairwiseModel, block: np.ndarray) -> np.ndarray:
+    """(n, E) flat indices into an (E, K, K) pairwise table of the cells
+    that the checked (n, D) labelings ``block`` select, edges ascending."""
     k = model.num_labels
-    pair_cells = (block.take(model._edge_i, axis=1) * k
-                  + block.take(model._edge_j, axis=1) + model._pair_offsets)
-    terms = np.concatenate((np.zeros((block.shape[0], 1)), unary_terms,
-                            p.pairwise.take(pair_cells)), axis=1)
+    return (block.take(model._edge_i, axis=1) * k
+            + block.take(model._edge_j, axis=1) + model._pair_offsets)
+
+
+def _sum_terms(unary_terms: np.ndarray, pair_terms: np.ndarray) -> np.ndarray:
+    """(n,) values of n labelings from their (n, D) unary terms and (n, E)
+    pairwise terms: each row summed from 0.0, its unary terms left to
+    right, then its pairwise terms, edges ascending.  The one summation
+    kernel of ``evaluate_potential`` and ``gumbel.estimate_A``."""
+    terms = np.concatenate((np.zeros((len(unary_terms), 1)), unary_terms,
+                            pair_terms), axis=1)
     # a running sum adds strictly left to right (``sum`` adds pairwise)
     return np.add.accumulate(terms, axis=1)[:, -1]
 
@@ -295,6 +350,8 @@ class FeatureInstance:
     edge_features: np.ndarray  # (E, Fe)
     labels: np.ndarray | None = None  # (D,) int, -1 = unobserved
     node_volumes: np.ndarray | None = None  # (D,) positive
+    # every variable observed; set once, as PairwiseModel.is_chain is
+    fully_labeled: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         d, e = self.model.num_vars, self.model.num_edges
@@ -314,6 +371,8 @@ class FeatureInstance:
                 i = int(np.argmax(bad))
                 raise StructuralError(f"label {lab[i]} out of range at {i}")
             object.__setattr__(self, "labels", lab)
+        object.__setattr__(self, "fully_labeled", self.labels is not None
+                           and bool(np.all(self.labels >= 0)))
         if self.node_volumes is not None:
             vol = np.asarray(self.node_volumes, dtype=np.float64)
             if vol.shape != (d,):
@@ -321,10 +380,6 @@ class FeatureInstance:
             if not np.all(np.isfinite(vol) & (vol > 0)):
                 raise StructuralError("node volumes must be finite and positive")
             object.__setattr__(self, "node_volumes", vol)
-
-    @property
-    def fully_labeled(self) -> bool:
-        return self.labels is not None and bool(np.all(self.labels >= 0))
 
     def volumes(self) -> np.ndarray:
         if self.node_volumes is None:
@@ -375,39 +430,51 @@ def compile_potentials(w: WeightVector, x: FeatureInstance) -> CompiledPotential
     return CompiledPotentials(model, unary, pairwise)
 
 
-def feature_map(x: FeatureInstance, y: np.ndarray,
+def feature_map(x: FeatureInstance | list[FeatureInstance], y,
                 layout: WeightLayout) -> np.ndarray:
     """The structured feature vector, the gradient of f(y|x) with respect
     to w: an (F,) vector for a (D,) labeling, an (n, F) array for an
     (n, D) block, one row per labeling.
 
-    Each entry is summed from 0.0 in one fixed order: node features in
-    variable order, edge features in edge order.  Both shapes share the
-    kernel, so a row of a block gives the bits of the labeling alone.  The
-    potts entry follows that order too (it was a pairwise ``sum``); with
-    integer edge features, as every synthetic dataset has, both orders
-    give the same exact sums."""
-    _check_layout_compat(layout, x)
-    y = check_labeling(x.model, y)
-    block = y.reshape(-1, x.model.num_vars)
-    n = block.shape[0]
-    rows = np.arange(n)[:, None]
-    k, fe = layout.num_labels, layout.edge_feat_dim
-    # np.add.at adds in index order: row by row, then along the row
-    unary = np.zeros((n, k, layout.node_feat_dim))
-    np.add.at(unary, (rows, block), x.node_features)
+    The list form takes a list of instances and a list of matching
+    labelings or blocks, one per instance, and returns the rows of all of
+    them as one (N, F) array, concatenated in order.  A single instance is
+    a list of one.  Both run in runs of consecutive instances of equal
+    models (``_runs``): a run's (row, variable) and (row, edge) cells are
+    flattened with its first row as offset, and read their features from
+    the run's instances stacked.  Each entry is summed from 0.0 in one
+    fixed order: node features in variable order, edge features in edge
+    order.  ``np.add.at`` adds in index order, row by row, so each row has
+    the bits of the labeling alone, whatever the other rows of the call.
+    The potts entry follows that order too (it was a pairwise ``sum``);
+    with integer edge features, as every synthetic dataset has, both
+    orders give the same exact sums."""
+    single = isinstance(x, FeatureInstance)
+    xs, ys = ([x], [np.asarray(y, dtype=np.int64)]) if single else (x, y)
+    for xi in xs:
+        _check_layout_compat(layout, xi)
+    n, runs = _runs([xi.model for xi in xs], ys)
+    k, fn, fe = layout.num_labels, layout.node_feat_dim, layout.edge_feat_dim
     potts = layout.pairwise_form == PAIRWISE_POTTS
-    pair = np.zeros((n, fe) if potts else (n, k, k, fe))
-    if x.model.num_edges:
-        yi = block.take(x.model._edge_i, axis=1)
-        yj = block.take(x.model._edge_j, axis=1)
-        if potts:
-            r, e = np.nonzero(yi != yj)
-            np.add.at(pair, r, x.edge_features[e])
-        else:
-            np.add.at(pair, (rows, yi, yj), x.edge_features)
+    unary = np.zeros((n * k, fn))
+    pair = np.zeros((n if potts else n * k * k, fe))
+    for model, first, stop, row, labels, item in runs:
+        rows = np.arange(row, row + len(labels))[:, None]
+        node = np.array([xi.node_features for xi in xs[first:stop]])
+        np.add.at(unary, (rows * k + labels).ravel(),
+                  node[item].reshape(-1, fn))
+        if model.num_edges:
+            edge = np.array([xi.edge_features for xi in xs[first:stop]])
+            ya = labels.take(model._edge_i, axis=1)
+            yb = labels.take(model._edge_j, axis=1)
+            if potts:
+                r, e = np.nonzero(ya != yb)
+                np.add.at(pair, r + row, edge[item[r], e])
+            else:
+                np.add.at(pair, ((rows * k + ya) * k + yb).ravel(),
+                          edge[item].reshape(-1, fe))
     psi = np.concatenate((unary.reshape(n, -1), pair.reshape(n, -1)), axis=1)
-    return psi[0] if y.ndim == 1 else psi
+    return psi[0] if single and ys[0].ndim == 1 else psi
 
 
 # ---------------------------------------------------------------------------

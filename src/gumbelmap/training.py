@@ -16,10 +16,18 @@ label (``cuts.clamp_variables``), applied in one of two ways:
   (``gumbel.condition_on_given``), so that under the pin those rows add
   only a constant.
 
-One per-variable kernel (``_element``) computes the estimator; the
-whole-labeling likelihood (zero-one loss) needs only the unconditional
-MAP.  The three public steps share one update helper, and one driver loop
-serves ``train`` and both training phases of ``train_semisupervised``.
+One per-variable kernel computes the estimator, in two halves: the
+solves of each element of a batch (``_solve_element``), in order, then
+the arithmetic of the whole batch at once (``_batch_sums``): one
+``feature_map`` and one ``evaluate_potential`` call over every element's
+maximizers, whose rows keep the bits they have alone, and the gradient
+and objective terms added per element in (d, k) order, as term-by-term
+accumulation adds them.  The whole-labeling likelihood (zero-one loss)
+needs only the unconditional MAP.  The three public steps share one
+update helper, and one driver loop serves ``train`` and both training
+phases of ``train_semisupervised``; its batch draws, like every
+element's noise table, come from ``gumbel``'s retained generator, drawn
+and discarded at once.
 
 Two exact accelerations apply to the clamped solves:
 
@@ -33,7 +41,8 @@ of an element are one call into ``gumbel``, which alone knows how each
 solver answers them: ``perturbed_conditional_map``, or with dynamic cuts
 ``_cut_clamped_map`` on the cut state that solved the unconditional MAP.
 Both take the element's p + z and return labels alone; A and every B_dk
-are read from one evaluation of the maximizers on p + z.
+are read from the batch's one evaluation of the maximizers, each row on
+its element's p + z.
 
 Only graph-cut training projects: ``project_supermodular`` after each step
 keeps every MAP a min-cut on the binary potts layout that ``TrainConfig``
@@ -57,6 +66,7 @@ from .gumbel import (
     TAG_BATCH,
     _cut_clamped_map,
     _map_labels,
+    _rekeyed,
     check_solvable,
     check_solver_name,
     condition_on_given,
@@ -65,7 +75,6 @@ from .gumbel import (
     perturbed_conditional_map,
     perturbed_map,
     sample_noise,
-    stream,
 )
 from .model import (
     CompiledPotentials,
@@ -147,37 +156,48 @@ def _noise_for(model, seed: int, phase: int, h: int, slot: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Per-element solving
+# Per-element solving, then the batch's arithmetic
 # ---------------------------------------------------------------------------
 
 
-def _element(x: FeatureInstance, weights: np.ndarray, given: dict[int, int],
-             p: CompiledPotentials, z: np.ndarray, solver: str,
-             dynamic: bool, acceleration: bool, layout: WeightLayout,
-             counters: TrainCounters) -> tuple[np.ndarray, float]:
-    """Gradient and objective estimate of sum_d sum_k w_dk (B_dk - A) for
-    one element under one noise realization.
+@dataclass
+class _Solved:
+    """One element's solves under one noise draw: the perturbed tables,
+    the unconditional maximizer stacked over the clamped maximizers (one
+    row per clamp, in (d, k) order; ``None`` with no clamp), each clamp's
+    weight w_dk and noise z_d(k), and the objective terms in (d, k)
+    order, ``None`` marking a clamp's."""
+    x: FeatureInstance
+    perturbed: CompiledPotentials
+    stack: np.ndarray | None
+    weights: list[float]
+    noise: list[float]
+    terms: list[float | None]
+
+
+def _solve_element(x: FeatureInstance, weights: np.ndarray,
+                   given: dict[int, int], p: CompiledPotentials,
+                   z: np.ndarray, solver: str, dynamic: bool,
+                   acceleration: bool, counters: TrainCounters) -> _Solved:
+    """The solves of sum_d sum_k w_dk (B_dk - A) for one element under
+    one noise realization; ``_batch_sums`` does its arithmetic.
 
     ``weights`` is a (D, K) table: a labeled element carries theta_d at
     its label and 0 elsewhere, an unlabeled one q_d(k) theta_d(k).  Entries
     of weight 0 are neither solved nor counted.  The ``given`` labels are
     pinned and their noise rows zeroed: both the unconditional and the
     clamped solves run conditioned on them, and their rows of ``weights``
-    are ignored.
+    are ignored.  An element whose every label is given has nothing to
+    match: it solves nothing and has no term.
 
     p + z is built once.  With ``dynamic`` graph cuts ``y_a`` and the
     clamps are solved on one retained cut state of it; otherwise the
-    clamps are one ``perturbed_conditional_map`` call.  ``y_a`` stacked
-    over the clamped maximizers is evaluated on p + z in one call and
-    feature-mapped in one call: each row keeps the bits it has alone, and
-    B_dk is its row's value less z_d(k).  An element with no clamp does
-    neither.  The gradient and objective terms are added in the order of
-    the (d, k) loop, so they match term-by-term accumulation bit for bit.
-    """
+    clamps are one ``perturbed_conditional_map`` call.  A clamp whose
+    maximizer provably equals ``y_a`` (acceleration) is not solved: its
+    term is exactly -w_dk z_d(k)."""
     model = x.model
     if len(given) == model.num_vars:
-        # every conditional marginal is degenerate: nothing to match
-        return np.zeros(layout.total_size), 0.0
+        return _Solved(x, p, None, [], [], [])
     p, z = condition_on_given(p, z, given)
     perturbed = p.with_unary(p.unary + z)
     state = None
@@ -187,44 +207,81 @@ def _element(x: FeatureInstance, weights: np.ndarray, given: dict[int, int],
     else:
         y_a = _map_labels(perturbed, solver)
     counters.map_solves += 1
-    pairs, clamp_weights = [], []
-    terms = []  # objective terms in loop order; None marks a clamp
-    for d in range(model.num_vars):
+    pairs, clamp_weights, terms = [], [], []
+    labels = range(model.num_labels)
+    noise = z.tolist()
+    for d, (row, z_d, y_d) in enumerate(zip(weights.tolist(), noise,
+                                            y_a.tolist())):
         if d in given:
             continue
-        for k in range(model.num_labels):
-            w_dk = weights[d, k]
+        for k in labels:
+            w_dk = row[k]
             if w_dk == 0.0:
                 continue
-            if y_a[d] == k and acceleration:
+            if y_d == k and acceleration:
                 # shared noise: the clamped maximizer equals y_a, so the
                 # gradient term vanishes and B_dk - A is exactly -z_d(k)
                 counters.clamp_skipped += 1
-                terms.append(w_dk * (-z[d, k]))
+                terms.append(w_dk * -z_d[k])
                 continue
             pairs.append((d, k))
             clamp_weights.append(w_dk)
             terms.append(None)
     counters.clamp_solves += len(pairs)
-    grad = np.zeros(layout.total_size)
-    clamp_terms = iter(())
+    stack = None
     if pairs:
         if state is None:
             block = perturbed_conditional_map(perturbed, pairs, solver)
         else:
             block = _cut_clamped_map(state, perturbed, pairs)
-        stack = np.vstack((y_a, block))
-        psi = feature_map(x, stack, layout)
-        vals = evaluate_potential(perturbed, stack)
-        w_b = np.array(clamp_weights)
-        for term in w_b[:, None] * (psi[1:] - psi[0]):
-            grad += term
-        z_b = np.array([z[d, k] for d, k in pairs])
-        clamp_terms = iter(w_b * ((vals[1:] - z_b) - vals[0]))
-    obj = 0.0
-    for term in terms:
-        obj += next(clamp_terms) if term is None else term
-    return grad, obj
+        stack = np.concatenate((y_a[None], block))
+    return _Solved(x, perturbed, stack, clamp_weights,
+                   [noise[d][k] for d, k in pairs], terms)
+
+
+def _batch_sums(solved: list[_Solved], layout: WeightLayout
+                ) -> tuple[np.ndarray, list[float]]:
+    """Each element's gradient, one row of an (n, F) array, and its
+    objective estimate, from the solves of a batch.
+
+    The stacks of every element with a clamp are feature-mapped in one
+    ``feature_map`` call and evaluated on their p + z in one
+    ``evaluate_potential`` call; each row keeps the bits it has alone.
+    B_dk is its row's value less z_d(k).  One ``np.add.at`` adds each
+    clamp's weighted feature difference into its element's row, clamps in
+    (d, k) order, and each objective adds its terms in (d, k) order from
+    0.0, so both match term-by-term accumulation per element bit for
+    bit.  A batch with no clamp makes neither call."""
+    grads = np.zeros((len(solved), layout.total_size))
+    clamped = [(i, s) for i, s in enumerate(solved) if s.stack is not None]
+    clamp_terms = iter(())
+    if clamped:
+        stacks = [s.stack for _, s in clamped]
+        psi = feature_map([s.x for _, s in clamped], stacks, layout)
+        vals = evaluate_potential([s.perturbed for _, s in clamped], stacks)
+        # per clamp: its element's row of grads, its y_a row and its own
+        # row of the stacks
+        owner, a_rows, b_rows, w_b, z_b = [], [], [], [], []
+        first = 0
+        for i, s in clamped:
+            n = len(s.weights)
+            owner += [i] * n
+            a_rows += [first] * n
+            b_rows += range(first + 1, first + 1 + n)
+            w_b += s.weights
+            z_b += s.noise
+            first += n + 1
+        w_b = np.array(w_b)
+        np.add.at(grads, owner, w_b[:, None] * (psi[b_rows] - psi[a_rows]))
+        clamp_terms = iter((w_b * ((vals[b_rows] - np.array(z_b))
+                                   - vals[a_rows])).tolist())
+    objs = []
+    for s in solved:
+        obj = 0.0
+        for term in s.terms:
+            obj += next(clamp_terms) if term is None else term
+        objs.append(obj)
+    return grads, objs
 
 
 def _label_table(x: FeatureInstance, y: np.ndarray,
@@ -269,14 +326,21 @@ def _batch_mean(w: WeightVector,
                 first_slot: int) -> tuple[np.ndarray, float]:
     """Mean gradient and objective of the per-variable kernel over
     (instance, weight table, given labels) items; item t draws noise slot
-    first_slot + t.  An empty batch contributes zero."""
-    gsum = np.zeros(w.layout.total_size)
-    obj = 0.0
+    first_slot + t.  Every item is solved first, in order; then one
+    ``_batch_sums`` pass does the arithmetic of all of them, and the
+    element sums are added in item order.  An empty batch contributes
+    zero."""
+    solved = []
     for t, (x, weights, given) in enumerate(items):
         p = compile_potentials(w, x)
         z = _noise_for(x.model, cfg.seed, phase, h, first_slot + t)
-        g, o = _element(x, weights, given, p, z, cfg.solver, cfg.dynamic_cuts,
-                        cfg.acceleration, w.layout, counters)
+        solved.append(_solve_element(x, weights, given, p, z, cfg.solver,
+                                     cfg.dynamic_cuts, cfg.acceleration,
+                                     counters))
+    grads, objs = _batch_sums(solved, w.layout)
+    gsum = np.zeros(w.layout.total_size)
+    obj = 0.0
+    for g, o in zip(grads, objs):
         gsum += g
         obj += o
     n = max(len(items), 1)
@@ -369,8 +433,9 @@ def sgd_unsup_step(w: WeightVector, labeled: list[FeatureInstance],
 
 def _draw(data: list, cfg: TrainConfig, phase: int, h: int,
           group: int) -> list:
-    rng = stream(cfg.seed, group, (phase << 48) | h, TAG_BATCH)
-    return [data[int(i)] for i in rng.integers(0, len(data), size=cfg.batch)]
+    rng = _rekeyed(cfg.seed, group, (phase << 48) | h, TAG_BATCH)
+    return [data[i] for i in rng.integers(0, len(data),
+                                          size=cfg.batch).tolist()]
 
 
 def _drive(step, w: WeightVector, labeled: list[FeatureInstance],

@@ -5,7 +5,8 @@ from gumbelmap.errors import StructuralError
 from gumbelmap.exact import all_state_values, logsumexp
 from gumbelmap.model import (CompiledPotentials, chain_model,
                              compile_potentials, grid_model)
-from gumbelmap.training import TrainCounters, _element, _label_table
+from gumbelmap.training import (TrainCounters, _batch_sums, _label_table,
+                                _solve_element)
 
 
 def zero_potentials(model):
@@ -53,13 +54,23 @@ def random_supermodular_grid(rng, rows=None, cols=None, scale=1.0):
     return CompiledPotentials(model, unary, pairwise)
 
 
+def element(x, weights, given, p, z, solver, dynamic, acceleration, layout,
+            counters):
+    """Gradient and objective estimate of one element under the noise z:
+    training's per-element path, as a batch of one."""
+    solved = _solve_element(x, weights, given, p, z, solver, dynamic,
+                            acceleration, counters)
+    grads, objs = _batch_sums([solved], layout)
+    return grads[0], objs[0]
+
+
 def frozen_noise_objective(w, x, y, z, loss_spec, solver):
     """Value and analytic gradient of the per-element marginal objective at
     one fixed noise realization: piecewise linear in w, so away from
     argmax-switch boundaries the gradient matches finite differences."""
-    grad, obj = _element(x, _label_table(x, y, loss_spec), {},
-                         compile_potentials(w, x), z, solver, False, True,
-                         w.layout, TrainCounters())
+    grad, obj = element(x, _label_table(x, y, loss_spec), {},
+                        compile_potentials(w, x), z, solver, False, True,
+                        w.layout, TrainCounters())
     return obj, grad
 
 

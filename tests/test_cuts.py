@@ -39,9 +39,9 @@ from gumbelmap.model import (
     grid_model,
 )
 from gumbelmap.synth import gen_grid_dataset
-from gumbelmap.training import TrainCounters, _element, _label_table
+from gumbelmap.training import TrainCounters, _label_table
 
-from conftest import (brute_force_clamped, random_supermodular_grid,
+from conftest import (brute_force_clamped, element, random_supermodular_grid,
                       zero_potentials)
 
 
@@ -209,24 +209,37 @@ class TestDynamicUpdates:
     ])
     def test_updates_refuse_what_build_refuses(self, rng, row):
         """A row that a build refuses is refused by ``update_unary`` and
-        ``replace_unary`` too, before the state's tables change: the next
-        solve is the cold solve of the tables the state had."""
+        ``replace_unary`` too, and leaves the state as it was: its tables,
+        constant, kept trees and marks, so the next solve is the cold
+        solve of the tables the state had.  The second table replaces
+        every row before its refused last one, which a refusal must undo."""
         p = random_supermodular_grid(rng, 3, 3)
         table = p.unary.copy()
         table[4] = row
+        fresh = p.unary + 1.0
+        fresh[-1] = row
         with pytest.raises(PreconditionError, match="overflows"):
             build_cut_problem(p.with_unary(table))
         st = build_cut_problem(p)
         st.solve()
-        before = (list(st.trcap), st.const, list(st.unary))
+        # a pending repair: node 0 is marked, its table as it was
+        st.update_unary(0, p.unary[0] + 0.5)
+        st.update_unary(0, p.unary[0])
+
+        def snapshot():
+            return (list(st.trcap), st.const, list(st.unary), st.solved,
+                    set(st._marked))
+
+        before = snapshot()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(PreconditionError, match="overflows"):
                 st.update_unary(4, row)
-            assert (st.trcap, st.const, st.unary) == before
-            with pytest.raises(PreconditionError, match="overflows"):
-                st.replace_unary(table)
-            assert (st.trcap, st.const, st.unary) == before
+            assert snapshot() == before
+            for refused in (table, fresh):
+                with pytest.raises(PreconditionError, match="overflows"):
+                    st.replace_unary(refused)
+                assert snapshot() == before
         assert np.array_equal(st.solve()[0],
                               cold_solve(p.model, p.unary, p.pairwise)[0])
 
@@ -429,10 +442,10 @@ class TestKernelExactness:
             if i == 2:
                 given = {d: int(x.labels[d]) for d in (0, 14, 35)}
             z = sample_noise(x.model, 3, context=(i, 7))
-            grad, obj = _element(x, table, given,
-                                 compile_potentials(teacher, x), z,
-                                 "graphcut", True, True, teacher.layout,
-                                 counters)
+            grad, obj = element(x, table, given,
+                                compile_potentials(teacher, x), z,
+                                "graphcut", True, True, teacher.layout,
+                                counters)
             digest.update(grad.tobytes())
             objectives.append(float(obj).hex())
         assert digest.hexdigest() == ("21c214412408a8f5483f5f71d56fa718"

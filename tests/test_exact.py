@@ -161,7 +161,7 @@ class TestViterbiClamped:
             pinned = [clamp_variables(pert, {d: k}) for d, k in pairs]
             entries = [float(q.unary[d, k])
                        for q, (d, k) in zip(pinned, pairs)]
-            rows = viterbi_clamped(pert, pairs, entries)
+            rows = np.array(viterbi_clamped(pert, pairs, entries))
             block = perturbed_conditional_map(pert, pairs, "chain")
             vals = (evaluate_potential(pert, block)
                     - np.array([z[d, k] for d, k in pairs]))

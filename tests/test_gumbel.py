@@ -40,6 +40,71 @@ class TestNoise:
         assert gumbel_from_uniform(np.exp(-1.0)) == pytest.approx(
             -EULER_GAMMA, abs=1e-12)
 
+    def test_retained_draws_equal_fresh_streams(self):
+        """``sample_noise`` and training's batch draws re-key one retained
+        generator; each draw equals the one a fresh ``stream`` of the same
+        (seed, words) gives, bit for bit, whatever was drawn before: 3,000
+        contexts, chains and grids, seeds from -2^126 to 2^126 (past 2^64
+        and negative), the noise table through ``gumbel_from_uniform`` of
+        the clamped uniforms, and the batch indices."""
+        from gumbelmap.gumbel import (TAG_BATCH, TAG_NOISE, _U_HI, _U_LO,
+                                      stream)
+        from gumbelmap.training import TrainConfig, _draw
+        from gumbelmap.model import LossSpec, WeightLayout
+        rng = np.random.default_rng(2701)
+        models = [chain_model(8, 3), chain_model(3, 2), grid_model(6, 6),
+                  grid_model(2, 3, 4)]
+        layout = WeightLayout(2, 1, 1)
+        data = list(range(200))
+        for _ in range(3000):
+            seed = int(rng.integers(-2 ** 62, 2 ** 62)) * (
+                1 << int(rng.integers(0, 65)))
+            w1, w2 = (int(v) for v in rng.integers(0, 2 ** 62, size=2))
+            model = models[int(rng.integers(len(models)))]
+            fresh = stream(seed, w1, w2, TAG_NOISE)
+            u = np.clip(fresh.random((model.num_vars, model.num_labels)),
+                        _U_LO, _U_HI)
+            z = sample_noise(model, seed, context=(w1, w2))
+            assert z.tobytes() == gumbel_from_uniform(u).tobytes()
+            cfg = TrainConfig(lam=0.1, iters=1, batch=int(rng.integers(1, 9)),
+                              loss=LossSpec("hamming"), seed=seed,
+                              solver="chain", layout=layout)
+            phase, h, group = int(rng.integers(1, 4)), w1 >> 14, w2 & 1
+            want = stream(seed, group, (phase << 48) | h, TAG_BATCH).integers(
+                0, len(data), size=cfg.batch)
+            assert _draw(data, cfg, phase, h, group) == want.tolist()
+
+    @pytest.mark.parametrize("words", [
+        (1 << 64, 0), (0, 1 << 64), (-(1 << 63) - 1, 0), (0, -(1 << 70)),
+        (1 << 100, 1 << 100)])
+    def test_retained_draws_refuse_what_stream_refuses(self, words):
+        """A context word outside [-2^63, 2^64) is refused, as a fresh
+        ``stream`` refuses it, not reduced to another context's noise.
+        Inside that range each word is taken mod 2^64, exactly (a word
+        past 2^63 is not rounded through a float), and the retained
+        generator draws what ``stream`` draws."""
+        from gumbelmap.gumbel import TAG_NOISE, _U_HI, _U_LO, stream
+        from gumbelmap.training import TrainConfig, _draw
+        from gumbelmap.model import LossSpec, WeightLayout
+        model = chain_model(4, 3)
+        with pytest.raises(OverflowError):
+            stream(7, words[0], words[1], TAG_NOISE)
+        with pytest.raises(OverflowError):
+            sample_noise(model, 7, context=words)
+        cfg = TrainConfig(lam=0.1, iters=1, batch=3, loss=LossSpec("hamming"),
+                          seed=7, solver="chain", layout=WeightLayout(2, 1, 1))
+        with pytest.raises(OverflowError):
+            # phase 0: the second counter word is h
+            _draw(list(range(5)), cfg, 0, words[1], words[0])
+        for edge in ((1 << 64) - 1, (1 << 63) + 12345, -(1 << 63), -1):
+            fresh = stream(7, edge, 0, TAG_NOISE)
+            counter = fresh.bit_generator.state["state"]["counter"]
+            assert [int(c) for c in counter] == [
+                0, edge % (1 << 64), 0, TAG_NOISE]
+            want = np.clip(fresh.random((4, 3)), _U_LO, _U_HI)
+            got = sample_noise(model, 7, context=(edge, 0))
+            assert got.tobytes() == gumbel_from_uniform(want).tobytes()
+
     def test_zero_mean_and_variance(self):
         draws = np.concatenate([
             sample_noise(chain_model(50, 10), s).ravel()

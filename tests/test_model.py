@@ -43,6 +43,12 @@ class TestPairwiseModel:
         assert len(set(m.edges)) == len(m.edges)
         assert all(i < j < 12 for i, j in m.edges)
 
+    @pytest.mark.parametrize("rows, cols", [(0, 3), (3, 0), (-1, -1),
+                                            (-2, -3), (-2, 3)])
+    def test_grid_refuses_a_side_below_one(self, rows, cols):
+        with pytest.raises(StructuralError):
+            grid_model(rows, cols)
+
     def test_rejects_bad_edges(self):
         with pytest.raises(StructuralError):
             chain_model(3, 2).__class__(3, 2, ((0, 0),))
@@ -248,6 +254,80 @@ class TestBatchedKernels:
                     call(block)
                 assert str(batched.value) == str(scalar.value)
                 assert "at variable 3" in str(scalar.value)
+
+    def test_list_form_rows_equal_single_calls_bitwise(self, rng):
+        """The list forms give, row for row, the bytes of one call per
+        instance: 300 random batches of 1 to 6 instances, chains and grids
+        of mixed sizes (consecutive instances often share a model, so
+        runs of equal models form), full and potts layouts, 2 to 4 labels,
+        blocks of 1 to 6 rows or one (D,) labeling, and tables and features
+        with signed zeros among their entries."""
+        def entries(shape):
+            v = rng.normal(size=shape) * 10.0 ** int(rng.integers(-3, 4))
+            v[rng.random(shape) < 0.2] = -0.0
+            v[rng.random(shape) < 0.1] = 0.0
+            return v
+
+        for _ in range(300):
+            form = ("full", "potts")[int(rng.integers(2))]
+            k_max = int(rng.integers(2, 5))
+            layout = WeightLayout(k_max, int(rng.integers(1, 4)),
+                                  int(rng.integers(1, 3)), form)
+            xs, ps, ys = [], [], []
+            for i in range(int(rng.integers(1, 7))):
+                if i and rng.random() < 0.5:
+                    model = xs[-1].model
+                elif rng.random() < 0.5:
+                    model = chain_model(int(rng.integers(1, 9)),
+                                        int(rng.integers(2, k_max + 1)))
+                else:
+                    model = grid_model(int(rng.integers(1, 4)),
+                                       int(rng.integers(1, 4)),
+                                       int(rng.integers(2, k_max + 1)))
+                k, e = model.num_labels, model.num_edges
+                xs.append(FeatureInstance(
+                    model, entries((model.num_vars, layout.node_feat_dim)),
+                    entries((e, layout.edge_feat_dim))))
+                ps.append(CompiledPotentials(
+                    model, entries((model.num_vars, k)), entries((e, k, k))))
+                shape = (int(rng.integers(1, 7)), model.num_vars)
+                if rng.random() < 0.15:
+                    shape = model.num_vars
+                ys.append(rng.integers(0, k, size=shape))
+            psi = feature_map(xs, ys, layout)
+            vals = evaluate_potential(ps, ys)
+            singles = [np.atleast_2d(feature_map(x, y, layout))
+                       for x, y in zip(xs, ys)]
+            assert psi.tobytes() == np.concatenate(singles).tobytes()
+            singles = [np.atleast_1d(evaluate_potential(p, y))
+                       for p, y in zip(ps, ys)]
+            assert vals.tobytes() == np.concatenate(singles).tobytes()
+
+    def test_list_form_raises_for_the_first_bad_labeling(self, rng):
+        """A bad labeling in a list raises the error of the first bad one
+        alone, whichever run it is in; lists of unequal length are
+        refused."""
+        chain, grid = chain_model(5, 3), grid_model(2, 2)
+        p_c = CompiledPotentials(chain, rng.normal(size=(5, 3)),
+                                 rng.normal(size=(4, 3, 3)))
+        p_g = CompiledPotentials(grid, rng.normal(size=(4, 2)),
+                                 rng.normal(size=(4, 2, 2)))
+        good_c, good_g = np.zeros((2, 5), dtype=int), np.zeros(4, dtype=int)
+        bad_c = good_c.copy()
+        bad_c[1, 3] = 3
+        bad_g = np.array([[0, 1, 0, -1]])
+        cases = (([p_c, p_g, p_c], [good_c, bad_g, bad_c], (p_g, bad_g)),
+                 ([p_c, p_c, p_g], [good_c, bad_c, bad_g], (p_c, bad_c)),
+                 ([p_g, p_c], [good_g, np.zeros((2, 4), dtype=int)],
+                  (p_c, np.zeros((2, 4), dtype=int))))
+        for ps, ys, (p_bad, y_bad) in cases:
+            with pytest.raises(StructuralError) as alone:
+                evaluate_potential(p_bad, y_bad)
+            with pytest.raises(StructuralError) as listed:
+                evaluate_potential(ps, ys)
+            assert str(listed.value) == str(alone.value)
+        with pytest.raises(StructuralError):
+            evaluate_potential([p_c, p_c], [good_c])
 
     def test_block_shapes(self, rng):
         model = chain_model(3, 2)
