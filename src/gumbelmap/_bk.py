@@ -9,15 +9,25 @@ whatever flow the residuals already hold:
 * ``warm`` repairs the previous trees around explicitly marked nodes
   (Kohli & Torr, PAMI 2007): cheap when few terminal capacities changed,
   as for a training clamp's pin and unpin;
-* otherwise every node with terminal residual becomes a root and the
-  trees grow from scratch.  On a new network that is a cold solve; after
-  every terminal capacity changed (a new unary table) it is cheaper than
-  a repair around every node, and the kept flow still saves most of the
-  augmentations.
+* otherwise the trees grow from scratch (tree-cold).  On a new network
+  that is a cold solve; after every terminal capacity changed (a new
+  unary table) it is cheaper than a repair around every node, and the
+  kept flow still saves most of the augmentations.  A tree-cold solve
+  first makes one sweep over the arc pairs: where one end has source
+  residual, the other sink residual and the arc between them residual
+  capacity, it pushes the least of the three along s -> i -> j -> t,
+  counted as one augmentation.  A terminal residual only shrinks and
+  never changes sign, so after the sweep no arc with residual joins a
+  source root to a sink root.  Every node with terminal residual is then
+  a root, but only a root with residual toward a free node starts
+  active: the others have nothing to grow into until a neighbour goes
+  free, and adoption wakes them then, as it wakes any passive node.
 
 Either way the sink tree at termination is the set of nodes that can
 reach the sink in the final residual graph, the same for every maximum
-flow, so both starts give the same cut.
+flow, so both starts give the same cut, whatever the flow they reach it
+by: the sweep moves the flow, the trees and the augmentation counts,
+never the labels.
 
 The kernel is interpreted Python and reads or writes single elements
 all the time.  On a numpy array each such access boxes a numpy scalar,
@@ -197,13 +207,15 @@ def _adopt(orphans, first, head, nxt, rcap, trcap, parent, is_sink, dist,
             parent[i] = NODE_NONE
 
 
-def bk_maxflow(first, head, nxt, rcap, trcap, parent, is_sink, dist, ts,
-               time0, marked, warm):
+def bk_maxflow(first, head, nxt, pairs, rcap, trcap, parent, is_sink, dist,
+               ts, time0, marked, warm):
     """Run max-flow to completion.  Returns (flow pushed, augmentations,
     new timestamp).  With ``warm`` the existing trees are kept and repaired
     around the ``marked`` nodes (a sorted list of the nodes whose terminal
-    capacities changed); without it the trees grow afresh from every node
-    with terminal residual, keeping the flow the residuals hold.
+    capacities changed); without it the trees grow afresh, keeping the
+    flow the residuals hold, after the sweep of s -> i -> j -> t pushes
+    over ``pairs``, the (arc, tail, head) of every even arc (see the
+    module docstring).
 
     Every state argument is a list; ``rcap``, ``trcap``, ``parent``,
     ``is_sink``, ``dist`` and ``ts`` are updated in place."""
@@ -216,16 +228,55 @@ def bk_maxflow(first, head, nxt, rcap, trcap, parent, is_sink, dist, ts,
     n_aug = 0
 
     if not warm:
-        for i in range(n):
-            ts[i] = time
-            dist[i] = 1
-            if trcap[i] != 0.0:
-                parent[i] = NODE_TERM
-                is_sink[i] = 0 if trcap[i] > 0.0 else 1
-                queued[i] = True
-                active.append(i)
+        # one sweep of s -> i -> j -> t pushes over the arc pairs, each
+        # counted as an augmentation; a terminal residual never changes
+        # sign, so afterwards no arc with residual joins a node with
+        # source residual to one with sink residual
+        for a, i, j in pairs:
+            ti = trcap[i]
+            if ti == 0.0:
+                continue
+            tj = trcap[j]
+            if ti > 0.0:
+                if tj >= 0.0:
+                    continue
+            elif tj > 0.0:
+                a += 1  # the sister arc, j -> i
+                i, j, ti, tj = j, i, tj, ti
             else:
-                parent[i] = NODE_NONE
+                continue
+            r = rcap[a]
+            if r > 0.0:
+                m = r
+                if ti < m:
+                    m = ti
+                if -tj < m:
+                    m = -tj
+                rcap[a] = r - m
+                rcap[a ^ 1] += m
+                trcap[i] = ti - m
+                trcap[j] = tj + m
+                flow_added += m
+                n_aug += 1
+        # nodes with terminal residual are roots; is_sink is read only
+        # for nodes in a tree, so a free node's 1 is never seen
+        parent[:] = [NODE_NONE if t == 0.0 else NODE_TERM for t in trcap]
+        is_sink[:] = [0 if t > 0.0 else 1 for t in trcap]
+        ts[:] = [time] * n
+        dist[:] = [1] * n
+        # a root is active only with tree-direction residual into a free
+        # node: it has nothing else to grow into, and _adopt wakes the
+        # others when a neighbour goes free
+        for j, t in enumerate(trcap):
+            if t == 0.0:
+                a = first[j]
+                while a != -1:
+                    i = head[a]
+                    if (parent[i] == NODE_TERM and not queued[i]
+                            and rcap[a ^ 1 ^ is_sink[i]] > 0.0):
+                        queued[i] = True
+                        active.append(i)
+                    a = nxt[a]
     else:
         # a fresh timestamp: nodes stamped by the previous solve's last
         # stage must not pass as already checked during this repair

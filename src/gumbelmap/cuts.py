@@ -27,6 +27,15 @@ trees a re-solve starts from depends on the update:
   growing new ones, while the kept flow still saves most of the
   augmentations of a cold build.
 
+A tree-cold solve (a new state, or after ``replace_unary``) starts with
+one sweep of two-arc pushes, source -> i -> j -> sink, over the state's
+arc pairs, and wakes only the roots beside free nodes (see ``_bk``).
+That cuts the interpreted growth and adoption passes of most of a
+draw's augmentations.  The labels cannot move with it: they are read
+from the final residual graph, which every maximum flow leaves with the
+same sink side; only the flow, the trees and the augmentation counts
+change.
+
 A state builds its network with numpy once, then keeps the max-flow state
 as Python lists that the BK kernel mutates in place: on the many small
 warm re-solves of clamped training, converting arrays to lists and back
@@ -126,6 +135,9 @@ class DynamicCutState:
         # the BK state, as lists (see the module docstring)
         self.first = first.tolist()
         self.head = head.tolist()
+        # (a, tail, head) of each even arc, for the tree-cold push sweep
+        self.pairs = list(zip(range(0, m, 2), self.head[1::2],
+                              self.head[0::2]))
         self.nxt = nxt.tolist()
         self.rcap = rcap.tolist()
         self.trcap = trcap.tolist()
@@ -234,8 +246,9 @@ class DynamicCutState:
         alone."""
         warm = self.solved
         added, n_aug, t = bk_maxflow(
-            self.first, self.head, self.nxt, self.rcap, self.trcap,
-            self.parent, self.is_sink, self.dist, self.ts, self.time,
+            self.first, self.head, self.nxt, self.pairs, self.rcap,
+            self.trcap, self.parent, self.is_sink, self.dist, self.ts,
+            self.time,
             sorted(self._marked) if warm else [], warm)
         self.flow += added
         self.time = t

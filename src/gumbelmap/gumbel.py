@@ -152,6 +152,9 @@ class EstimatorConfig:
     def __post_init__(self):
         if self.num_samples < 1:
             raise StructuralError("num_samples must be >= 1")
+        if self.stream_context < 0:
+            # taken mod 2^64, it would name the stream of a word past 2^63
+            raise StructuralError("stream_context must be >= 0")
         check_solver_name(self.solver)
 
 

@@ -148,19 +148,43 @@ class CompiledPotentials:
         return CompiledPotentials(self.model, unary, self.pairwise)
 
 
+def _label_array(y) -> tuple[np.ndarray, np.ndarray | None]:
+    """``y`` as int64 labels and, when an entry is not an integer (1.7,
+    NaN, an infinity), ``y`` as floats, else None: cast, such an entry
+    would name another label.  An int64 array, as every solver returns,
+    is taken as it is."""
+    if isinstance(y, np.ndarray) and y.dtype == np.int64:
+        return y, None
+    a = np.asarray(y)
+    if a.dtype.kind in "biu":
+        return a.astype(np.int64), None
+    a = a.astype(np.float64)
+    # a NaN, an infinity or a value past int64 casts to an integer that
+    # differs from it
+    with np.errstate(invalid="ignore"):
+        labels = a.astype(np.int64)
+    return labels, (a if np.any(labels != a) else None)
+
+
 def check_labeling(model: PairwiseModel, y: np.ndarray) -> np.ndarray:
     """``y`` as an int64 array, checked once: a (D,) labeling or an (n, D)
-    block of labelings, every label in range.  A bad block raises the
-    error its first bad row would raise alone."""
-    y = np.asarray(y, dtype=np.int64)
+    block of labelings, every label an integer in range.  A bad block
+    raises the error its first bad row would raise alone."""
+    y, floats = _label_array(y)
     d = model.num_vars
     if y.ndim not in (1, 2) or y.shape[-1] != d:
         raise StructuralError(f"labeling shape {y.shape} != ({d},) or (n, {d})")
     # as unsigned, a negative label is out of range too
-    if np.count_nonzero(y.view(np.uint64) >= model.num_labels):
-        bad = int(np.flatnonzero((y < 0) | (y >= model.num_labels))[0])
+    bad = y.view(np.uint64) >= model.num_labels
+    if floats is not None:
+        bad |= y != floats
+    if np.count_nonzero(bad):
+        i = int(np.flatnonzero(bad)[0])
+        if floats is not None and y.flat[i] != floats.flat[i]:
+            raise StructuralError(f"label {float(floats.flat[i])} is not an "
+                                  f"integer at variable {i % d}")
         raise StructuralError(
-            f"label {y.flat[bad]} out of range at variable {bad % d}")
+            f"label {y.flat[i]} out of range at variable {i % d}")
     return y
 
 
@@ -175,10 +199,14 @@ def _runs(models: list[PairwiseModel], ys: list) -> tuple[int, list]:
         raise StructuralError(f"{len(models)} models and {len(ys)} labelings")
     blocks = []
     for model, y in zip(models, ys):
-        y = np.asarray(y, dtype=np.int64)
-        if y.ndim not in (1, 2) or y.shape[-1] != model.num_vars:
+        labels, floats = _label_array(y)
+        if (floats is not None or labels.ndim not in (1, 2)
+                or labels.shape[-1] != model.num_vars):
+            # the items before it first: the first bad one raises
+            for m, block in zip(models, blocks):
+                check_labeling(m, block)
             check_labeling(model, y)
-        blocks.append(y.reshape(-1, model.num_vars))
+        blocks.append(labels.reshape(-1, model.num_vars))
     runs, row, first = [], 0, 0
     for stop in range(1, len(models) + 1):
         if stop < len(models) and models[stop] == models[first]:
@@ -213,7 +241,7 @@ def evaluate_potential(p: CompiledPotentials | list[CompiledPotentials],
     of the labeling alone, whatever the other rows of the call; a run's
     rows all have its width, so none is padded."""
     single = isinstance(p, CompiledPotentials)
-    ps, ys = ([p], [np.asarray(y, dtype=np.int64)]) if single else (p, y)
+    ps, ys = ([p], [np.asarray(y)]) if single else (p, y)
     n, runs = _runs([pi.model for pi in ps], ys)
     vals = np.empty(n)
     for model, first, stop, row, labels, item in runs:
@@ -450,7 +478,7 @@ def feature_map(x: FeatureInstance | list[FeatureInstance], y,
     with integer edge features, as every synthetic dataset has, both
     orders give the same exact sums."""
     single = isinstance(x, FeatureInstance)
-    xs, ys = ([x], [np.asarray(y, dtype=np.int64)]) if single else (x, y)
+    xs, ys = ([x], [np.asarray(y)]) if single else (x, y)
     for xi in xs:
         _check_layout_compat(layout, xi)
     n, runs = _runs([xi.model for xi in xs], ys)

@@ -105,6 +105,19 @@ class TestNoise:
             got = sample_noise(model, 7, context=(edge, 0))
             assert got.tobytes() == gumbel_from_uniform(want).tobytes()
 
+    def test_negative_stream_context_refused(self):
+        """A negative ``stream_context`` is refused when the config is
+        made: taken mod 2^64, -1 would name the stream of the word
+        2^64 - 1, which another context can also reach."""
+        from gumbelmap.gumbel import stream
+        alias = stream(1, -1).bit_generator.state["state"]["counter"]
+        assert int(alias[1]) == (1 << 64) - 1
+        for context in (-1, -(1 << 63)):
+            with pytest.raises(StructuralError, match="stream_context"):
+                EstimatorConfig(10, 1, "chain", stream_context=context)
+        assert EstimatorConfig(10, 1, "chain",
+                               stream_context=0).stream_context == 0
+
     def test_zero_mean_and_variance(self):
         draws = np.concatenate([
             sample_noise(chain_model(50, 10), s).ravel()

@@ -16,6 +16,7 @@ from gumbelmap.model import (
     WeightVector,
     ZERO_ONE,
     chain_model,
+    check_labeling,
     compile_potentials,
     evaluate_potential,
     feature_map,
@@ -254,6 +255,41 @@ class TestBatchedKernels:
                     call(block)
                 assert str(batched.value) == str(scalar.value)
                 assert "at variable 3" in str(scalar.value)
+
+    def test_fractional_labels_refused(self, rng):
+        """A label that is not an integer (1.7, NaN, an infinity, a float
+        past int64) is refused, not cast to the label it truncates to, by
+        both kernels in both forms and by ``check_labeling``.  A block, or
+        a list, raises what its first bad row or item raises alone.
+        Integral floats and booleans still read as their labels."""
+        model = chain_model(2, 2)
+        p = CompiledPotentials(model, np.array([[0.0, 1.0], [0.0, 2.0]]),
+                               np.zeros((1, 2, 2)))
+        layout = WeightLayout(2, 1, 1)
+        x = FeatureInstance(model, rng.normal(size=(2, 1)), np.ones((1, 1)))
+        calls = (lambda y: evaluate_potential(p, y),
+                 lambda y: feature_map(x, y, layout),
+                 lambda y: evaluate_potential([p, p], [[0, 1], y]),
+                 lambda y: feature_map([x, x], [[0, 1], y], layout),
+                 lambda y: check_labeling(model, y))
+        for bad in ([0.0, 1.7], [0, float("nan")], [0, float("inf")],
+                    [0, -0.5], [0, 2.0 ** 63]):
+            for call in calls:
+                with pytest.raises(StructuralError,
+                                   match="not an integer at variable 1"):
+                    call(bad)
+        for call in calls[:2]:
+            # the first bad row decides, whichever check it fails
+            with pytest.raises(StructuralError, match="out of range"):
+                call(np.array([[0.0, 5.0], [0.5, 1.0]]))
+            with pytest.raises(StructuralError, match="not an integer"):
+                call(np.array([[0.5, 1.0], [0.0, 5.0]]))
+        with pytest.raises(StructuralError, match="out of range"):
+            evaluate_potential([p, p], [[0, 5], [0.5, 1]])
+        assert evaluate_potential(p, [0.0, 1.0]) == 2.0
+        assert evaluate_potential(p, np.array([False, True])) == 2.0
+        assert (feature_map(x, [1.0, 0.0], layout).tobytes()
+                == feature_map(x, [1, 0], layout).tobytes())
 
     def test_list_form_rows_equal_single_calls_bitwise(self, rng):
         """The list forms give, row for row, the bytes of one call per
