@@ -45,7 +45,10 @@ Arc storage: arcs come in sister pairs at indices (2k, 2k+1), so
 source to node i; ``trcap[i] < 0`` is residual capacity from i to the sink.
 
 parent[i] codes: >= 0 arc from i to its parent, NODE_NONE free,
-NODE_TERM tree root, NODE_ORPH queued orphan (transient).
+NODE_TERM tree root, NODE_ORPH queued orphan (transient).  A free node
+has ``is_sink`` 0: the tree-cold start gives it 0 and adoption resets it
+when it frees a node, so once a solve ends, with no orphan left,
+``is_sink`` is the labeling.
 
 One code path serves both trees.  With ``s = is_sink[i]`` (0 source,
 1 sink), BK's ``tree_cap(i -> head[a])`` is ``rcap[a ^ s]``: the arc
@@ -192,6 +195,7 @@ def _adopt(orphans, first, head, nxt, rcap, trcap, parent, is_sink, dist,
                 active.append(i)
         else:
             # no parent found: i leaves the tree
+            is_sink[i] = 0
             a = first[i]
             while a != -1:
                 j = head[a]
@@ -258,10 +262,9 @@ def bk_maxflow(first, head, nxt, pairs, rcap, trcap, parent, is_sink, dist,
                 trcap[j] = tj + m
                 flow_added += m
                 n_aug += 1
-        # nodes with terminal residual are roots; is_sink is read only
-        # for nodes in a tree, so a free node's 1 is never seen
+        # nodes with terminal residual are roots; the others are free
         parent[:] = [NODE_NONE if t == 0.0 else NODE_TERM for t in trcap]
-        is_sink[:] = [0 if t > 0.0 else 1 for t in trcap]
+        is_sink[:] = [1 if t < 0.0 else 0 for t in trcap]
         ts[:] = [time] * n
         dist[:] = [1] * n
         # a root is active only with tree-direction residual into a free

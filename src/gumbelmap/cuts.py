@@ -36,12 +36,23 @@ from the final residual graph, which every maximum flow leaves with the
 same sink side; only the flow, the trees and the augmentation counts
 change.
 
+Some pins need no solve at all.  ``flips_alone`` reads the residual
+graph of the last solve and certifies, where it can, that pinning
+variable d to the label it does not have changes d alone, so the pinned
+maximizer is the last labeling with d flipped.  It writes nothing, and
+proves nothing on a state with an update since its last solve.
+Training's clamped solves on a retained state
+(``gumbel._cut_clamped_map``) use it as a third exact acceleration,
+after solve skipping and dynamic cuts.
+
 A state builds its network with numpy once, then keeps the max-flow state
 as Python lists that the BK kernel mutates in place: on the many small
 warm re-solves of clamped training, converting arrays to lists and back
 on every solve cost more than the flow work.  The state's unary table is
 a list too, which ``update_unary`` compares and rewrites a row of in
-place.
+place.  The arc layout (``first``, ``head``, ``nxt``, ``pairs``) depends
+on the model alone and the kernel never writes it, so the states of one
+model share the lists built for its first state.
 
 Clamping is one mechanism for every solver: ``clamp_variables`` raises
 u_d(k) by a margin that provably pins y_d = k and keeps the model, so a
@@ -51,16 +62,53 @@ clamped problem is the same graph (and, for a retained state, one
 
 from __future__ import annotations
 
+import weakref
 from math import isfinite
 
 import numpy as np
 
 from ._bk import NODE_NONE, bk_maxflow
 from .errors import PreconditionError, StructuralError
-from .model import CompiledPotentials
+from .model import CompiledPotentials, PairwiseModel
 
 SUPERMODULAR_TOL = 1e-12
 _OVERFLOW = "cut network overflows: its constant or a capacity is not finite"
+
+
+def _arc_layout(model: PairwiseModel) -> tuple[list, list, list, list]:
+    """The cut network's arcs as the BK kernel reads them: ``first`` arc
+    of each node, ``head`` and ``nxt`` arc of each arc, and the (arc,
+    tail, head) ``pairs`` of the even arcs.  Edge e gives arc 2e from its
+    first endpoint to its second and the sister arc 2e + 1 back; each
+    node's arcs are listed in arc order."""
+    ea = model.edge_array()
+    m = 2 * model.num_edges
+    head = np.zeros(m, dtype=np.int64)
+    nxt = np.full(m, -1, dtype=np.int64)
+    first = np.full(model.num_vars, -1, dtype=np.int64)
+    if m:
+        head[0::2] = ea[:, 1]
+        head[1::2] = ea[:, 0]
+        tails = np.empty(m, dtype=np.int64)
+        tails[0::2] = ea[:, 0]
+        tails[1::2] = ea[:, 1]
+        order = np.argsort(tails, kind="stable")
+        st = tails[order]
+        same = st[:-1] == st[1:]
+        nxt[order[:-1][same]] = order[1:][same]
+        starts = np.ones(m, dtype=bool)
+        starts[1:] = ~same
+        first[st[starts]] = order[starts]
+    head = head.tolist()
+    # (a, tail, head) of each even arc, for the tree-cold push sweep
+    pairs = list(zip(range(0, m, 2), head[1::2], head[0::2]))
+    return first.tolist(), head, nxt.tolist(), pairs
+
+
+# the arc layout of each model, built for its first cut state and shared
+# by the later ones: the kernel never writes first, head, nxt or pairs,
+# and a layout goes when its model does
+_LAYOUTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 class DynamicCutState:
@@ -112,34 +160,15 @@ class DynamicCutState:
                 and np.isfinite(trcap).all()):
             raise PreconditionError(_OVERFLOW)
 
-        m = 2 * e
-        head = np.zeros(m, dtype=np.int64)
-        nxt = np.full(m, -1, dtype=np.int64)
-        first = np.full(n, -1, dtype=np.int64)
-        rcap = np.zeros(m, dtype=np.float64)
-        if e:
-            head[0::2] = ea[:, 1]
-            head[1::2] = ea[:, 0]
-            rcap[0::2] = lam
-            tails = np.empty(m, dtype=np.int64)
-            tails[0::2] = ea[:, 0]
-            tails[1::2] = ea[:, 1]
-            order = np.argsort(tails, kind="stable")
-            st = tails[order]
-            same = st[:-1] == st[1:]
-            nxt[order[:-1][same]] = order[1:][same]
-            starts = np.ones(m, dtype=bool)
-            starts[1:] = ~same
-            first[st[starts]] = order[starts]
-
-        # the BK state, as lists (see the module docstring)
-        self.first = first.tolist()
-        self.head = head.tolist()
-        # (a, tail, head) of each even arc, for the tree-cold push sweep
-        self.pairs = list(zip(range(0, m, 2), self.head[1::2],
-                              self.head[0::2]))
-        self.nxt = nxt.tolist()
-        self.rcap = rcap.tolist()
+        # the BK state, as lists (see the module docstring); the arc
+        # layout is the model's, shared read-only with its other states
+        layout = _LAYOUTS.get(model)
+        if layout is None:
+            layout = _LAYOUTS[model] = _arc_layout(model)
+        self.first, self.head, self.nxt, self.pairs = layout
+        rcap = [0.0] * (2 * e)
+        rcap[0::2] = lam.tolist()
+        self.rcap = rcap
         self.trcap = trcap.tolist()
         self.parent = [NODE_NONE] * n
         self.is_sink = [0] * n
@@ -237,7 +266,10 @@ class DynamicCutState:
     def solve(self) -> tuple[np.ndarray, float]:
         """MAP labeling and its value, read from the flow accounting:
         -(const + flow), the min-cut energy negated, which equals
-        evaluate_potential on the current tables up to rounding.
+        evaluate_potential on the current tables up to rounding.  The
+        labels are the kernel's ``is_sink`` list: sink-tree nodes have 1,
+        and a free node keeps is_sink 0 (see ``_bk``), so the source side
+        of the cut, free nodes included, gets label 0.
 
         The library reads only the labels and evaluates a value where it
         needs one.  The value stays only for the benchmark, whose workload
@@ -255,10 +287,49 @@ class DynamicCutState:
         self.solved = True
         self._marked.clear()
         self.last_augmentations = n_aug
-        # sink-tree nodes get label 1; free nodes keep a stale is_sink
-        labels = [s if p != NODE_NONE else 0
-                  for p, s in zip(self.parent, self.is_sink)]
-        return np.array(labels, dtype=np.int64), -(self.const + self.flow)
+        # sink-tree nodes get label 1, and free nodes keep is_sink 0
+        return (np.array(self.is_sink, dtype=np.int64),
+                -(self.const + self.flow))
+
+    def flips_alone(self, d: int) -> bool:
+        """True when the residual graph of the last solve proves that
+        pinning variable d to the label it does not have changes d alone:
+        the pinned maximizer is the last solve's labeling with d flipped.
+        False, proving nothing, when the state is unsolved or has an
+        update since its last solve.  An index out of range is refused
+        (``StructuralError``), as ``update_unary`` refuses it.
+
+        The labels are the minimal sink set of a minimum cut, which a pin
+        toward the sink can only grow, and a pin toward the source only
+        shrink.  Pinned to 1, a label-0 d joins it
+        alone when the flow s -> x -> d can saturate every residual arc
+        into d from a label-0 neighbour x, each on x's own source
+        residual: no source-side node then reaches the sink.  Pinned to
+        0, a label-1 d leaves it alone when every label-1 neighbour x
+        that a residual arc joins to d keeps sink residual after taking
+        d's outflow d -> x -> t (strictly): every node whose path to the
+        sink ran through d still reaches it through that neighbour."""
+        is_sink, trcap, rcap = self.is_sink, self.trcap, self.rcap
+        if not 0 <= d < len(is_sink):
+            raise StructuralError(f"variable index {d} out of range")
+        if not self.solved or self._marked:
+            return False
+        head, nxt = self.head, self.nxt
+        a = self.first[d]
+        if is_sink[d]:
+            while a != -1:
+                x = head[a]
+                if (is_sink[x] and (rcap[a] > 0.0 or rcap[a ^ 1] > 0.0)
+                        and not -trcap[x] > rcap[a]):
+                    return False
+                a = nxt[a]
+        else:
+            while a != -1:
+                x = head[a]
+                if not is_sink[x] and trcap[x] < rcap[a ^ 1]:
+                    return False
+                a = nxt[a]
+        return True
 
 
 def build_cut_problem(p: CompiledPotentials) -> DynamicCutState:

@@ -11,7 +11,10 @@ unreduced model (``cuts.clamp_variables``) in one of two ways:
   block shares one unpinned Viterbi forward pass
   (``exact.viterbi_clamped``), and on a retained cut state of p + z
   (training's dynamic cuts, ``_cut_clamped_map``) each pin is one
-  ``update_unary``, undone after its solve;
+  ``update_unary``, undone after its solve, except a pin that the
+  residual graph of the unconditional solve proves flips its variable
+  alone (``DynamicCutState.flips_alone``): that row is the unconditional
+  maximizer with the variable flipped, and nothing is solved;
 * given labels, shared by many draws, pin p and zero their noise rows
   (``condition_on_given``): under the pin such a row adds a constant, so
   the labels do not change, and the pin margins, taken without the
@@ -305,11 +308,26 @@ def _cut_clamped_map(state: DynamicCutState, perturbed: CompiledPotentials,
     of ``perturbed`` = p + z: each pin of ``clamp_variables`` is one
     ``update_unary``, undone after its solve, so the search trees carry
     over between the re-solves (Kohli & Torr, PAMI 2007) and the state
-    ends as it began."""
+    ends as it began.
+
+    A pair (d, k) whose k is not the label of d in the state's last
+    solve is first put to ``state.flips_alone(d)``, which certifies
+    nothing unless that solve, of ``perturbed``, has no update since.  A
+    certified pair is not pinned: its row is the last solve's labeling
+    with d set to k, the labels its pinned solve would return.  All the
+    certificates read the residual graph of that solve, so all are taken
+    before the first pin."""
     unary = perturbed.unary.tolist()
     pins = pin_margins(perturbed).tolist()
+    y_a = state.is_sink.copy()
+    alone = [k != y_a[d] and state.flips_alone(d) for d, k in pairs]
     rows = []
-    for d, k in pairs:
+    for (d, k), flip in zip(pairs, alone):
+        if flip:
+            row = y_a.copy()
+            row[d] = k
+            rows.append(row)
+            continue
         pinned = unary[d].copy()
         pinned[k] += pins[d]
         state.update_unary(d, pinned)

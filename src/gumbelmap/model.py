@@ -391,9 +391,13 @@ class FeatureInstance:
                 and np.all(np.isfinite(self.edge_features))):
             raise StructuralError("features must be finite")
         if self.labels is not None:
-            lab = np.asarray(self.labels, dtype=np.int64)
+            lab, floats = _label_array(self.labels)
             if lab.shape != (d,):
                 raise StructuralError("labels must be length D")
+            if floats is not None:
+                i = int(np.argmax(lab != floats))
+                raise StructuralError(
+                    f"label {float(floats[i])} is not an integer at {i}")
             bad = (lab < -1) | (lab >= self.model.num_labels)
             if bad.any():
                 i = int(np.argmax(bad))

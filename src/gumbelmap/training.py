@@ -17,26 +17,33 @@ label (``cuts.clamp_variables``), applied in one of two ways:
   only a constant.
 
 One per-variable kernel computes the estimator, in two halves: the
-solves of each element of a batch (``_solve_element``), in order, then
-the arithmetic of the whole batch at once (``_batch_sums``): one
-``feature_map`` and one ``evaluate_potential`` call over every element's
-maximizers, whose rows keep the bits they have alone, and the gradient
-and objective terms added per element in (d, k) order, as term-by-term
-accumulation adds them.  The whole-labeling likelihood (zero-one loss)
-needs only the unconditional MAP.  The three public steps share one
-update helper, and one driver loop serves ``train`` and both training
-phases of ``train_semisupervised``; its batch draws, like every
-element's noise table, come from ``gumbel``'s retained generator, drawn
-and discarded at once.
+solves of each element of a step (``_solve_element``), in order, its
+labeled elements and then its unlabeled ones, then the arithmetic of
+the whole step at once (``_batch_sums``): one ``feature_map`` and one
+``evaluate_potential`` call over every element's maximizers, whose rows
+keep the bits they have alone, and the gradient and objective terms
+added per element in (d, k) order, as term-by-term accumulation adds
+them.  The whole-labeling likelihood (zero-one loss) needs only the
+unconditional MAP.  The three public steps share one update helper, and
+one driver loop serves ``train`` and both training phases of
+``train_semisupervised``; its batch draws, like every element's noise
+table, come from ``gumbel``'s retained generator, drawn and discarded at
+once.
 
-Two exact accelerations apply to the clamped solves:
+Three exact accelerations apply to the clamped solves:
 
 * skipping clamped solves whose maximizer provably equals the
   unconditional one under the shared noise (zero gradient contribution);
 * re-solving the clamped problems on one dynamic cut state instead of
-  building each from scratch (graph-cut solver only).
+  building each from scratch (graph-cut solver only);
+* on that state, answering without a solve each clamp of y_d to the
+  label y_a does not have that the residual graph of the unconditional
+  solve proves flips y_d alone (``DynamicCutState.flips_alone``): its
+  maximizer is y_a with y_d flipped.  It comes with dynamic cuts and
+  has no switch of its own; every clamped maximizer, solved or
+  certified, counts in ``clamp_solves``.
 
-Both are exact rewrites: trajectories do not depend on them.  The clamps
+All are exact rewrites: trajectories do not depend on them.  The clamps
 of an element are one call into ``gumbel``, which alone knows how each
 solver answers them: ``perturbed_conditional_map``, or with dynamic cuts
 ``_cut_clamped_map`` on the cut state that solved the unconditional MAP.
@@ -320,30 +327,15 @@ def _unlabeled_table(w: WeightVector, x: FeatureInstance, index: int,
 # ---------------------------------------------------------------------------
 
 
-def _batch_mean(w: WeightVector,
-                items: list[tuple[FeatureInstance, np.ndarray, dict[int, int]]],
-                h: int, cfg: TrainConfig, counters: TrainCounters, phase: int,
-                first_slot: int) -> tuple[np.ndarray, float]:
-    """Mean gradient and objective of the per-variable kernel over
-    (instance, weight table, given labels) items; item t draws noise slot
-    first_slot + t.  Every item is solved first, in order; then one
-    ``_batch_sums`` pass does the arithmetic of all of them, and the
-    element sums are added in item order.  An empty batch contributes
-    zero."""
-    solved = []
-    for t, (x, weights, given) in enumerate(items):
-        p = compile_potentials(w, x)
-        z = _noise_for(x.model, cfg.seed, phase, h, first_slot + t)
-        solved.append(_solve_element(x, weights, given, p, z, cfg.solver,
-                                     cfg.dynamic_cuts, cfg.acceleration,
-                                     counters))
-    grads, objs = _batch_sums(solved, w.layout)
-    gsum = np.zeros(w.layout.total_size)
+def _mean(grads: np.ndarray, objs: list[float]) -> tuple[np.ndarray, float]:
+    """Mean of element gradients and objectives, the element sums added
+    in order; both are zero with no element."""
+    gsum = np.zeros(grads.shape[1])
     obj = 0.0
     for g, o in zip(grads, objs):
         gsum += g
         obj += o
-    n = max(len(items), 1)
+    n = max(len(objs), 1)
     return gsum / n, obj / n
 
 
@@ -386,16 +378,27 @@ def _marginal_step(w: WeightVector, labeled: list[FeatureInstance],
                    h: int, cfg: TrainConfig, counters: TrainCounters | None,
                    phase: int) -> tuple[WeightVector, float]:
     """The body of both marginal steps: the labeled mean, plus kappa times
-    the unlabeled mean when there are unlabeled items."""
+    the unlabeled mean when there are unlabeled items.  The labeled items
+    are solved, then the unlabeled ones, item t drawing noise slot t + 1;
+    one ``_batch_sums`` pass does the arithmetic of all of them, and each
+    half's mean adds its own element sums in item order."""
     counters = counters if counters is not None else TrainCounters()
     if not all(x.fully_labeled for x in labeled):
         raise StructuralError("marginal step requires full labels")
     items = [(x, _label_table(x, x.labels, cfg.loss), {}) for x in labeled]
-    grad, obj = _batch_mean(w, items, h, cfg, counters, phase, 1)
+    items += [(x, weights, x.given_labels()) for x, weights in unlabeled]
+    solved = []
+    for t, (x, weights, given) in enumerate(items):
+        p = compile_potentials(w, x)
+        z = _noise_for(x.model, cfg.seed, phase, h, t + 1)
+        solved.append(_solve_element(x, weights, given, p, z, cfg.solver,
+                                     cfg.dynamic_cuts, cfg.acceleration,
+                                     counters))
+    grads, objs = _batch_sums(solved, w.layout)
+    n = len(labeled)
+    grad, obj = _mean(grads[:n], objs[:n])
     if unlabeled:
-        items = [(x, weights, x.given_labels()) for x, weights in unlabeled]
-        g_u, o_u = _batch_mean(w, items, h, cfg, counters, phase,
-                               len(labeled) + 1)
+        g_u, o_u = _mean(grads[n:], objs[n:])
         grad = grad + cfg.kappa * g_u
         obj = obj + cfg.kappa * o_u
     return _update(w, grad, obj, h, cfg)

@@ -432,3 +432,18 @@ class TestFeatureInstance:
         with pytest.raises(StructuralError):
             FeatureInstance(m, rng.normal(size=(3, 2)), np.ones((2, 1)),
                             None, np.array([1.0, 0.0, 1.0]))
+
+    def test_rejects_labels_that_are_not_integers(self, rng):
+        """A fractional or NaN label is refused, not truncated to another
+        label; integral floats, and int64 labels taken as they are, pass."""
+        m = chain_model(2, 2)
+        nf, ef = rng.normal(size=(2, 2)), np.ones((1, 1))
+        for labels, bad in (([0.5, 1.7], "0.5"), ([1, float("nan")], "nan"),
+                            ([0, float("inf")], "inf")):
+            with pytest.raises(StructuralError,
+                               match=f"label {bad} is not an integer"):
+                FeatureInstance(m, nf, ef, labels)
+        x = FeatureInstance(m, nf, ef, [1.0, -1.0])
+        assert x.labels.tolist() == [1, -1]
+        lab = np.array([1, 0], dtype=np.int64)
+        assert FeatureInstance(m, nf, ef, lab).labels is lab
