@@ -52,7 +52,9 @@ on every solve cost more than the flow work.  The state's unary table is
 a list too, which ``update_unary`` compares and rewrites a row of in
 place.  The arc layout (``first``, ``head``, ``nxt``, ``pairs``) depends
 on the model alone and the kernel never writes it, so the states of one
-model share the lists built for its first state.
+model share the lists built for its first state (``_LAYOUTS``).  That
+halves a 6x6 build (26 against 48-51 us, timeit on 2 shared cores) and
+keeps about 0.4 MB of RSS alive on 32x32 marginals.
 
 Clamping is one mechanism for every solver: ``clamp_variables`` raises
 u_d(k) by a margin that provably pins y_d = k and keeps the model, so a

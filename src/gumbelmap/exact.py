@@ -69,7 +69,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, StructuralError
-from .model import CompiledPotentials, PairwiseModel, evaluate_potential
+from .model import CompiledPotentials, PairwiseModel
 
 BRUTE_FORCE_GUARD = 2 ** 20
 
@@ -135,7 +135,8 @@ def state_table(num_vars: int, num_labels: int) -> np.ndarray:
 
 
 def all_state_values(p: CompiledPotentials) -> tuple[np.ndarray, np.ndarray]:
-    """(states, f-values) over the full joint space."""
+    """(states, f-values) over the full joint space, each summed in
+    ``evaluate_potential``'s order, so with its bits."""
     states = state_table(p.model.num_vars, p.model.num_labels)
     vals = np.zeros(states.shape[0])
     for d in range(p.model.num_vars):
@@ -146,20 +147,18 @@ def all_state_values(p: CompiledPotentials) -> tuple[np.ndarray, np.ndarray]:
 
 
 def brute_force(p: CompiledPotentials) -> ExactInferenceResult:
-    """Exact enumeration of A(f), the MAP, and all unary marginals."""
+    """Exact enumeration of A(f), the MAP (and its value), and all unary
+    marginals."""
     states, vals = all_state_values(p)
     log_z = float(logsumexp(vals))
     best = int(np.argmax(vals))  # first occurrence = lexicographically smallest
     probs = np.exp(vals - log_z)
     q = np.array([np.bincount(col, weights=probs, minlength=p.model.num_labels)
                   for col in states.T])
-    y_map = states[best].copy()
     return ExactInferenceResult(
         log_partition=log_z,
-        map_labeling=y_map,
-        # re-evaluated in the canonical summation order so it is
-        # bit-identical to evaluate_potential on the same labeling
-        map_value=evaluate_potential(p, y_map),
+        map_labeling=states[best].copy(),
+        map_value=float(vals[best]),
         marginals=q,
     )
 

@@ -11,10 +11,11 @@ unreduced model (``cuts.clamp_variables``) in one of two ways:
   block shares one unpinned Viterbi forward pass
   (``exact.viterbi_clamped``), and on a retained cut state of p + z
   (training's dynamic cuts, ``_cut_clamped_map``) each pin is one
-  ``update_unary``, undone after its solve, except a pin that the
-  residual graph of the unconditional solve proves flips its variable
-  alone (``DynamicCutState.flips_alone``): that row is the unconditional
-  maximizer with the variable flipped, and nothing is solved;
+  ``update_unary`` of a pinned row, undone after its solve, except a
+  pin that the residual graph of the unconditional solve proves flips
+  its variable alone (``DynamicCutState.flips_alone``): that row is the
+  unconditional maximizer with the variable flipped, and nothing is
+  solved;
 * given labels, shared by many draws, pin p and zero their noise rows
   (``condition_on_given``): under the pin such a row adds a constant, so
   the labels do not change, and the pin margins, taken without the
@@ -37,12 +38,11 @@ All randomness comes from counter-based streams keyed on
 batching or evaluation order.  A draw that is made and consumed at once
 re-keys one retained generator (``_rekeyed``) to the state a fresh
 ``stream`` of its key starts in, and draws the same bits without
-building a generator: ``sample_noise``'s tables, so every training
-element's noise, and training's batch indices.  ``stream`` still builds
-a fresh generator where one must outlive the next draw (``synth`` keeps
-a chain's stream across its features, labels and label noise) and for
-the noise blocks of the estimators (``_noise_batch``), one stream per
-draw.
+building a generator: training's batch indices, and every Gumbel table
+(``sample_noise``), a training element's or one draw of an estimator's
+block (``_noise_batch``).  ``stream`` builds a generator only where one
+must outlive the next draw (``synth`` keeps a chain's stream across its
+features, labels and label noise).
 """
 
 from __future__ import annotations
@@ -53,8 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cuts import (DynamicCutState, build_cut_problem, clamp_variables,
-                   pin_margins)
+from .cuts import DynamicCutState, build_cut_problem, clamp_variables
 from .errors import CapacityError, InternalInvariantError, StructuralError
 from .exact import (BRUTE_FORCE_GUARD, all_state_values, viterbi_clamped,
                     viterbi_map, viterbi_map_batch)
@@ -116,8 +115,7 @@ def _retained() -> np.random.Generator:
     return np.random.Generator(np.random.Philox(0))
 
 
-def _rekeyed(seed: int, w1: int = 0, w2: int = 0,
-             w3: int = 0) -> np.random.Generator:
+def _rekeyed(seed: int, w1: int, w2: int, w3: int) -> np.random.Generator:
     """The one retained generator, re-keyed to the state a fresh
     ``stream(seed, w1, w2, w3)`` starts in: key seed mod 2^128, counter
     ``_counter(w1, w2, w3)`` (which refuses what ``stream`` refuses), an
@@ -194,14 +192,17 @@ def condition_on_given(p: CompiledPotentials, z: np.ndarray, given
 
 def sample_noise(model: PairwiseModel, seed: int,
                  context: tuple[int, ...] = ()) -> np.ndarray:
-    """(D, K) independent zero-mean Gumbel per (variable, label);
-    deterministic given (seed, context): the table of
-    ``stream(seed, *context, TAG_NOISE)``, drawn from the retained
-    generator (``_rekeyed``).  That generator is module state, so this is
-    single-threaded: call it from one thread at a time.  A context word
-    outside [-2^63, 2^64) raises ``OverflowError``, as ``stream`` does."""
-    words = tuple(context) + (0, 0)
-    return _gumbel_table(_rekeyed(seed, words[0], words[1], TAG_NOISE), model)
+    """(D, K) independent zero-mean Gumbel per (variable, label): the
+    table of ``stream(seed, *words)``, up to three context words padded
+    from (0, 0, TAG_NOISE), so a third names the tag; a fourth is refused.
+    Drawn from the retained generator (``_rekeyed``), module state: call
+    it from one thread at a time.  A context word outside [-2^63, 2^64)
+    raises ``OverflowError``, as ``stream`` does."""
+    context = tuple(context)
+    if len(context) > 3:
+        raise StructuralError(f"noise context {context} has over three words")
+    words = context + (0, 0, TAG_NOISE)[len(context):]
+    return _gumbel_table(_rekeyed(seed, *words), model)
 
 
 # ---------------------------------------------------------------------------
@@ -305,10 +306,10 @@ def perturbed_conditional_map(perturbed: CompiledPotentials,
 def _cut_clamped_map(state: DynamicCutState, perturbed: CompiledPotentials,
                      pairs: list[tuple[int, int]]) -> np.ndarray:
     """``perturbed_conditional_map`` on ``state``, a retained cut state
-    of ``perturbed`` = p + z: each pin of ``clamp_variables`` is one
-    ``update_unary``, undone after its solve, so the search trees carry
-    over between the re-solves (Kohli & Torr, PAMI 2007) and the state
-    ends as it began.
+    of ``perturbed`` = p + z: each pin is one ``update_unary``, undone
+    with the row of ``perturbed`` after its solve, so the search trees
+    carry over between the re-solves (Kohli & Torr, PAMI 2007) and the
+    state ends as it began.
 
     A pair (d, k) whose k is not the label of d in the state's last
     solve is first put to ``state.flips_alone(d)``, which certifies
@@ -316,11 +317,12 @@ def _cut_clamped_map(state: DynamicCutState, perturbed: CompiledPotentials,
     certified pair is not pinned: its row is the last solve's labeling
     with d set to k, the labels its pinned solve would return.  All the
     certificates read the residual graph of that solve, so all are taken
-    before the first pin."""
-    unary = perturbed.unary.tolist()
-    pins = pin_margins(perturbed).tolist()
+    before the first pin; then the pairs left to solve, if any, read
+    their pinned entries from ``_pinned_entries``, as the chain's do."""
     y_a = state.is_sink.copy()
     alone = [k != y_a[d] and state.flips_alone(d) for d, k in pairs]
+    solved = [pair for pair, flip in zip(pairs, alone) if not flip]
+    entries = iter(_pinned_entries(perturbed, solved))
     rows = []
     for (d, k), flip in zip(pairs, alone):
         if flip:
@@ -328,11 +330,11 @@ def _cut_clamped_map(state: DynamicCutState, perturbed: CompiledPotentials,
             row[d] = k
             rows.append(row)
             continue
-        pinned = unary[d].copy()
-        pinned[k] += pins[d]
+        pinned = perturbed.unary[d].tolist()
+        pinned[k] = next(entries)
         state.update_unary(d, pinned)
         rows.append(state.solve()[0])
-        state.update_unary(d, unary[d])
+        state.update_unary(d, perturbed.unary[d])
     return _checked_block(pairs, rows)
 
 
@@ -356,7 +358,7 @@ def _noise_batch(model: PairwiseModel, cfg: EstimatorConfig,
     """(M, D, K) noise block; sample m uses counter word m so streams
     match any per-sample evaluation order."""
     return np.stack([
-        _gumbel_table(stream(cfg.seed, m, cfg.stream_context, tag), model)
+        sample_noise(model, cfg.seed, (m, cfg.stream_context, tag))
         for m in range(cfg.num_samples)])
 
 

@@ -166,6 +166,16 @@ def _label_array(y) -> tuple[np.ndarray, np.ndarray | None]:
     return labels, (a if np.any(labels != a) else None)
 
 
+def _integer_labels(y) -> np.ndarray:
+    """``y`` as int64 labels by ``_label_array``'s rule, or a refusal."""
+    labels, floats = _label_array(y)
+    if floats is not None:
+        i = int(np.flatnonzero(labels != floats)[0])
+        raise StructuralError(
+            f"label {float(floats.flat[i])} is not an integer at variable {i}")
+    return labels
+
+
 def check_labeling(model: PairwiseModel, y: np.ndarray) -> np.ndarray:
     """``y`` as an int64 array, checked once: a (D,) labeling or an (n, D)
     block of labelings, every label an integer in range.  A bad block
@@ -190,36 +200,23 @@ def check_labeling(model: PairwiseModel, y: np.ndarray) -> np.ndarray:
 
 def _runs(models: list[PairwiseModel], ys: list) -> tuple[int, list]:
     """The labelings of a list form, one (D,) labeling or (n, D) block per
-    model, checked and split into runs of consecutive items with equal
-    models.  Returns the number of rows, and per run: its model, its items
-    ``first:stop``, its first row, the (n, D) labels of its rows stacked,
-    and the item of each row within the run.  A bad labeling raises what
-    ``check_labeling`` raises for the first bad one."""
+    model, checked in order (``check_labeling``), then split into runs of
+    consecutive items with equal models.  Returns the number of rows, and
+    per run: its model, its items ``first:stop``, its first row, the
+    (n, D) labels of its rows stacked, and the item of each row within
+    the run."""
     if len(models) != len(ys):
         raise StructuralError(f"{len(models)} models and {len(ys)} labelings")
-    blocks = []
-    for model, y in zip(models, ys):
-        labels, floats = _label_array(y)
-        if (floats is not None or labels.ndim not in (1, 2)
-                or labels.shape[-1] != model.num_vars):
-            # the items before it first: the first bad one raises
-            for m, block in zip(models, blocks):
-                check_labeling(m, block)
-            check_labeling(model, y)
-        blocks.append(labels.reshape(-1, model.num_vars))
+    blocks = [check_labeling(model, y).reshape(-1, model.num_vars)
+              for model, y in zip(models, ys)]
     runs, row, first = [], 0, 0
     for stop in range(1, len(models) + 1):
         if stop < len(models) and models[stop] == models[first]:
             continue
-        model = models[first]
         labels = np.concatenate(blocks[first:stop])
-        # as unsigned, a negative label is out of range too
-        if np.count_nonzero(labels.view(np.uint64) >= model.num_labels):
-            for m, block in zip(models, blocks):
-                check_labeling(m, block)
         item = np.repeat(np.arange(stop - first),
                          [len(b) for b in blocks[first:stop]])
-        runs.append((model, first, stop, row, labels, item))
+        runs.append((models[first], first, stop, row, labels, item))
         row += len(labels)
         first = stop
     return row, runs
@@ -391,13 +388,9 @@ class FeatureInstance:
                 and np.all(np.isfinite(self.edge_features))):
             raise StructuralError("features must be finite")
         if self.labels is not None:
-            lab, floats = _label_array(self.labels)
+            lab = _integer_labels(self.labels)
             if lab.shape != (d,):
                 raise StructuralError("labels must be length D")
-            if floats is not None:
-                i = int(np.argmax(lab != floats))
-                raise StructuralError(
-                    f"label {float(floats[i])} is not an integer at {i}")
             bad = (lab < -1) | (lab >= self.model.num_labels)
             if bad.any():
                 i = int(np.argmax(bad))
@@ -538,7 +531,7 @@ def volume_weights(y_true: np.ndarray, volumes: np.ndarray) -> np.ndarray:
 
     A one-sided ground truth raises DegenerateInstanceError.
     """
-    y_true = np.asarray(y_true, dtype=np.int64)
+    y_true = _integer_labels(y_true)
     volumes = np.asarray(volumes, dtype=np.float64)
     if np.any((y_true != 0) & (y_true != 1)):
         raise StructuralError("volume-balanced weights require binary labels")
@@ -552,9 +545,10 @@ def volume_weights(y_true: np.ndarray, volumes: np.ndarray) -> np.ndarray:
 
 def loss(spec: LossSpec, y_true: np.ndarray, y_pred: np.ndarray,
          volumes: np.ndarray | None = None) -> float:
-    """Evaluate the configured loss; weights are taken at the true labels."""
-    y_true = np.asarray(y_true, dtype=np.int64)
-    y_pred = np.asarray(y_pred, dtype=np.int64)
+    """Evaluate the configured loss; weights are taken at the true labels.
+    A label that is not an integer raises ``StructuralError``."""
+    y_true = _integer_labels(y_true)
+    y_pred = _integer_labels(y_pred)
     if y_true.shape != y_pred.shape:
         raise StructuralError("labelings must have equal length")
     d = y_true.shape[0]
@@ -572,7 +566,7 @@ def loss_weights(spec: LossSpec, y_true: np.ndarray,
     """Per-variable theta_d(y_d) for Hamming-family losses: ones for plain
     Hamming, ``volume_weights`` for weighted Hamming.  Every entry is in
     [0, 1]."""
-    y_true = np.asarray(y_true, dtype=np.int64)
+    y_true = _integer_labels(y_true)
     d = y_true.shape[0]
     if spec.kind in (ZERO_ONE, HAMMING):
         return np.ones(d)

@@ -60,8 +60,8 @@ class TestBruteForce:
     def test_map_value_consistency(self, rng):
         p = random_chain_potentials(rng)
         res = brute_force(p)
-        assert res.map_value == pytest.approx(
-            evaluate_potential(p, res.map_labeling), abs=1e-12)
+        assert res.map_value.hex() == evaluate_potential(
+            p, res.map_labeling).hex()
         assert res.map_value <= res.log_partition + 1e-12
 
     def test_tie_break_lexicographic(self):

@@ -134,6 +134,47 @@ class TestNoise:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
+    def test_third_context_word_names_the_tag(self):
+        """A third context word replaces ``TAG_NOISE`` as the stream's
+        last counter word: the table is ``_gumbel_table`` of a fresh
+        ``stream`` of the three words, bit for bit, so (1, 2, 3) and
+        (1, 2, 4) draw different tables, and (1, 2) draws (1, 2,
+        TAG_NOISE)'s.  A fourth word is refused."""
+        from gumbelmap.gumbel import TAG_NOISE, _gumbel_table, stream
+        for model in (chain_model(8, 3), grid_model(6, 6)):
+            tables = {}
+            for words in ((1, 2, 3), (1, 2, 4), (1, 2, TAG_NOISE),
+                          ((1 << 64) - 1, 5, 1 << 63)):
+                z = sample_noise(model, 11, words)
+                want = _gumbel_table(stream(11, *words), model)
+                assert z.tobytes() == want.tobytes()
+                tables[words] = z.tobytes()
+            assert tables[(1, 2, 3)] != tables[(1, 2, 4)]
+            assert sample_noise(model, 11, (1, 2)).tobytes() == \
+                tables[(1, 2, TAG_NOISE)]
+            with pytest.raises(StructuralError, match="three words"):
+                sample_noise(model, 11, (1, 2, 3, 4))
+
+    @pytest.mark.parametrize("tag", ["TAG_ESTIMATE", "TAG_COUNT"])
+    def test_noise_batch_equals_fresh_streams(self, tag):
+        """The estimators' noise block, drawn through ``sample_noise``,
+        is the stack of the tables of fresh streams (seed, m, context,
+        tag), bit for bit, whatever was drawn between two blocks."""
+        from gumbelmap.gumbel import _gumbel_table, _noise_batch, stream
+        tag = getattr(gumbel, tag)
+        for model, cfg in (
+                (chain_model(8, 3), EstimatorConfig(5, 7, "chain")),
+                (grid_model(6, 6), EstimatorConfig(
+                    12, -(1 << 70), "graphcut", stream_context=3)),
+                (grid_model(2, 3), EstimatorConfig(
+                    1, 1 << 100, "brute", stream_context=(1 << 64) - 1))):
+            sample_noise(model, cfg.seed, (0, cfg.stream_context))
+            want = np.stack([
+                _gumbel_table(stream(cfg.seed, m, cfg.stream_context, tag),
+                              model)
+                for m in range(cfg.num_samples)])
+            assert _noise_batch(model, cfg, tag).tobytes() == want.tobytes()
+
 
 class TestPerturbedMap:
     def test_zero_noise_is_plain_map(self, rng):

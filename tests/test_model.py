@@ -22,6 +22,7 @@ from gumbelmap.model import (
     feature_map,
     grid_model,
     loss,
+    loss_weights,
     volume_weights,
 )
 
@@ -417,6 +418,32 @@ class TestLoss:
     def test_weight_rule_validation(self):
         with pytest.raises(StructuralError):
             LossSpec("weighted")
+
+    def test_labels_that_are_not_integers_refused(self):
+        """A fractional, NaN or infinite label, true or predicted, is
+        refused by name, not truncated to another label: [0.5, 1.7] used
+        to score as [0, 1], 1.9 weighed as label 1, and a NaN prediction
+        raised a bare ValueError.  Integral floats score as their ints."""
+        ones = np.ones(2)
+        for spec in (LossSpec(ZERO_ONE), LossSpec(HAMMING),
+                     LossSpec(WEIGHTED_HAMMING)):
+            for y_true, y_pred, bad in (
+                    ([0, 1], [0.5, 1.7], "0.5 is not an integer at variable 0"),
+                    ([0, 1], [0, float("nan")], "nan is not an integer at "
+                                                "variable 1"),
+                    ([0, 1.9], [0, 1], "1.9 is not an integer at variable 1"),
+                    ([float("inf"), 1], [0, 1], "inf is not an integer at "
+                                                "variable 0")):
+                with pytest.raises(StructuralError, match=f"label {bad}"):
+                    loss(spec, y_true, y_pred, ones)
+            assert loss(spec, [0.0, 1.0], [0, 1], ones) == 0.0
+            assert loss(spec, [0.0, 1.0], [1, 1], ones) == loss(
+                spec, np.array([0, 1]), np.array([1, 1]), ones)
+            with pytest.raises(StructuralError, match="label 1.9 is not"):
+                loss_weights(spec, [0, 1.9], ones)
+        with pytest.raises(StructuralError, match="label 1.9 is not"):
+            volume_weights([0, 1.9], ones)
+        assert volume_weights([0.0, 1.0], ones).tolist() == [0.5, 0.5]
 
 
 class TestFeatureInstance:

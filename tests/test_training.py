@@ -538,6 +538,53 @@ class TestAcceleration:
             assert state.unary == perturbed.unary.ravel().tolist()
             assert np.array_equal(state.solve()[0], y_a)
 
+    def test_cut_clamps_pin_only_what_they_solve(self, monkeypatch):
+        """On a retained cut state, the pinned entries come from
+        ``clamp_variables``, one call per round of the pairs left to solve
+        once the certificates are taken: none, and no pin margin, when
+        ``flips_alone`` certifies every pair.  The rows equal those of
+        ``perturbed_conditional_map`` either way."""
+        from gumbelmap import cuts, gumbel
+        from gumbelmap.cuts import build_cut_problem
+        from gumbelmap.gumbel import (_cut_clamped_map,
+                                      perturbed_conditional_map)
+        from gumbelmap.model import compile_potentials
+        calls = {"clamp": 0, "margins": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(gumbel, "clamp_variables", counted(
+            "clamp", cuts.clamp_variables))
+        monkeypatch.setattr(cuts, "pin_margins", counted(
+            "margins", cuts.pin_margins))
+        data, teacher = gen_grid_dataset(3, 6, 3, seed=17, teacher_seed=1009)
+        seen = set()
+        for i, x in enumerate(data):
+            p = compile_potentials(teacher, x)
+            perturbed = p.with_unary(
+                p.unary + sample_noise(x.model, 7, context=(i, 0)))
+            state = build_cut_problem(perturbed)
+            y_a = state.solve()[0]
+            n = x.model.num_vars
+            certified = [(d, 1 - int(y_a[d])) for d in range(n)
+                         if state.flips_alone(d)]
+            every = [(d, k) for d in range(n) for k in range(2)]
+            # the pairs of every variable not certified are solved, in two
+            # rounds: each such variable is pinned to both labels
+            rounds = 1 + (len(certified) < n)
+            for pairs, want in ((certified, 0), (every, rounds)):
+                calls.update(clamp=0, margins=0)
+                block = _cut_clamped_map(state, perturbed, pairs)
+                assert calls == {"clamp": want, "margins": want}
+                assert np.array_equal(block, perturbed_conditional_map(
+                    perturbed, pairs, "graphcut"))
+                seen.add((want, bool(pairs)))
+        assert seen >= {(0, True), (2, True)}
+
 
 class TestProjection:
     def test_clamps_pairwise_block(self, rng):
