@@ -21,8 +21,8 @@ trees a re-solve starts from depends on the update:
   the trees and marks the row's node; the next solve repairs the trees
   around the marked nodes (Kohli & Torr, PAMI 2007).
 * ``replace_unary`` of the whole table (one draw of counting marginals)
-  keeps the flow but drops the trees before its row updates, so it marks
-  no node; the next solve grows the trees afresh over the residual graph.
+  keeps the flow but drops the trees before its update, so it marks no
+  node; the next solve grows the trees afresh over the residual graph.
   With every node changed, repairing the old trees costs more than
   growing new ones, while the kept flow still saves most of the
   augmentations of a cold build.
@@ -49,12 +49,20 @@ A state builds its network with numpy once, then keeps the max-flow state
 as Python lists that the BK kernel mutates in place: on the many small
 warm re-solves of clamped training, converting arrays to lists and back
 on every solve cost more than the flow work.  The state's unary table is
-a list too, which ``update_unary`` compares and rewrites a row of in
-place.  The arc layout (``first``, ``head``, ``nxt``, ``pairs``) depends
-on the model alone and the kernel never writes it, so the states of one
-model share the lists built for its first state (``_LAYOUTS``).  That
-halves a 6x6 build (26 against 48-51 us, timeit on 2 shared cores) and
-keeps about 0.4 MB of RSS alive on 32x32 marginals.
+one float64 array, u_d(k) at 2d + k.  A pin, the per-row path that
+training's clamps take, compares and rewrites one row of it in place.  A
+whole-table update (``update_unary(None, table)``, which
+``replace_unary`` makes) is one numpy pass over every row: the row
+path's arithmetic elementwise, with its constant terms added in row
+order, so it leaves the bits of D row calls at a fraction of their cost
+(timeit on 2 shared cores: a 32x32 table 0.14 against 0.70 ms, a 6x6
+one 25 against 31 us).
+
+The arc layout (``first``, ``head``, ``nxt``, ``pairs``) depends on the
+model alone and the kernel never writes it, so the states of one model
+share the lists built for its first state (``_LAYOUTS``).  That halves a
+6x6 build (26 against 48-51 us, timeit on 2 shared cores) and keeps
+about 0.4 MB of RSS alive on 32x32 marginals.
 
 Clamping is one mechanism for every solver: ``clamp_variables`` raises
 u_d(k) by a margin that provably pins y_d = k and keeps the model, so a
@@ -185,28 +193,36 @@ class DynamicCutState:
         self._marked: set[int] = set()
         self.last_augmentations = 0
         # the unary table update_unary compares and rewrites: u_d(k) at
-        # 2d + k of one list (nested rows per label would triple the
-        # objects the garbage collector tracks)
-        self.unary = unary.ravel().tolist()
+        # 2d + k of one float64 array
+        self.unary = unary.ravel().copy()
 
     # -- mutation ----------------------------------------------------------
 
-    def update_unary(self, d: int, new_u) -> None:
-        """Replace variable d's unary table; terminal capacities are
-        reparameterized in place and, while the trees of the last solve
-        are kept, the node is marked for tree repair.
-        An unchanged row changes nothing and needs no repair, so it
-        returns at once.  ``new_u`` is any pair of numbers; a list row is
-        cheapest.  A row that makes its terminal capacity or the constant
-        not finite (NaN, infinite or overflowing) is refused as
-        ``__init__`` refuses it, before anything is written."""
+    def update_unary(self, d: int | None, new_u) -> None:
+        """Replace variable d's unary row, or with d None the whole (D, 2)
+        table; terminal capacities are reparameterized in place and, while
+        the trees of the last solve are kept, each changed row's node is
+        marked for tree repair.
+        An unchanged row changes nothing and needs no repair: no
+        capacity write and no constant term.  ``new_u`` is any pair of
+        numbers for a row; a list row is cheapest.  An update that makes
+        a terminal capacity or the constant not finite (NaN, infinite or
+        overflowing entries) is refused as ``__init__`` refuses it,
+        before anything is written.
+
+        The whole-table form is one numpy pass that makes the row path's
+        IEEE operations elementwise and adds the constant's terms in row
+        order, so it leaves the bits of D row calls."""
+        if d is None:
+            self._update_table(new_u)
+            return
         trcap = self.trcap
         if not 0 <= d < len(trcap):
             raise StructuralError(f"variable index {d} out of range")
         nu0, nu1 = float(new_u[0]), float(new_u[1])
         unary = self.unary
         k = 2 * d
-        u0, u1 = unary[k], unary[k + 1]
+        u0, u1 = unary.item(k), unary.item(k + 1)
         if u0 == nu0 and u1 == nu1:
             return
         de0 = u0 - nu0  # energy deltas (E = -u)
@@ -234,33 +250,53 @@ class DynamicCutState:
         if self.solved:
             self._marked.add(d)
 
-    def replace_unary(self, table) -> None:
-        """Replace the whole (D, 2) unary table: ``update_unary`` row by
-        row, so the flow stays feasible, then drop the search trees.  The
-        next solve grows fresh trees over the kept residual graph instead
-        of repairing the old ones around every node (see the module
-        docstring).  A NaN or infinite entry is refused before the state
-        is touched; a finite row that overflows, by its ``update_unary``,
-        after which the rows written before it are restored: a refused
-        replacement leaves the state as it was."""
-        rows = np.asarray(table, dtype=np.float64)
-        if rows.shape != (self.model.num_vars, 2):
+    # overflow in the network arithmetic is refused below, not warned about
+    @np.errstate(over="ignore", invalid="ignore")
+    def _update_table(self, table) -> None:
+        """``update_unary(None, table)``: the row path over every row at
+        once, with its tie rule and its constant terms in row order."""
+        new = np.asarray(table, dtype=np.float64)
+        n = self.model.num_vars
+        if new.shape != (n, 2):
             raise StructuralError(
-                f"unary table of shape {rows.shape} for "
-                f"{self.model.num_vars} binary variables")
-        if not np.isfinite(rows).all():
+                f"unary table of shape {new.shape} for {n} binary variables")
+        old = self.unary.reshape(n, 2)
+        changed = (old != new).any(axis=1)
+        de = old - new  # energy deltas (E = -u)
+        tr = np.array(self.trcap)
+        rs = np.where(tr > 0.0, tr, 0.0) + de[:, 1]
+        rt = np.where(tr < 0.0, -tr, 0.0) + de[:, 0]
+        low = np.where(rt < rs, rt, rs)
+        lift = np.where(low < 0.0, low, 0.0)
+        cap = np.where(changed, (rs - lift) - (rt - lift), tr)
+        # a changed row adds low to the constant, and when it lifts, then
+        # min(rs, rt) = +0.0, which leaves a sum with a negative low in it
+        # as it is; so the terms are each changed row's low, added one at
+        # a time in row order, as D row calls add them
+        const = np.add.accumulate(
+            np.concatenate(([self.const], low[changed])))[-1].item()
+        if not (isfinite(const) and np.isfinite(cap).all()):
             raise PreconditionError(_OVERFLOW)
-        saved = (self.trcap.copy(), self.unary.copy(), self.const, self.solved)
-        # dropped first, so update_unary marks no node for a repair that
+        self.const = const
+        self.trcap[:] = cap.tolist()
+        np.copyto(old, new, where=changed[:, None])
+        if self.solved:
+            self._marked.update(np.flatnonzero(changed).tolist())
+
+    def replace_unary(self, table) -> None:
+        """Replace the whole (D, 2) unary table: drop the search trees,
+        then ``update_unary(None, table)``, which keeps the flow feasible.
+        The next solve grows fresh trees over the kept residual graph
+        instead of repairing the old ones around every node (see the
+        module docstring).  A refused table leaves the state as it was,
+        its kept trees included."""
+        # dropped first, so the update marks no node for a repair that
         # the next, tree-cold solve would not make
-        self.solved = False
-        update = self.update_unary
+        solved, self.solved = self.solved, False
         try:
-            for d, row in enumerate(rows.tolist()):
-                update(d, row)
-        except PreconditionError:
-            # in place: the lists are the ones the kernel mutates
-            self.trcap[:], self.unary[:], self.const, self.solved = saved
+            self.update_unary(None, table)
+        except (PreconditionError, StructuralError):
+            self.solved = solved
             raise
 
     # -- solving -----------------------------------------------------------

@@ -428,6 +428,5 @@ def conditional_counting_marginals(p: CompiledPotentials,
     p, znoise = condition_on_given(p, _noise_batch(p.model, cfg, TAG_COUNT),
                                    given)
     labels = _perturbed_map_batch(p, znoise, cfg.solver)
-    counts = np.array([np.bincount(col, minlength=p.model.num_labels)
-                       for col in labels.T])
+    counts = (labels[:, :, None] == np.arange(p.model.num_labels)).sum(axis=0)
     return exact_row_normalize(counts, cfg.num_samples)

@@ -179,7 +179,8 @@ def _integer_labels(y) -> np.ndarray:
 def check_labeling(model: PairwiseModel, y: np.ndarray) -> np.ndarray:
     """``y`` as an int64 array, checked once: a (D,) labeling or an (n, D)
     block of labelings, every label an integer in range.  A bad block
-    raises the error its first bad row would raise alone."""
+    raises the error its first bad row would raise alone, with a note
+    that names the row."""
     y, floats = _label_array(y)
     d = model.num_vars
     if y.ndim not in (1, 2) or y.shape[-1] != d:
@@ -191,24 +192,35 @@ def check_labeling(model: PairwiseModel, y: np.ndarray) -> np.ndarray:
     if np.count_nonzero(bad):
         i = int(np.flatnonzero(bad)[0])
         if floats is not None and y.flat[i] != floats.flat[i]:
-            raise StructuralError(f"label {float(floats.flat[i])} is not an "
-                                  f"integer at variable {i % d}")
-        raise StructuralError(
-            f"label {y.flat[i]} out of range at variable {i % d}")
+            error = StructuralError(f"label {float(floats.flat[i])} is not "
+                                    f"an integer at variable {i % d}")
+        else:
+            error = StructuralError(
+                f"label {y.flat[i]} out of range at variable {i % d}")
+        if y.ndim == 2:
+            error.add_note(f"in row {i // d} of a block of {len(y)}")
+        raise error
     return y
 
 
 def _runs(models: list[PairwiseModel], ys: list) -> tuple[int, list]:
     """The labelings of a list form, one (D,) labeling or (n, D) block per
-    model, checked in order (``check_labeling``), then split into runs of
+    model, checked in order (``check_labeling``; in a list of several, its
+    error gets a note that names the item), then split into runs of
     consecutive items with equal models.  Returns the number of rows, and
     per run: its model, its items ``first:stop``, its first row, the
     (n, D) labels of its rows stacked, and the item of each row within
     the run."""
     if len(models) != len(ys):
         raise StructuralError(f"{len(models)} models and {len(ys)} labelings")
-    blocks = [check_labeling(model, y).reshape(-1, model.num_vars)
-              for model, y in zip(models, ys)]
+    blocks = []
+    for i, (model, y) in enumerate(zip(models, ys)):
+        try:
+            blocks.append(check_labeling(model, y).reshape(-1, model.num_vars))
+        except StructuralError as error:
+            if len(ys) > 1:
+                error.add_note(f"in item {i} of {len(ys)}")
+            raise
     runs, row, first = [], 0, 0
     for stop in range(1, len(models) + 1):
         if stop < len(models) and models[stop] == models[first]:
@@ -580,9 +592,11 @@ def loss_weights(spec: LossSpec, y_true: np.ndarray,
 
 def exact_row_normalize(counts: np.ndarray, total: int) -> np.ndarray:
     """counts / total with each row nudged by a sub-ulp correction so that
-    it sums to exactly 1.0."""
+    it sums to exactly 1.0.  Rows that already do are left as they are:
+    every row sum is taken at once, by the reduction ``row.sum()`` makes."""
     q = counts.astype(np.float64) / float(total)
-    for row in q:
+    for r in np.flatnonzero(q.sum(axis=1) != 1.0):
+        row = q[r]
         for _ in range(4):
             s = row.sum()
             if s == 1.0:

@@ -3,8 +3,8 @@
 bench/spec.json wraps functions and methods of the package by name, and the
 benchmark reads two attributes of DynamicCutState after each solve.  Its
 solve counter wraps ``DynamicCutState.solve`` as a method of ``self``
-alone, and grid-marginals drives ``update_unary`` once per variable with a
-row.  A rename or a new signature fails here instead of in a traced
+alone, and grid-marginals drives ``update_unary`` once per draw, with the
+whole table.  A rename or a new signature fails here instead of in a traced
 benchmark run, and so does a change that stops calling a span spec.json
 predicts calls for, or starts calling one it predicts is bypassed.
 """

@@ -201,6 +201,51 @@ class TestDynamicUpdates:
         with pytest.raises(StructuralError):
             st.replace_unary(np.zeros((3, 2)))
 
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.integers(1, 5), cols=st.integers(1, 5),
+           integer=st.booleans(), solved=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_table_form_equals_row_calls_bitwise(self, rows, cols, integer,
+                                                 solved, seed):
+        """``update_unary(None, table)`` leaves the capacities, the unary
+        table, the constant (compared by ``float.hex``) and the marks that
+        D row calls leave, on solved and unsolved states, over a sequence
+        of tables.  Small-integer tables, and rows kept from the current
+        table, make ties, zero capacities and unchanged rows common; their
+        zeros are signed, so a row can equal the current one and differ in
+        its bits."""
+        rng = np.random.default_rng(seed)
+        m = grid_model(rows, cols)
+        if integer:
+            def table(*shape):
+                return (rng.integers(-2, 3, size=shape)
+                        * rng.choice([-1.0, 1.0], size=shape))
+        else:
+            def table(*shape):
+                return rng.normal(size=shape) * 2
+        pw = table(m.num_edges, 2, 2)
+        gap = pw[:, 0, 0] + pw[:, 1, 1] - pw[:, 0, 1] - pw[:, 1, 0]
+        pw[:, 0, 0] += np.maximum(-gap, 0.0)
+        p = CompiledPotentials(m, table(m.num_vars, 2), pw)
+        block, by_row = build_cut_problem(p), build_cut_problem(p)
+
+        def bits(state):
+            return ([c.hex() for c in state.trcap],
+                    [u.hex() for u in state.unary.tolist()],
+                    state.const.hex(), set(state._marked))
+
+        for _ in range(4):
+            if solved:
+                assert (block.solve()[0].tolist()
+                        == by_row.solve()[0].tolist())
+            new = table(m.num_vars, 2)
+            kept = rng.random(m.num_vars) < 0.3
+            new[kept] = block.unary.reshape(-1, 2)[kept]
+            block.update_unary(None, new)
+            for d in range(m.num_vars):
+                by_row.update_unary(d, new[d].tolist())
+            assert bits(block) == bits(by_row)
+
     @pytest.mark.parametrize("row", [
         [np.nan, 0.0], [0.0, np.nan], [np.inf, 0.0], [-np.inf, 0.0],
         [0.0, np.inf],
@@ -208,11 +253,12 @@ class TestDynamicUpdates:
         [1.7e308, -1.7e308],
     ])
     def test_updates_refuse_what_build_refuses(self, rng, row):
-        """A row that a build refuses is refused by ``update_unary`` and
-        ``replace_unary`` too, and leaves the state as it was: its tables,
-        constant, kept trees and marks, so the next solve is the cold
-        solve of the tables the state had.  The second table replaces
-        every row before its refused last one, which a refusal must undo."""
+        """A row that a build refuses is refused by ``update_unary``, in
+        its row and its whole-table form, and by ``replace_unary``, and
+        leaves the state as it was: its tables, constant, kept trees and
+        marks, so the next solve is the cold solve of the tables the state
+        had.  The second table changes every row before its refused last
+        one, none of which a refusal may write."""
         p = random_supermodular_grid(rng, 3, 3)
         table = p.unary.copy()
         table[4] = row
@@ -237,6 +283,9 @@ class TestDynamicUpdates:
                 st.update_unary(4, row)
             assert snapshot() == before
             for refused in (table, fresh):
+                with pytest.raises(PreconditionError, match="overflows"):
+                    st.update_unary(None, refused)
+                assert snapshot() == before
                 with pytest.raises(PreconditionError, match="overflows"):
                     st.replace_unary(refused)
                 assert snapshot() == before

@@ -26,6 +26,7 @@ from gumbelmap.model import (
     chain_model,
     compile_potentials,
     evaluate_potential,
+    exact_row_normalize,
     grid_model,
 )
 from gumbelmap.synth import gen_chain_dataset, gen_grid_dataset
@@ -365,6 +366,80 @@ class TestCountingMarginals:
             q = counting_marginals(p, EstimatorConfig(4000, seed=9, solver="chain"))
             exact = brute_force(p).marginals
             assert np.max(np.abs(q - exact)) <= 0.1
+
+
+def _bincount_counts(labels, k):
+    """The per-variable ``np.bincount`` counting that the one comparison
+    against ``range(K)`` replaced."""
+    return np.array([np.bincount(col, minlength=k) for col in labels.T])
+
+
+def _row_by_row_normalize(counts, total):
+    """``exact_row_normalize`` as it was, with ``row.sum()`` on every row."""
+    q = counts.astype(np.float64) / float(total)
+    for row in q:
+        for _ in range(4):
+            s = row.sum()
+            if s == 1.0:
+                break
+            fixed = False
+            for i in np.argsort(row, kind="stable"):
+                trial = row[i] + (1.0 - s)
+                if trial < 0.0:
+                    continue
+                old = row[i]
+                row[i] = trial
+                if row.sum() == 1.0:
+                    fixed = True
+                    break
+                row[i] = old
+            if not fixed:
+                row[int(np.argmax(row))] += 1.0 - s
+    return q
+
+
+class TestCountingTables:
+    """The counts and the normalized rows of counting marginals have the
+    bits of the per-variable ``bincount`` and the row-by-row nudging."""
+
+    @staticmethod
+    def random_labels(rng, m, d, k):
+        """(m, d) labels: uniform columns, columns of one label, and
+        columns split evenly between two labels (ties)."""
+        labels = rng.integers(0, k, size=(m, d))
+        for j in range(d):
+            kind = rng.integers(3)
+            if kind == 1:
+                labels[:, j] = rng.integers(k)
+            elif kind == 2:
+                labels[: m // 2, j] = 0
+                labels[m // 2:, j] = k - 1
+        return labels
+
+    def test_row_normalize_equals_row_by_row(self, rng):
+        for _ in range(400):
+            m = int(rng.choice([1, 3, 7, 10, 49, 100, 333, 1000]))
+            k = int(rng.integers(2, 31))
+            counts = _bincount_counts(
+                self.random_labels(rng, m, int(rng.integers(1, 12)), k), k)
+            got = exact_row_normalize(counts, m)
+            assert got.tobytes() == _row_by_row_normalize(counts, m).tobytes()
+            assert (got.sum(axis=1) == 1.0).all()
+
+    def test_counting_marginals_equal_bincount_forms(self, rng, monkeypatch):
+        """Through ``conditional_counting_marginals``, with the solves
+        replaced by random label tables."""
+        model = chain_model(6, 4)
+        p = zero_potentials(model)
+        for _ in range(100):
+            m = int(rng.choice([1, 2, 5, 10, 99]))
+            labels = self.random_labels(rng, m, 6, 4)
+            monkeypatch.setattr(gumbel, "_perturbed_map_batch",
+                                lambda p, z, solver: labels)
+            got = conditional_counting_marginals(
+                p, {}, EstimatorConfig(m, seed=1, solver="chain"))
+            want = _row_by_row_normalize(_bincount_counts(labels, 4), m)
+            assert got.tobytes() == want.tobytes()
 
 
 class TestConditionalCounting:

@@ -257,6 +257,34 @@ class TestBatchedKernels:
                 assert str(batched.value) == str(scalar.value)
                 assert "at variable 3" in str(scalar.value)
 
+    def test_bad_label_names_its_row_and_item(self, rng):
+        """A bad label in an (n, D) block raises what its row raises alone,
+        with a note naming the row; the list forms add a note naming the
+        item, so a caller can tell which labeling was refused."""
+        model = chain_model(4, 3)
+        p = CompiledPotentials(model, rng.normal(size=(4, 3)),
+                               rng.normal(size=(3, 3, 3)))
+        layout = WeightLayout(3, 2, 1)
+        x = FeatureInstance(model, rng.normal(size=(4, 2)), np.ones((3, 1)))
+        block = rng.integers(0, 3, size=(50, 4))
+        block[37, 2] = 9
+        for call in (lambda y: check_labeling(model, y),
+                     lambda y: evaluate_potential(p, y),
+                     lambda y: feature_map(x, y, layout)):
+            with pytest.raises(StructuralError) as error:
+                call(block)
+            assert str(error.value) == "label 9 out of range at variable 2"
+            assert error.value.__notes__ == ["in row 37 of a block of 50"]
+        for call in (lambda ys: evaluate_potential([p, p, p], ys),
+                     lambda ys: feature_map([x, x, x], ys, layout)):
+            with pytest.raises(StructuralError) as error:
+                call([block[0], block, block[1:3]])
+            assert error.value.__notes__ == ["in row 37 of a block of 50",
+                                             "in item 1 of 3"]
+            with pytest.raises(StructuralError) as error:
+                call([block[0], block[1], block[37]])
+            assert error.value.__notes__ == ["in item 2 of 3"]
+
     def test_fractional_labels_refused(self, rng):
         """A label that is not an integer (1.7, NaN, an infinity, a float
         past int64) is refused, not cast to the label it truncates to, by

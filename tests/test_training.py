@@ -535,7 +535,7 @@ class TestAcceleration:
             y_a = state.solve()[0]
             pairs = [(d, 1 - int(y_a[d])) for d in range(x.model.num_vars)]
             _cut_clamped_map(state, perturbed, pairs)
-            assert state.unary == perturbed.unary.ravel().tolist()
+            assert state.unary.tolist() == perturbed.unary.ravel().tolist()
             assert np.array_equal(state.solve()[0], y_a)
 
     def test_cut_clamps_pin_only_what_they_solve(self, monkeypatch):
